@@ -16,11 +16,13 @@ Entry names mirror the model: gated layers save `{tag}/weight` and
 `{tag}/bias`; each masker saves `{tag}/embeddings` ([tasks, features]),
 `{tag}/cumulative`, and one `{tag}/stored/{t}` bitmask per finalized task;
 task-indexed modules save `{tag}/{t}/{param}`; untagged plain layers are
-named by pipeline position (`step3/weight`). The launch configuration rides
+named by pipeline position (`step3/weight`, or `step3.1/weight` for step 1
+of a nested pipeline at step 3). The launch configuration rides
 along as UTF-8 bytes under `meta/config` so a checkpoint suffices to rebuild
 the network that wrote it.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -32,6 +34,7 @@ from .layers import (
     Sequential,
     TaskIndexed,
     _GatedWeightedLayer,
+    walk,
 )
 from .tensor import ShapeError, UsageError
 
@@ -95,7 +98,10 @@ class _Reader:
 
 
 def read_entries(path) -> dict:
-    """Read a checkpoint back into {name: array}."""
+    """Read a checkpoint back into {name: array}.
+
+    A corrupt or truncated file raises UsageError, whatever its header says.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     rd = _Reader(buf)
@@ -105,15 +111,21 @@ def read_entries(path) -> dict:
     entries = {}
     for _ in range(count):
         (name_len,) = rd.unpack("<I")
-        name = rd.take(name_len).decode("utf-8")
+        name = _utf8(rd.take(name_len), "an entry name")
         (code,) = rd.unpack("<B")
         if code not in _CODE_TO_DTYPE:
             raise UsageError(f"unknown dtype code {code} for entry '{name}'")
         (rank,) = rd.unpack("<Q")
-        shape = rd.unpack(f"<{rank}Q")
+        # sizes are Python ints checked by take() before any is used, so a
+        # corrupt rank or extent cannot overflow or allocate
+        shape = struct.unpack(f"<{rank}Q", rd.take(8 * rank))
         dtype = _CODE_TO_DTYPE[code]
-        payload = rd.take(int(np.prod(shape, dtype=np.int64)) * dtype.itemsize)
-        entries[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        payload = rd.take(math.prod(shape) * dtype.itemsize)
+        try:
+            entries[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        except ValueError:  # a rank or extent numpy cannot represent
+            raise UsageError(f"entry '{name}' has unsupported shape "
+                             f"{shape}") from None
     if rd.pos != len(buf):
         raise UsageError(f"{path} has {len(buf) - rd.pos} trailing bytes")
     return entries
@@ -127,23 +139,19 @@ def _named_local(module) -> list:
     raise UsageError(f"cannot checkpoint submodule type {type(module).__name__}")
 
 
-def _walk(model: Sequential):
-    """Yield ("param", name, tensor) and ("masker", tag, masker) records."""
-    for i, step in enumerate(model.steps):
-        if isinstance(step, _GatedWeightedLayer):
-            yield "param", f"{step.layer_tag}/weight", step.weight
-            if step.bias is not None:
-                yield "param", f"{step.layer_tag}/bias", step.bias
-            yield "masker", step.output_masker.layer_tag, step.output_masker
-        elif isinstance(step, HATMasker):
-            yield "masker", step.layer_tag, step
-        elif isinstance(step, TaskIndexed):
-            for t, sub in enumerate(step.submodules):
-                for pname, param in _named_local(sub):
-                    yield "param", f"{step.layer_tag}/{t}/{pname}", param
-        elif isinstance(step, (Linear, LayerNorm)):
-            for pname, param in _named_local(step):
-                yield "param", f"step{i}/{pname}", param
+def _named_params(name: str, module) -> list:
+    """(entry name, tensor) for each parameter one step of `walk` owns."""
+    if isinstance(module, _GatedWeightedLayer):
+        return [(f"{module.layer_tag}/weight", module.weight),
+                (f"{module.layer_tag}/bias", module.bias)]
+    if isinstance(module, TaskIndexed):
+        return [(f"{module.layer_tag}/{t}/{pname}", param)
+                for t, sub in enumerate(module.submodules)
+                for pname, param in _named_local(sub)]
+    if isinstance(module, (Linear, LayerNorm)):
+        return [(f"step{name}/{pname}", param)
+                for pname, param in _named_local(module)]
+    return []
 
 
 def model_state(model: Sequential, config: str = None) -> dict:
@@ -155,14 +163,15 @@ def model_state(model: Sequential, config: str = None) -> dict:
             raise UsageError(f"duplicate checkpoint entry '{name}'")
         entries[name] = arr
 
-    for kind, name, obj in _walk(model):
-        if kind == "param":
-            put(name, obj.data.copy())
-        else:
+    for step, module, _ in walk(model):
+        for name, param in _named_params(step, module):
+            put(name, param.data.copy())
+        if isinstance(module, HATMasker):
+            name = module.layer_tag
             put(f"{name}/embeddings",
-                np.stack([row.data for row in obj.embedding_rows]))
-            put(f"{name}/cumulative", obj.cumulative_mask.copy())
-            for t, mask in sorted(obj.stored_task_masks.items()):
+                np.stack([row.data for row in module.embedding_rows]))
+            put(f"{name}/cumulative", module.cumulative_mask.copy())
+            for t, mask in sorted(module.stored_task_masks.items()):
                 put(f"{name}/stored/{t}", mask.astype(np.uint8))
     if config is not None:
         put(CONFIG_ENTRY, np.frombuffer(config.encode("utf-8"), dtype=np.uint8))
@@ -189,10 +198,11 @@ def load_model_state(model: Sequential, entries: dict) -> None:
         tensor.data[...] = value
         tensor.grad = None
 
-    for kind, name, obj in _walk(model):
-        if kind == "param":
-            assign(obj, name, pull(name))
-        else:
+    for step, obj, _ in walk(model):
+        for name, param in _named_params(step, obj):
+            assign(param, name, pull(name))
+        if isinstance(obj, HATMasker):
+            name = obj.layer_tag
             stacked = pull(f"{name}/embeddings")
             if stacked.shape != (len(obj.embedding_rows), obj.n_features):
                 raise ShapeError(
@@ -223,4 +233,11 @@ def config_text(entries: dict) -> str:
     """The configuration string stored in a checkpoint, or empty."""
     if CONFIG_ENTRY not in entries:
         return ""
-    return entries[CONFIG_ENTRY].tobytes().decode("utf-8")
+    return _utf8(entries[CONFIG_ENTRY].tobytes(), f"entry '{CONFIG_ENTRY}'")
+
+
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(f"{what} in the checkpoint is not UTF-8 text") from None

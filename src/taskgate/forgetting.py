@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .layers import THETA_BIN, HATMasker, LayerNorm, Linear, Sequential
+from .layers import (THETA_BIN, HATMasker, InputSide, LayerNorm, Linear,
+                     Sequential, TaskIndexed, walk)
 from .tensor import StateError, UsageError
 
 __all__ = ["ForgetReport", "attribution", "forget_task"]
@@ -82,12 +83,14 @@ def forget_task(model: Sequential, task: int, theta: float = THETA_BIN,
     """Erase the parameters exclusively associated with one finalized task.
 
     Weight (i, j) of a gated layer is zeroed when output unit i is exclusive
-    to `task` and input unit j is exclusive at the preceding masker (first
-    layers, having no preceding masker, zero the whole row). Bias i is zeroed
-    on output-side exclusivity alone. The task's embedding rows are reset so
-    the slot can be retrained, its stored masks are dropped, cumulative masks
-    are rebuilt from the remaining tasks, and any task-indexed submodule for
-    the slot is freshly reinitialized.
+    to `task` and input feature j is exclusive at the masker that guards it
+    (first layers, having no such masker, zero the whole row; a dense layer
+    after a flattened convolution reads each channel's exclusivity at all of
+    its pixels). Bias i is zeroed on output-side exclusivity alone. The
+    task's embedding rows are reset so the slot can be retrained, its stored
+    masks are dropped, cumulative masks are rebuilt from the remaining
+    tasks, and any task-indexed submodule for the slot is freshly
+    reinitialized.
     """
     if embedding_init not in ("ones", "gaussian"):
         raise UsageError(f"unknown embedding init '{embedding_init}'")
@@ -99,37 +102,12 @@ def forget_task(model: Sequential, task: int, theta: float = THETA_BIN,
                              f"'{masker.layer_tag}'")
 
     report = ForgetReport()
-    for layer, out_masker, in_masker in model.layer_specs():
-        out_excl = attribution(out_masker, task, theta)
-        if in_masker is None:
-            weight_sel = out_excl
-        else:
-            in_excl = attribution(in_masker, task, theta)
-            pair = out_excl[:, None] & in_excl[None, :]
-            # conv kernels share the channel pair across all taps
-            weight_sel = np.broadcast_to(
-                pair.reshape(pair.shape + (1,) * (layer.weight.ndim - 2)),
-                layer.weight.shape)
-        weights = _zero_counting(layer.weight.data, weight_sel)
-        biases = 0
-        if layer.bias is not None:
-            biases = _zero_counting(layer.bias.data, out_excl)
-        report.add_layer(layer.layer_tag, weights, biases)
-
-    for masker in model.maskers():
-        row = masker.embedding_rows[task]
-        if embedding_init == "ones":
-            row.data[...] = 1.0
-        else:
-            row.data[...] = rng.standard_normal(row.shape)
-        row.grad = None
-        del masker.stored_task_masks[task]
-        rebuilt = np.zeros(masker.n_features)
-        for other in masker.completed_tasks():
-            rebuilt = np.maximum(rebuilt, masker.mask_values(other))
-        masker.cumulative_mask = rebuilt
-
-    for module in model.task_indexed_modules():
+    for _, module, side in walk(model):
+        if side is not None:
+            _forget_gated(module, side, task, theta, report)
+            continue
+        if not isinstance(module, TaskIndexed):
+            continue
         sub = module.submodules[task]
         if isinstance(sub, Linear):
             # a per-task head is exclusive by construction: zero it outright,
@@ -152,4 +130,34 @@ def forget_task(model: Sequential, task: int, theta: float = THETA_BIN,
             reset_rng = rng if rng is not None else np.random.default_rng(task)
             module.reset_task(task, reset_rng)
 
+    for masker in model.maskers():
+        row = masker.embedding_rows[task]
+        if embedding_init == "ones":
+            row.data[...] = 1.0
+        else:
+            row.data[...] = rng.standard_normal(row.shape)
+        row.grad = None
+        del masker.stored_task_masks[task]
+        rebuilt = np.zeros(masker.n_features)
+        for other in masker.completed_tasks():
+            rebuilt = np.maximum(rebuilt, masker.mask_values(other))
+        masker.cumulative_mask = rebuilt
+
     return report
+
+
+def _forget_gated(layer, side: InputSide, task: int, theta: float,
+                  report: ForgetReport) -> None:
+    out_excl = attribution(layer.output_masker, task, theta)
+    if side.masker is None:
+        weight_sel = out_excl
+    else:
+        in_excl = side.expand(attribution(side.masker, task, theta))
+        pair = out_excl[:, None] & in_excl[None, :]
+        # conv kernels share the channel pair across all taps
+        weight_sel = np.broadcast_to(
+            pair.reshape(pair.shape + (1,) * (layer.weight.ndim - 2)),
+            layer.weight.shape)
+    weights = _zero_counting(layer.weight.data, weight_sel)
+    biases = _zero_counting(layer.bias.data, out_excl)
+    report.add_layer(layer.layer_tag, weights, biases)

@@ -3,27 +3,29 @@
 The pieces:
 
 * ``HATMasker`` owns one trainable embedding row per task; the row's scaled
-  sigmoid is that task's unit mask. Completed tasks leave behind a cumulative
-  mask (elementwise max) and a stored binary mask.
+  sigmoid is that task's unit mask, applied as soon as the masker runs.
+  Completed tasks leave behind a cumulative mask (elementwise max) and a
+  stored binary mask.
 * ``HATLinear`` / ``HATConv2d`` wrap a weighted base layer and gate its
-  output through an output masker. During training of a later task they
-  register a gradient hook on the weights that multiplies each entry's
-  gradient by ``1 - min(out_mask_i, in_mask_j)``, so parameters fully claimed
-  by earlier tasks stop moving.
+  output through an output masker. Once a completed task has claimed any of
+  its output units, training registers a gradient hook on the weights that
+  multiplies each entry's gradient by ``1 - min(out_mask_i, in_mask_j)``, so
+  parameters fully claimed by earlier tasks stop moving.
 * Mask embeddings get their own hook pair at mask-application time: an
   analytic rescaling that undoes the vanishing sigmoid derivative at large
   mask scales, followed by a magnitude rail.
 * ``TaskIndexed`` holds one isolated submodule per task and dispatches on the
   payload's task id.
 
-Plain ``Linear``/``LayerNorm``/``ReLU`` modules operate on bare tensors and
-can be dropped into a payload pipeline via ``Sequential``, which routes
-payload-aware modules directly and everything else through ``forward_by``.
+Plain modules and functions (``Linear``, ``ReLU``, a flatten) operate on
+bare tensors inside a ``Sequential``, which may nest. ``walk`` is the one
+traversal of a model; it also decides which masker guards each gated
+layer's input features and how those features map onto its units.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,34 +40,10 @@ THETA_BIN = 0.5       # threshold for storing a completed task's binary mask
 
 
 class Module:
-    """Minimal parameter container with recursive traversal."""
+    """Minimal parameter container; models are traversed by ``walk``."""
 
     def local_parameters(self) -> list:
         return []
-
-    def children(self) -> list:
-        out = []
-        for value in self.__dict__.values():
-            if isinstance(value, Module):
-                out.append(value)
-            elif isinstance(value, (list, tuple)):
-                out.extend(v for v in value if isinstance(v, Module))
-        return out
-
-    def modules(self) -> list:
-        found = [self]
-        for child in self.children():
-            found.extend(child.modules())
-        return found
-
-    def parameters(self) -> list:
-        seen, out = set(), []
-        for m in self.modules():
-            for p in m.local_parameters():
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    out.append(p)
-        return out
 
 
 class PayloadModule(Module):
@@ -176,7 +154,7 @@ class HATMasker(PayloadModule):
         return sigmoid_values(self.resolve_scale(scale) * e)
 
     def apply(self, payload: HATPayload) -> Tensor:
-        """Mask the payload's data; called by the payload on materialization."""
+        """The payload's data with this masker's mask for its task applied."""
         data = payload.data
         if payload.task is None:
             return data
@@ -215,10 +193,7 @@ class HATMasker(PayloadModule):
         self._hooked_tape = tape
 
     def forward(self, p: HATPayload) -> HATPayload:
-        """Attach this masker as the payload's pending mask."""
-        p.masked_data()  # at most one pending masker: materialize any earlier one
-        return p.derived(p.data, pending_masker=self, mask_chain=p.mask_chain)
-
+        return p.with_data(self.apply(p))
 
     def finalize_task(self, task: int) -> None:
         """Fold a finished task's mask into the cumulative/stored records."""
@@ -237,6 +212,13 @@ class HATMasker(PayloadModule):
 
     def completed_tasks(self) -> list:
         return sorted(self.stored_task_masks)
+
+
+def _dense(x: Tensor, weight: Tensor, bias: Tensor, who: str) -> Tensor:
+    """y = x Wᵀ + b for a [B, in] batch; `who` names the layer in errors."""
+    if x.ndim != 2 or x.shape[1] != weight.shape[1]:
+        raise ShapeError(f"{who} expects [B,{weight.shape[1]}], got {x.shape}")
+    return ops.add(ops.matmul(x, ops.permute(weight, (1, 0))), bias)
 
 
 class Linear(Module):
@@ -258,9 +240,7 @@ class Linear(Module):
         return [self.weight, self.bias]
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ShapeError(f"linear expects [B,{self.in_features}], got {x.shape}")
-        return ops.add(ops.matmul(x, ops.permute(self.weight, (1, 0))), self.bias)
+        return _dense(x, self.weight, self.bias, "linear")
 
 
 class ReLU:
@@ -288,6 +268,19 @@ class LayerNorm(Module):
         return ops.layer_norm(x, self.gain, self.shift, eps=self.eps)
 
 
+class InputSide(NamedTuple):
+    """The masker over a gated layer's inputs (None for a first layer); each
+    of its units covers ``taps`` consecutive input features (channel-major
+    pixels when a dense layer reads a flattened convolution)."""
+
+    masker: Optional[HATMasker] = None
+    taps: int = 1
+
+    def expand(self, per_unit: np.ndarray) -> np.ndarray:
+        """A vector over the masker's units as a new one over input features."""
+        return np.repeat(per_unit, self.taps)
+
+
 class _GatedWeightedLayer(PayloadModule):
     """Shared plumbing for weighted layers with an output masker."""
 
@@ -298,24 +291,26 @@ class _GatedWeightedLayer(PayloadModule):
 
     def __init__(self):
         self._nullify_tape = None
+        # alone, a layer is a first layer; every Sequential holding it
+        # rebinds this from the model's structure (see walk)
+        self.input_side = InputSide()
 
     def local_parameters(self):
         return [self.weight, self.bias]
 
-    def base_forward(self, x: Tensor) -> Tensor:
+    def _weighted(self, x: Tensor) -> Tensor:
         raise NotImplementedError
 
     def forward(self, p: HATPayload) -> HATPayload:
-        x = p.masked_data()
-        input_masker = p.mask_chain[-1] if p.mask_chain else None
-        h = self.base_forward(x)
-        if p.training and p.task is not None and p.task > 0:
-            self._register_nullify_hooks(input_masker)
-        return p.derived(h, pending_masker=self.output_masker,
-                         mask_chain=p.mask_chain)
+        h = self._weighted(p.data)
+        # nothing to protect until a completed task claims an output unit:
+        # with a zero output-side mask every factor 1 - min(out, in) is 1
+        if (p.training and p.task is not None
+                and self.output_masker.cumulative_mask.any()):
+            self._register_nullify_hooks()
+        return self.output_masker.forward(p.with_data(h))
 
-
-    def _register_nullify_hooks(self, input_masker: Optional[HATMasker]) -> None:
+    def _register_nullify_hooks(self) -> None:
         # Freeze factors are snapshots of the cumulative masks: they only
         # change at task finalization, never inside a task.
         tape = Tape.current()
@@ -325,7 +320,9 @@ class _GatedWeightedLayer(PayloadModule):
         # A first layer (no masker below) protects by output side alone: its
         # inputs are task-free, so a weight is frozen exactly when its output
         # unit is fully claimed. Equivalent to an all-ones input-side mask.
-        a_in = input_masker.cumulative_mask.copy() if input_masker is not None else None
+        side = self.input_side
+        a_in = (None if side.masker is None
+                else side.expand(side.masker.cumulative_mask))
         self.weight.register_hook(lambda g: grad_nullify(g, a_out, a_in))
         self.bias.register_hook(lambda g: grad_nullify(g, a_out))
         self._nullify_tape = tape
@@ -347,11 +344,8 @@ class HATLinear(_GatedWeightedLayer):
         self.output_masker = HATMasker(out_features, task_count,
                                        layer_tag + ".mask", s_max=s_max)
 
-    def base_forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ShapeError(f"'{self.layer_tag}' expects [B,{self.in_features}], "
-                             f"got {x.shape}")
-        return ops.add(ops.matmul(x, ops.permute(self.weight, (1, 0))), self.bias)
+    def _weighted(self, x: Tensor) -> Tensor:
+        return _dense(x, self.weight, self.bias, f"'{self.layer_tag}'")
 
 
 class HATConv2d(_GatedWeightedLayer):
@@ -375,7 +369,7 @@ class HATConv2d(_GatedWeightedLayer):
         self.output_masker = HATMasker(out_channels, task_count,
                                        layer_tag + ".mask", s_max=s_max)
 
-    def base_forward(self, x: Tensor) -> Tensor:
+    def _weighted(self, x: Tensor) -> Tensor:
         return ops.conv2d(x, self.weight, self.bias,
                           stride=self.stride, padding=self.padding)
 
@@ -388,7 +382,7 @@ class TaskIndexed(PayloadModule):
         self.layer_tag = layer_tag
 
     def local_parameters(self):
-        return []  # parameters live on the submodules, reachable via children()
+        return []  # parameters live on the submodules, one task's at a time
 
     def forward(self, p: HATPayload) -> HATPayload:
         if p.task is None:
@@ -396,8 +390,7 @@ class TaskIndexed(PayloadModule):
         if not 0 <= p.task < len(self.submodules):
             raise UsageError(f"task id {p.task} out of range [0, "
                              f"{len(self.submodules)}) at '{self.layer_tag}'")
-        return p.derived(self.submodules[p.task](p.masked_data()))
-
+        return p.with_data(self.submodules[p.task](p.data))
 
     def reset_task(self, task: int, rng: np.random.Generator) -> None:
         self.submodules[task].reset(rng)
@@ -425,61 +418,84 @@ def task_indexed_linear(in_features: int, out_features: int, task_count: int,
 
 
 class Sequential(PayloadModule):
-    """Payload pipeline: gated modules run natively, plain ones via forward_by."""
+    """Payload pipeline: gated modules run natively, plain ones via forward_by.
+
+    Building a pipeline binds each gated layer's input side from ``walk``,
+    so a model whose widths cannot be protected is refused right here.
+    """
 
     def __init__(self, *modules):
         self.steps = list(modules)
+        for _, module, side in walk(self):
+            if side is not None:
+                module.input_side = side
 
     def forward(self, p: HATPayload) -> HATPayload:
         for m in self.steps:
             p = m.forward(p) if isinstance(m, PayloadModule) else p.forward_by(m)
         return p
 
-
     def maskers(self) -> list:
         """Every masker in pipeline order (standalone and layer-owned)."""
-        out = []
-        for m in self.steps:
-            if isinstance(m, HATMasker):
-                out.append(m)
-            elif isinstance(m, _GatedWeightedLayer):
-                out.append(m.output_masker)
-        return out
-
-    def layer_specs(self) -> list:
-        """(layer, output masker, input masker or None) per weighted gated layer.
-
-        The input masker mirrors what the payload chain resolves at run time
-        for a straight pipeline: the most recently traversed masker. None
-        marks a first layer.
-        """
-        specs = []
-        last = None
-        for m in self.steps:
-            if isinstance(m, HATMasker):
-                last = m
-            elif isinstance(m, _GatedWeightedLayer):
-                specs.append((m, m.output_masker, last))
-                last = m.output_masker
-        return specs
-
-    def task_indexed_modules(self) -> list:
-        return [m for m in self.steps if isinstance(m, TaskIndexed)]
+        return [m for _, m, _ in walk(self) if isinstance(m, HATMasker)]
 
     def task_parameters(self, task: Optional[int]) -> list:
         """The leaves that task's training may move."""
         params = []
-        for m in self.steps:
+        for _, m, _ in walk(self):
             if isinstance(m, HATMasker):
                 if task is not None:
                     params.append(m.embedding_rows[task])
-            elif isinstance(m, _GatedWeightedLayer):
-                params.extend([m.weight, m.bias])
-                if task is not None:
-                    params.append(m.output_masker.embedding_rows[task])
             elif isinstance(m, TaskIndexed):
                 if task is not None:
                     params.extend(m.task_parameters(task))
             elif isinstance(m, Module):
                 params.extend(m.local_parameters())
         return params
+
+
+def _input_side(layer: _GatedWeightedLayer, masker: Optional[HATMasker],
+                owner) -> InputSide:
+    """How `layer`'s input features map onto the units of `masker`, the most
+    recent masker before it (`owner` is the module it belongs to)."""
+    if masker is None:
+        return InputSide()
+    width = layer.weight.shape[1]  # input features, or a conv's input channels
+    units = masker.n_features
+    if width == units:
+        return InputSide(masker)
+    if (isinstance(layer, HATLinear) and isinstance(owner, HATConv2d)
+            and width % units == 0):
+        return InputSide(masker, width // units)  # a flattened convolution
+    raise ShapeError(f"'{layer.layer_tag}' reads {width} input features, which "
+                     f"do not map onto the {units} units of masker "
+                     f"'{masker.layer_tag}'")
+
+
+def walk(model: Sequential):
+    """Every module of a pipeline in run order, nested ``Sequential`` flattened.
+
+    Yields ``(name, module, input_side)``. ``name`` is the module's position:
+    ``"3"`` for step 3, ``"3.1"`` for step 1 of a ``Sequential`` at step 3.
+    A gated layer is followed by its output masker, under the same name, and
+    is the only module yielded with an ``InputSide`` (None for the rest): the
+    most recent masker before it in run order, or none for a first layer.
+    """
+    last = (None, None)  # most recent masker, and the module that owns it
+
+    def visit(steps, prefix):
+        nonlocal last
+        for i, module in enumerate(steps):
+            name = f"{prefix}{i}"
+            if isinstance(module, Sequential):
+                yield from visit(module.steps, name + ".")
+            elif isinstance(module, _GatedWeightedLayer):
+                yield name, module, _input_side(module, *last)
+                last = (module.output_masker, module)
+                yield name, module.output_masker, None
+            else:
+                if isinstance(module, HATMasker):
+                    last = (module, module)
+                yield name, module, None
+
+    yield from visit(model.steps, "")

@@ -1,11 +1,10 @@
 """Tensor-plus-task-metadata value that flows through gated networks.
 
-A payload carries the raw tensor, the task id (absent = plain/unmasked mode),
-the current mask scale, and the gating bookkeeping: at most one *pending*
-masker whose mask has not been applied yet, plus the ordered chain of maskers
-already traversed. The pending mask is applied lazily — only when the data is
-actually read — and the traversal chain is what downstream layers consult to
-find their input-side mask.
+A payload carries the tensor, the task id (absent = plain/unmasked mode), the
+current mask scale and whether this is a training pass. Maskers apply their
+mask as soon as they run, so a payload's data is always fully masked; which
+masker feeds which gated layer is resolved once, from the model's structure,
+when a ``Sequential`` is built.
 """
 
 from __future__ import annotations
@@ -13,82 +12,35 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .tensor import Tensor, UsageError
-from . import tensor as ops
 
 
 class HATPayload:
-    """Lazily-masked tensor with task routing metadata.
+    """A tensor with task routing metadata."""
 
-    Reading ``masked_data()`` materializes the pending mask in place: the
-    payload's data is replaced by the masked tensor, the masker moves to the
-    end of ``mask_chain``, and later reads return the already-masked data.
-    """
-
-    __slots__ = ("data", "task", "scale", "training", "pending_masker", "mask_chain")
+    __slots__ = ("data", "task", "scale", "training")
 
     def __init__(self, data: Tensor, task: Optional[int] = None,
-                 scale: Optional[float] = None, training: bool = False,
-                 pending_masker=None, mask_chain=()):
+                 scale: Optional[float] = None, training: bool = False):
         if task is not None and task < 0:
             raise UsageError(f"task id must be nonnegative, got {task}")
         self.data = data
         self.task = task
         self.scale = scale
         self.training = training
-        self.pending_masker = pending_masker
-        self.mask_chain = list(mask_chain)
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def masked_data(self) -> Tensor:
-        """Return the data with any pending mask applied (and memoized)."""
-        if self.pending_masker is not None:
-            masker = self.pending_masker
-            self.data = masker.apply(self)
-            self.pending_masker = None
-            self.mask_chain.append(masker)
+        """The data, every mask upstream of this point already applied."""
         return self.data
 
-    def derived(self, data: Tensor, pending_masker=None, mask_chain=None) -> "HATPayload":
+    def with_data(self, data: Tensor) -> "HATPayload":
         """New payload with the same task/scale/training flags."""
-        chain = self.mask_chain if mask_chain is None else mask_chain
         return HATPayload(data, task=self.task, scale=self.scale,
-                          training=self.training, pending_masker=pending_masker,
-                          mask_chain=chain)
+                          training=self.training)
 
     def forward_by(self, plain_op: Callable[[Tensor], Tensor]) -> "HATPayload":
-        """Send the masked data through a function that only knows tensors."""
-        return self.derived(plain_op(self.masked_data()))
-
-    # ---- tensor ops lifted to payloads ------------------------------------
-
-    def _check_binary(self, other: "HATPayload") -> None:
-        if not isinstance(other, HATPayload):
-            raise UsageError(f"expected a payload operand, got {type(other).__name__}")
-        if self.task != other.task:
-            raise UsageError(f"task mismatch between operands: {self.task} vs {other.task}")
-        if self.scale != other.scale:
-            raise UsageError(f"scale mismatch between operands: {self.scale} vs {other.scale}")
-
-    def add(self, other: "HATPayload") -> "HATPayload":
-        self._check_binary(other)
-        out = ops.add(self.masked_data(), other.masked_data())
-        return self.derived(out, mask_chain=self.mask_chain + other.mask_chain)
-
-    def matmul(self, other: "HATPayload") -> "HATPayload":
-        self._check_binary(other)
-        out = ops.matmul(self.masked_data(), other.masked_data())
-        return self.derived(out, mask_chain=self.mask_chain + other.mask_chain)
-
-    def reshape(self, shape) -> "HATPayload":
-        return self.derived(ops.reshape(self.masked_data(), shape))
-
-    def permute(self, axes) -> "HATPayload":
-        return self.derived(ops.permute(self.masked_data(), axes))
+        """Send the data through a function that only knows tensors."""
+        return self.with_data(plain_op(self.data))
 
     def __repr__(self):
-        pend = type(self.pending_masker).__name__ if self.pending_masker else None
         return (f"HATPayload(shape={self.data.shape}, task={self.task}, "
-                f"scale={self.scale}, pending={pend}, chain={len(self.mask_chain)})")
+                f"scale={self.scale})")

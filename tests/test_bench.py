@@ -6,6 +6,8 @@ from taskgate import bench, cli
 from taskgate.checkpoint import read_entries
 from taskgate.data import TOY_TEACHER, continual_tasks, toy_dataset
 
+from test_checkpoint import CORRUPT_ENTRIES, write_corrupt
+
 
 def tiny_continual_kwargs(out):
     return dict(experiment="continual", out=str(out), tasks=2, epochs=3,
@@ -237,6 +239,14 @@ class TestCli:
 
     def test_missing_checkpoint_diagnostic(self, tmp_path, capsys):
         code = cli.main(["forget", "--out", str(tmp_path / "empty")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("taskgate: error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_ENTRIES))
+    def test_corrupt_checkpoint_diagnostic(self, tmp_path, capsys, case):
+        write_corrupt(tmp_path / bench.CHECKPOINT_NAME, case)
+        code = cli.main(["forget", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("taskgate: error:") and err.count("\n") == 1

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -152,7 +154,7 @@ class TestModelState:
         model = continual_style_model(rng)
         path = tmp_path / "m.ckpt"
         write_entries(path, model_state(model))
-        layer = model.layer_specs()[0][0]
+        layer = model.steps[0]
         layer.weight.grad = np.ones_like(layer.weight.data)
         load_model_state(model, read_entries(path))
         assert layer.weight.grad is None
@@ -187,3 +189,36 @@ class TestModelState:
         entries["l1/weight"] = entries["l1/weight"][:, :2].copy()
         with pytest.raises(tg.ShapeError):
             load_model_state(model, entries)
+
+
+def raw_entry(name: bytes, shape, code=0, payload=b""):
+    """One entry in the wire format, with a header that may lie."""
+    return (struct.pack("<I", len(name)) + name + struct.pack("<B", code)
+            + struct.pack("<Q", len(shape))
+            + struct.pack(f"<{len(shape)}Q", *shape) + payload)
+
+
+CORRUPT_ENTRIES = {
+    "size_overflows_int64": raw_entry(b"x", (2**62, 4)),
+    "extent_is_u64_max": raw_entry(b"x", (2**64 - 1,)),
+    "empty_extent_beyond_intp": raw_entry(b"x", (2**64 - 1, 0)),
+    "rank_beyond_file": (struct.pack("<I", 1) + b"x" + struct.pack("<B", 0)
+                         + struct.pack("<Q", 2**60)),
+    "name_not_utf8": raw_entry(b"\xff\xfe", (1,), payload=bytes(8)),
+    "config_not_utf8": raw_entry(b"meta/config", (2,), code=2,
+                                 payload=b"\xff\xfe"),
+}
+
+
+def write_corrupt(path, case):
+    path.write_bytes(MAGIC + struct.pack("<Q", 1) + CORRUPT_ENTRIES[case])
+
+
+class TestCorruptFiles:
+    @pytest.mark.parametrize("case", sorted(CORRUPT_ENTRIES))
+    def test_corrupt_header_is_a_usage_error(self, tmp_path, case):
+        path = tmp_path / "bad.ckpt"
+        write_corrupt(path, case)
+        with pytest.raises(tg.UsageError) as info:
+            config_text(read_entries(path))
+        assert "\n" not in str(info.value)

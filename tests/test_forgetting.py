@@ -3,7 +3,6 @@ import pytest
 
 import taskgate as tg
 from taskgate import (
-    E_MAX,
     HATLinear,
     HATMasker,
     HATPayload,
@@ -13,12 +12,7 @@ from taskgate import (
 )
 from taskgate.forgetting import ForgetReport, attribution, forget_task
 
-
-def set_binary_row(masker, task, on_units):
-    """Drive a task's embedding row to the exact-binary saturation points."""
-    row = masker.embedding_rows[task].data
-    row[...] = -E_MAX
-    row[list(on_units)] = E_MAX
+from gated_models import gated_layers, set_binary_row
 
 
 def finalize(model, *tasks):
@@ -37,7 +31,7 @@ def gated_mlp(rng, task_count=3, dims=(4, 6, 5)):
 
 def randomize_biases(model, rng):
     # fresh biases start at zero; zeroed-entry counts need them nonzero
-    for layer, _, _ in model.layer_specs():
+    for layer in gated_layers(model):
         layer.bias.data[...] = rng.standard_normal(layer.bias.shape)
 
 
@@ -91,7 +85,7 @@ class TestForgetTask:
         report = forget_task(model, 0)
         expected = 4 * 6 + 6 + 6 * 5 + 5
         assert report.total == expected
-        for layer, _, _ in model.layer_specs():
+        for layer in gated_layers(model):
             assert not layer.weight.data.any()
             assert not layer.bias.data.any()
 
@@ -125,7 +119,7 @@ class TestForgetTask:
         set_binary_row(m2, 1, [4])
         finalize(model, 0, 1)
 
-        l1, l2 = (spec[0] for spec in model.layer_specs())
+        l1, l2 = gated_layers(model)
         w1_before = l1.weight.data.copy()
         w2_before = l2.weight.data.copy()
         report = forget_task(model, 0)
@@ -152,7 +146,7 @@ class TestForgetTask:
         for m in model.maskers():
             set_binary_row(m, 0, range(m.n_features))
         finalize(model, 0)
-        l1 = model.layer_specs()[0][0]
+        l1 = gated_layers(model)[0]
         l1.weight.data[0, :] = 0.0  # already zero: must not be counted
         report = forget_task(model, 0)
         assert report.total == (4 * 6 - 4) + 6 + 6 * 5 + 5
@@ -249,7 +243,7 @@ class TestForgetTask:
         set_binary_row(m1, 0, [0, 1])
         set_binary_row(m1, 1, [2])
         finalize(model, 0, 1)
-        head = model.task_indexed_modules()[0]
+        head = model.steps[2]
         head.submodules[0].weight.data[...] = 42.0
         head.submodules[0].bias.data[...] = [1.0, 0.0]
         other_head = head.submodules[1].weight.data.copy()
@@ -271,7 +265,7 @@ class TestForgetTask:
         set_binary_row(m1, 0, [0])
         set_binary_row(m1, 1, [1])
         finalize(model, 0, 1)
-        norm = model.task_indexed_modules()[0]
+        norm = model.steps[2]
         norm.submodules[0].gain.data[...] = 3.0
         norm.submodules[0].shift.data[...] = [1.0, -1.0, 0.0, 2.0, 0.0, 0.5]
         report = forget_task(model, 0)
@@ -300,7 +294,7 @@ class TestForgetConv:
         set_binary_row(m, 0, [0])
         set_binary_row(m, 1, [1, 2])
         finalize(model, 0, 1)
-        conv = model.layer_specs()[0][0]
+        conv = gated_layers(model)[0]
         before = conv.weight.data.copy()
         report = forget_task(model, 0)
         # first layer: whole out-channel 0 across in-channels and taps

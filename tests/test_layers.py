@@ -15,8 +15,9 @@ from taskgate import (
     grad_nullify,
     grad_rail,
 )
-from taskgate.layers import COSH_CLAMP, E_MAX, LayerNorm, Linear, ReLU
+from taskgate.layers import COSH_CLAMP, E_MAX, InputSide, Linear, ReLU, walk
 
+from gated_models import claim_binary, flat_model, logits, sgd_steps
 from gradcheck import assert_grads_match
 
 
@@ -220,11 +221,11 @@ class TestGatedForward:
         pre.cumulative_mask = np.ones(3)
         layer = HATLinear(3, 2, task_count=2, layer_tag="l", rng=rng)
         layer.output_masker.cumulative_mask = np.ones(2)
+        model = Sequential(pre, layer)
 
         p = _payload(rng.standard_normal((4, 3)), task=1, scale=1.0)
-        p = pre(p)
         with Tape() as tape:
-            out = layer.forward(p)
+            out = model.forward(p)
             loss = tg.reduce_sum(out.masked_data())
         tape.backward(loss)
         np.testing.assert_array_equal(layer.weight.grad, np.zeros((2, 3)))
@@ -244,9 +245,9 @@ class TestGatedForward:
             if with_history:
                 pre.cumulative_mask = a_in.copy()
                 layer.output_masker.cumulative_mask = a_out.copy()
-            p = pre(_payload(x, task=1, scale=2.0))
+            model = Sequential(pre, layer)
             with Tape() as tape:
-                out = layer.forward(p)
+                out = model.forward(_payload(x, task=1, scale=2.0))
                 loss = tg.reduce_sum(out.masked_data())
             tape.backward(loss)
             return layer.weight.grad.copy(), layer.bias.grad.copy()
@@ -278,8 +279,8 @@ class TestGatedForward:
         def embedding_grad(training):
             m = HATMasker(3, 1, "m", s_max=400.0)
             m.embedding_rows[0].data[...] = e
-            p = m(HATPayload(Tensor(x), task=0, scale=s, training=training))
             with Tape() as tape:
+                p = m(HATPayload(Tensor(x), task=0, scale=s, training=training))
                 loss = tg.reduce_sum(p.masked_data())
             tape.backward(loss)
             return m.embedding_rows[0].grad.copy()
@@ -303,11 +304,13 @@ class TestGatedForward:
         np.testing.assert_array_equal(layer.weight.grad, np.zeros((3, 2, 3, 3)))
         assert out.masked_data().shape == (2, 3, 4, 4)
 
-    def test_output_masker_becomes_pending(self):
+    def test_output_masked_when_layer_returns(self):
         rng = np.random.default_rng(41)
         layer = HATLinear(3, 2, task_count=1, layer_tag="l", rng=rng)
-        out = layer.forward(_payload(np.ones((1, 3)), task=0, scale=1.0))
-        assert out.pending_masker is layer.output_masker
+        layer.output_masker.embedding_rows[0].data[...] = [E_MAX, -E_MAX]
+        out = layer.forward(_payload(np.ones((1, 3)), task=0, scale=400.0))
+        np.testing.assert_array_equal(out.data.data[:, 1], [0.0])
+        assert out.data.data[0, 0] != 0.0
 
 
 class TestTaskIndexed:
@@ -375,28 +378,20 @@ class TestSequential:
             tg.task_indexed_linear(8, 2, task_count, "head", rng),
         )
 
-    def test_chain_matches_layer_order(self):
-        rng = np.random.default_rng(44)
-        model = self.build(rng)
-        out = model.forward(_payload(np.ones((1, 3)), task=0, scale=1.0))
-        out.masked_data()
-        assert out.mask_chain == [model.steps[0].output_masker,
-                                  model.steps[2].output_masker]
-
-    def test_layer_specs_resolve_input_maskers(self):
+    def test_walk_resolves_input_sides(self):
         rng = np.random.default_rng(45)
         model = self.build(rng)
-        specs = model.layer_specs()
-        assert [s[0] for s in specs] == [model.steps[0], model.steps[2]]
-        assert specs[0][2] is None  # first layer: nothing below
-        assert specs[1][2] is model.steps[0].output_masker
+        gated = [(m, side) for _, m, side in walk(model) if side is not None]
+        assert [m for m, _ in gated] == [model.steps[0], model.steps[2]]
+        assert gated[0][1] == InputSide()  # first layer: nothing below
+        assert gated[1][1] == InputSide(model.steps[0].output_masker, 1)
+        assert model.steps[2].input_side == gated[1][1]
 
     def test_standalone_masker_feeds_first_weighted_layer(self):
         rng = np.random.default_rng(46)
         gate = HATMasker(3, 2, "in")
         model = Sequential(gate, HATLinear(3, 4, 2, "l1", rng))
-        specs = model.layer_specs()
-        assert specs[0][2] is gate
+        assert model.steps[1].input_side == InputSide(gate, 1)
         assert model.maskers() == [gate, model.steps[1].output_masker]
 
     def test_task_parameters_pick_one_embedding_row(self):
@@ -420,8 +415,11 @@ class TestSequential:
         x = rng.standard_normal((4, 3))
         gated = model.forward(HATPayload(Tensor(x))).masked_data().data
 
-        base = l2.base_forward(tg.relu(l1.base_forward(Tensor(x)))).data
-        assert np.array_equal(gated, base)
+        p1, p2 = Linear(3, 5, rng), Linear(5, 2, rng)
+        for plain, hat in ((p1, l1), (p2, l2)):
+            plain.weight.data[...] = hat.weight.data
+            plain.bias.data[...] = hat.bias.data
+        assert np.array_equal(gated, p2(tg.relu(p1(Tensor(x)))).data)
 
 
 class TestProtection:
@@ -468,3 +466,25 @@ class TestProtection:
 
         after = task0_logits()
         assert np.array_equal(before, after)  # bit-exact, not merely close
+
+    def test_out_of_order_training_keeps_completed_task_bit_exact(self):
+        # task 2 completes first; training task 0 afterwards must not move it
+        rng = np.random.default_rng(50)
+        model = flat_model(rng, task_count=3)
+        claim_binary(model, 2, rng)
+        x_eval = rng.standard_normal((8, 4))
+        before = logits(model, x_eval, 2)
+        sgd_steps(model, rng.standard_normal((16, 4)), rng.integers(0, 2, 16), 0)
+        assert np.array_equal(before, logits(model, x_eval, 2))
+
+    def test_retraining_forgotten_slot_keeps_other_tasks_bit_exact(self):
+        rng = np.random.default_rng(51)
+        model = flat_model(rng, task_count=3)
+        claim_binary(model, 0, rng)
+        claim_binary(model, 1, rng)
+        x_eval = rng.standard_normal((8, 4))
+        before = logits(model, x_eval, 1)
+        tg.forget_task(model, 0)
+        assert np.array_equal(before, logits(model, x_eval, 1))
+        sgd_steps(model, rng.standard_normal((16, 4)), rng.integers(0, 2, 16), 0)
+        assert np.array_equal(before, logits(model, x_eval, 1))

@@ -1,0 +1,151 @@
+"""Nested pipelines and conv -> flatten -> dense models, through every
+consumer of the model walk: maskers, trainable parameters, gradient
+protection, forgetting and checkpoints."""
+
+import numpy as np
+import pytest
+
+import taskgate as tg
+from taskgate import HATConv2d, HATLinear, HATMasker, Linear, ReLU, Sequential
+from taskgate.checkpoint import load_model_state, model_state, read_entries, write_entries
+from taskgate.forgetting import forget_task
+from taskgate.layers import InputSide
+
+from gated_models import (BUILDERS, IMAGE, claim_binary, conv_model, flatten,
+                          gated_layers, inputs, logits, nested_model,
+                          set_binary_row, sgd_steps)
+
+
+class TestWalk:
+    def test_nested_maskers_and_parameters_included(self):
+        model = nested_model(np.random.default_rng(100), task_count=2)
+        l1, l2, l3 = model.steps[0], model.steps[2].steps[0], model.steps[3]
+        assert gated_layers(model) == [l1, l2, l3]
+        assert model.maskers() == [l1.output_masker, l2.output_masker,
+                                   l3.output_masker]
+        params = model.task_parameters(1)
+        assert l2.weight in params and l2.bias in params
+        assert l2.output_masker.embedding_rows[1] in params
+        assert l2.output_masker.embedding_rows[0] not in params
+        # the nested layer reads the outer masker before it, and the layer
+        # after the nested pipeline reads the nested layer's masker
+        assert l2.input_side == InputSide(l1.output_masker, 1)
+        assert l3.input_side == InputSide(l2.output_masker, 1)
+
+    def test_flattened_conv_maps_channels_over_pixels(self):
+        model = conv_model(np.random.default_rng(101), task_count=2)
+        conv, dense = gated_layers(model)
+        pixels = IMAGE[1] * IMAGE[2]
+        assert dense.input_side == InputSide(conv.output_masker, pixels)
+        assert model.maskers() == [conv.output_masker, dense.output_masker]
+        np.testing.assert_array_equal(
+            dense.input_side.expand(np.array([1.0, 0.0, 0.5])),
+            np.repeat([1.0, 0.0, 0.5], pixels))
+
+    def test_width_mismatch_refused_at_build(self):
+        rng = np.random.default_rng(102)
+        with pytest.raises(tg.ShapeError, match="'l2'"):
+            Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(),
+                       HATLinear(5, 3, 2, "l2", rng))
+
+    def test_flatten_width_not_a_channel_multiple_refused_at_build(self):
+        rng = np.random.default_rng(103)
+        with pytest.raises(tg.ShapeError, match="'fc'"):
+            Sequential(HATConv2d(2, 3, 3, 2, "c1", rng, padding=1), ReLU(),
+                       flatten, HATLinear(47, 5, 2, "fc", rng))
+
+    def test_dense_masker_never_repeats(self):
+        # only a flattened convolution's channels spread over input features
+        rng = np.random.default_rng(104)
+        with pytest.raises(tg.ShapeError):
+            Sequential(HATLinear(4, 3, 2, "l1", rng), ReLU(),
+                       Linear(3, 6, rng), HATLinear(6, 2, 2, "l2", rng))
+
+
+@pytest.mark.parametrize("kind", ["nested", "conv"])  # flat: test_layers
+def test_completed_task_bit_exact_while_next_trains(kind):
+    rng = np.random.default_rng(110)
+    model = BUILDERS[kind](rng, task_count=2)
+    claim_binary(model, 0, rng)
+    x_eval = inputs(kind, 6, rng)
+    before = logits(model, x_eval, 0)
+    sgd_steps(model, inputs(kind, 12, rng), rng.integers(0, 2, 12), 1)
+    assert np.array_equal(before, logits(model, x_eval, 0))
+
+
+class TestForget:
+    def test_flattened_conv_selection_expanded_over_pixels(self):
+        rng = np.random.default_rng(120)
+        model = conv_model(rng, task_count=2)
+        conv, dense = gated_layers(model)
+        set_binary_row(conv.output_masker, 0, [0])
+        set_binary_row(conv.output_masker, 1, [1, 2])
+        set_binary_row(dense.output_masker, 0, [0, 1])
+        set_binary_row(dense.output_masker, 1, [2, 3])
+        for m in model.maskers():
+            m.finalize_task(0)
+            m.finalize_task(1)
+        before = dense.weight.data.copy()
+        report = forget_task(model, 0)
+
+        pixels = IMAGE[1] * IMAGE[2]
+        erased = np.zeros(before.shape, dtype=bool)
+        erased[[0, 1], :pixels] = True  # exclusive units x channel 0's pixels
+        assert not dense.weight.data[erased].any()
+        np.testing.assert_array_equal(dense.weight.data[~erased], before[~erased])
+        assert report.weight_counts["fc"] == 2 * pixels
+
+    @pytest.mark.parametrize("kind", ["nested", "conv"])  # flat: test_forgetting
+    def test_other_task_bit_exact(self, kind):
+        rng = np.random.default_rng(121)
+        model = BUILDERS[kind](rng, task_count=2)
+        claim_binary(model, 0, rng)
+        claim_binary(model, 1, rng)
+        x_eval = inputs(kind, 6, rng)
+        before = logits(model, x_eval, 1)
+        forget_task(model, 0)
+        assert np.array_equal(before, logits(model, x_eval, 1))
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize("kind", ["nested", "conv"])
+    def test_round_trip_bit_exact(self, kind, tmp_path):
+        rng = np.random.default_rng(130)
+        model = BUILDERS[kind](rng, task_count=3)
+        for m in model.maskers():
+            for row in m.embedding_rows:
+                row.data[...] = rng.standard_normal(m.n_features)
+            m.finalize_task(0)
+            m.finalize_task(1)
+        x = inputs(kind, 5, rng)
+        before = [logits(model, x, t) for t in range(3)]
+        path = tmp_path / "model.ckpt"
+        write_entries(path, model_state(model))
+
+        fresh = BUILDERS[kind](np.random.default_rng(4321), task_count=3)
+        load_model_state(fresh, read_entries(path))
+        for m in fresh.maskers():
+            assert sorted(m.stored_task_masks) == [0, 1]
+        for t in range(3):
+            assert np.array_equal(before[t], logits(fresh, x, t))
+
+    def test_nested_entries_and_top_level_step_names(self):
+        rng = np.random.default_rng(131)
+        model = Sequential(
+            HATMasker(5, 2, "gate"),
+            Linear(5, 8, rng),
+            Sequential(ReLU(), Linear(8, 8, rng)),
+            ReLU(),
+            Linear(8, 2, rng),
+        )
+        assert sorted(model_state(model)) == [
+            "gate/cumulative", "gate/embeddings",
+            "step1/bias", "step1/weight",
+            "step2.1/bias", "step2.1/weight",
+            "step4/bias", "step4/weight",
+        ]
+
+    def test_nested_gated_entries(self):
+        model = nested_model(np.random.default_rng(132), task_count=2)
+        entries = model_state(model)
+        assert "l2/weight" in entries and "l2.mask/embeddings" in entries

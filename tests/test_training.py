@@ -329,10 +329,12 @@ class TestIdentityReduction:
         # trunk only
         trunk = Sequential(*model.steps[:4])
         gated = trunk.forward(HATPayload(Tensor(x))).masked_data().data
-        base = trunk.steps[2].base_forward(
-            tg.relu(trunk.steps[0].base_forward(Tensor(x)))).data
-        base = tg.relu(Tensor(base)).data
-        assert np.array_equal(gated, base)
+        base = [Linear(6, 12, rng), Linear(12, 12, rng)]
+        for plain, hat in zip(base, (trunk.steps[0], trunk.steps[2])):
+            plain.weight.data[...] = hat.weight.data
+            plain.bias.data[...] = hat.bias.data
+        expected = tg.relu(base[1](tg.relu(base[0](Tensor(x))))).data
+        assert np.array_equal(gated, expected)
         assert out1.shape == (5, 2)
 
 
