@@ -218,10 +218,21 @@ def load_model_state(model: Sequential, entries: dict) -> None:
                                  f"{(obj.n_features,)}")
             obj.cumulative_mask = cumulative.astype(np.float64)
             prefix = f"{name}/stored/"
-            obj.stored_task_masks = {
-                int(key[len(prefix):]): remaining.pop(key).astype(bool)
-                for key in sorted(k for k in remaining if k.startswith(prefix))
-            }
+            stored = {}
+            for key in sorted(k for k in remaining if k.startswith(prefix)):
+                suffix = key[len(prefix):]
+                if not suffix.isdecimal() or str(int(suffix)) != suffix:
+                    raise UsageError(f"entry {key!r} does not end in a task id")
+                task = int(suffix)
+                if task >= obj.task_count:
+                    raise UsageError(f"entry {key!r} names task {task}, masker has "
+                                     f"{obj.task_count} tasks")
+                mask = remaining.pop(key)
+                if mask.shape != (obj.n_features,):
+                    raise ShapeError(f"entry {key!r} has shape {mask.shape}, masker "
+                                     f"expects {(obj.n_features,)}")
+                stored[task] = mask.astype(bool)
+            obj.stored_task_masks = stored
 
     leftovers = [k for k in remaining if not k.startswith("meta/")]
     if leftovers:

@@ -455,21 +455,31 @@ class Sequential(PayloadModule):
 
 
 def _input_side(layer: _GatedWeightedLayer, masker: Optional[HATMasker],
-                owner) -> InputSide:
+                owner, between: Optional[Module]) -> InputSide:
     """How `layer`'s input features map onto the units of `masker`, the most
-    recent masker before it (`owner` is the module it belongs to)."""
+    recent masker before it (`owner` is the module it belongs to; `between`
+    the first weighted module run between them, if any)."""
     if masker is None:
         return InputSide()
     width = layer.weight.shape[1]  # input features, or a conv's input channels
     units = masker.n_features
     if width == units:
-        return InputSide(masker)
-    if (isinstance(layer, HATLinear) and isinstance(owner, HATConv2d)
+        side = InputSide(masker)
+    elif (isinstance(layer, HATLinear) and isinstance(owner, HATConv2d)
             and width % units == 0):
-        return InputSide(masker, width // units)  # a flattened convolution
-    raise ShapeError(f"'{layer.layer_tag}' reads {width} input features, which "
-                     f"do not map onto the {units} units of masker "
-                     f"'{masker.layer_tag}'")
+        side = InputSide(masker, width // units)  # a flattened convolution
+    else:
+        raise ShapeError(f"'{layer.layer_tag}' reads {width} input features, which "
+                         f"do not map onto the {units} units of masker "
+                         f"'{masker.layer_tag}'")
+    if between is not None:
+        # a shared module trains under every task, and even a task-indexed
+        # one turns masked-off units into nonzero inputs, so the masker no
+        # longer guards what this layer reads and a completed task drifts
+        raise ShapeError(f"'{layer.layer_tag}' reads masker '{masker.layer_tag}' "
+                         f"through a {type(between).__name__}; only functions "
+                         f"such as ReLU or a flatten may sit between them")
+    return side
 
 
 def walk(model: Sequential):
@@ -480,8 +490,12 @@ def walk(model: Sequential):
     A gated layer is followed by its output masker, under the same name, and
     is the only module yielded with an ``InputSide`` (None for the rest): the
     most recent masker before it in run order, or none for a first layer.
+    A weighted module (``Linear``, ``LayerNorm``, ``TaskIndexed``) between
+    that masker and the gated layer is refused with ``ShapeError``.
     """
-    last = (None, None)  # most recent masker, and the module that owns it
+    # most recent masker, the module that owns it, and the first weighted
+    # module run after it
+    last = (None, None, None)
 
     def visit(steps, prefix):
         nonlocal last
@@ -491,11 +505,13 @@ def walk(model: Sequential):
                 yield from visit(module.steps, name + ".")
             elif isinstance(module, _GatedWeightedLayer):
                 yield name, module, _input_side(module, *last)
-                last = (module.output_masker, module)
+                last = (module.output_masker, module, None)
                 yield name, module.output_masker, None
             else:
                 if isinstance(module, HATMasker):
-                    last = (module, module)
+                    last = (module, module, None)
+                elif last[2] is None and isinstance(module, Module):
+                    last = (last[0], last[1], module)
                 yield name, module, None
 
     yield from visit(model.steps, "")

@@ -483,7 +483,14 @@ def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, sh: int, sw: int, 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=1, padding=0) -> Tensor:
-    """Cross-correlation of [B,Cin,H,W] with [Cout,Cin,kh,kw] kernels."""
+    """Cross-correlation of [B,Cin,H,W] with [Cout,Cin,kh,kw] kernels.
+
+    The input is unfolded to columns laid out [B, Cin*kh*kw, Ho*Wo], so the
+    forward pass and both backward contractions are BLAS matrix products
+    against the [Cout, Cin*kh*kw] kernel matrix. When ``x`` does not require
+    a gradient (raw images into a first layer), backward computes no input
+    gradient and skips the fold back to image shape.
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d needs rank-4 input and weight, got {x.shape}, {weight.shape}")
     bsz, cin, h, w = x.shape
@@ -502,18 +509,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     xp[:, :, ph:ph + h, pw:pw + w] = x.data
     cols = _im2col(xp, kh, kw, sh, sw, ho, wo)           # [B, Cin*kh*kw, Ho*Wo]
     wflat = weight.data.reshape(cout, -1)
-    out = np.einsum("of,bfl->bol", wflat, cols).reshape(bsz, cout, ho, wo)
+    out = (wflat @ cols).reshape(bsz, cout, ho, wo)
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
+    need_gx = x.requires_grad  # decided when recorded, as the tape's parent ids are
 
     def backward_fn(g):
         gflat = g.reshape(bsz, cout, ho * wo)
-        gw = np.einsum("bol,bfl->of", gflat, cols).reshape(weight.shape)
-        gcols = np.einsum("of,bol->bfl", wflat, gflat)
-        gxp = _col2im(gcols, (bsz, cin, hp, wp), kh, kw, sh, sw, ho, wo)
-        gx = gxp[:, :, ph:ph + h, pw:pw + w]
+        gw = (gflat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        gx = None
+        if need_gx:
+            gxp = _col2im(wflat.T @ gflat, (bsz, cin, hp, wp), kh, kw, sh, sw, ho, wo)
+            gx = gxp[:, :, ph:ph + h, pw:pw + w]
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

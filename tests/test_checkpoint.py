@@ -222,3 +222,18 @@ class TestCorruptFiles:
         with pytest.raises(tg.UsageError) as info:
             config_text(read_entries(path))
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("key, stored, error", [
+        ("l1.mask/stored/x", np.ones(8, dtype=np.uint8), tg.UsageError),
+        ("l1.mask/stored/0", np.ones(3, dtype=np.uint8), tg.ShapeError),
+        ("l1.mask/stored/7", np.ones(8, dtype=np.uint8), tg.UsageError),
+    ], ids=["task_id_not_a_number", "mask_length_mismatch", "task_id_out_of_range"])
+    def test_corrupt_stored_mask_is_refused(self, tmp_path, key, stored, error):
+        model = continual_style_model(np.random.default_rng(100), task_count=2)
+        entries = model_state(model)
+        entries[key] = stored
+        path = tmp_path / "bad.ckpt"
+        write_entries(path, entries)
+        with pytest.raises(error) as info:
+            load_model_state(model, read_entries(path))
+        assert "\n" not in str(info.value)

@@ -9,7 +9,7 @@ import taskgate as tg
 from taskgate import HATConv2d, HATLinear, HATMasker, Linear, ReLU, Sequential
 from taskgate.checkpoint import load_model_state, model_state, read_entries, write_entries
 from taskgate.forgetting import forget_task
-from taskgate.layers import InputSide
+from taskgate.layers import InputSide, walk
 
 from gated_models import (BUILDERS, IMAGE, claim_binary, conv_model, flatten,
                           gated_layers, inputs, logits, nested_model,
@@ -60,6 +60,38 @@ class TestWalk:
         with pytest.raises(tg.ShapeError):
             Sequential(HATLinear(4, 3, 2, "l1", rng), ReLU(),
                        Linear(3, 6, rng), HATLinear(6, 2, 2, "l2", rng))
+
+    @pytest.mark.parametrize("middle", ["linear", "layer_norm", "nested_linear",
+                                        "task_indexed_norm"])
+    def test_weighted_module_between_gated_layers_refused(self, middle):
+        # shared ones train under every task; a task-indexed layer norm
+        # turns masked-off units into nonzero inputs, so the weights reading
+        # them stay free and a completed task's logits move
+        rng = np.random.default_rng(105)
+        build = {"linear": lambda: Linear(6, 6, rng),
+                 "layer_norm": lambda: tg.LayerNorm(6),
+                 "nested_linear": lambda: Sequential(ReLU(), Linear(6, 6, rng)),
+                 "task_indexed_norm": lambda: tg.task_indexed_layer_norm(6, 2, "norm")}
+        with pytest.raises(tg.ShapeError, match="'l2' reads masker 'l1.mask'"):
+            Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(), build[middle](),
+                       HATLinear(6, 3, 2, "l2", rng))
+
+    def test_shared_module_after_a_standalone_masker_refused(self):
+        rng = np.random.default_rng(106)
+        with pytest.raises(tg.ShapeError, match="through a Linear"):
+            Sequential(HATMasker(5, 2, "gate"), Linear(5, 5, rng),
+                       HATLinear(5, 3, 2, "l1", rng))
+
+    def test_weighted_layers_after_the_last_gated_layer_allowed(self):
+        # the toy model: a standalone masker, then only plain layers
+        rng = np.random.default_rng(107)
+        model = Sequential(HATMasker(5, 2, "gate"), Linear(5, 8, rng), ReLU(),
+                           Linear(8, 2, rng))
+        assert [side for _, _, side in walk(model)] == [None] * 4
+        Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(), Linear(6, 2, rng))
+        Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(),
+                   tg.task_indexed_layer_norm(6, 2, "norm"),
+                   tg.task_indexed_linear(6, 2, 2, "head", rng))
 
 
 @pytest.mark.parametrize("kind", ["nested", "conv"])  # flat: test_layers

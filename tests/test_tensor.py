@@ -175,6 +175,96 @@ class TestConv2d:
             tg.conv2d(x, w)
 
 
+def loop_conv2d(x, w, b, g, stride, padding):
+    """Direct cross-correlation, one output entry at a time, in float64.
+
+    Returns the output and the gradients of ``sum(out * g)`` with respect to
+    ``x``, ``w`` and ``b`` (``None`` for ``b`` when there is no bias).
+    """
+    sh, sw = (stride, stride) if isinstance(stride, int) else stride
+    ph, pw = (padding, padding) if isinstance(padding, int) else padding
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    bsz, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.zeros((bsz, cin, h + 2 * ph, wd + 2 * pw))
+    xp[:, :, ph:ph + h, pw:pw + wd] = x
+    ho, wo = g.shape[2], g.shape[3]
+    out = np.zeros((bsz, cout, ho, wo))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for n in range(bsz):
+        for o in range(cout):
+            for i in range(ho):
+                for j in range(wo):
+                    window = xp[n, :, i * sh:i * sh + kh, j * sw:j * sw + kw]
+                    out[n, o, i, j] = np.sum(window * w[o])
+                    gw[o] += g[n, o, i, j] * window
+                    gxp[n, :, i * sh:i * sh + kh, j * sw:j * sw + kw] += g[n, o, i, j] * w[o]
+    gb = None
+    if b is not None:
+        out += np.asarray(b, dtype=np.float64).reshape(1, cout, 1, 1)
+        gb = g.sum(axis=(0, 2, 3))
+    return out, gxp[:, :, ph:ph + h, pw:pw + wd], gw, gb
+
+
+class TestConv2dReference:
+    """conv2d against the nested-loop reference, forward and all gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
+    @pytest.mark.parametrize("padding", [0, 1, (1, 0)])
+    @pytest.mark.parametrize("stride", [1, 2, (2, 1)])
+    def test_matches_loop_reference(self, stride, padding, kernel, with_bias, dtype):
+        # Sums run over at most a few dozen terms of size ~1, so a few
+        # thousand ulps covers any summation order.
+        tol = 4096 * np.finfo(dtype).eps
+        rng = np.random.default_rng(30)
+        x = Tensor(rng.standard_normal((2, 2, 5, 6)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2) + kernel).astype(dtype), requires_grad=True)
+        b = Tensor(rng.standard_normal(3).astype(dtype), requires_grad=True) if with_bias else None
+        with Tape() as tape:
+            out = tg.conv2d(x, w, b, stride=stride, padding=padding)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            loss = tg.mul(out, Tensor(g)).sum()
+        tape.backward(loss)
+        ref_out, ref_gx, ref_gw, ref_gb = loop_conv2d(
+            x.data, w.data, None if b is None else b.data, g, stride, padding)
+        assert out.dtype == dtype and x.grad.dtype == dtype and w.grad.dtype == dtype
+        np.testing.assert_allclose(out.data, ref_out, rtol=tol, atol=tol)
+        np.testing.assert_allclose(x.grad, ref_gx, rtol=tol, atol=tol)
+        np.testing.assert_allclose(w.grad, ref_gw, rtol=tol, atol=tol)
+        if b is not None:
+            np.testing.assert_allclose(b.grad, ref_gb, rtol=tol, atol=tol)
+
+    def test_no_input_gradient_when_input_needs_none(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        images = rng.standard_normal((2, 3, 6, 6))
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+
+        def grads(x):
+            w.grad = b.grad = None
+            with Tape() as tape:
+                loss = tg.conv2d(x, w, b, stride=2, padding=1).sum()
+            tape.backward(loss)
+            return w.grad, b.grad
+
+        tracked = Tensor(images, requires_grad=True)
+        gw_tracked, gb_tracked = grads(tracked)
+        assert tracked.grad is not None
+
+        def refuse(*args):
+            raise AssertionError("input gradient folded for an input that needs none")
+
+        monkeypatch.setattr(tg.tensor, "_col2im", refuse)
+        raw = Tensor(images, requires_grad=False)
+        gw_raw, gb_raw = grads(raw)
+        assert raw.grad is None
+        np.testing.assert_array_equal(gw_raw, gw_tracked)
+        np.testing.assert_array_equal(gb_raw, gb_tracked)
+
+
 class TestReductionsAndLoss:
     def test_mean_hand_value(self):
         assert tg.reduce_mean(Tensor([2.0, 4.0, 6.0])).item() == 4.0
