@@ -21,12 +21,16 @@ _FLAG_FIELDS = ("seed", "repeats", "tasks", "s_max", "schedule", "init",
 
 
 def _add_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, help="base random seed (default 0)")
+    defaults = bench.ExperimentConfig()
+    parser.add_argument("--seed", type=int,
+                        help=f"base random seed (default {defaults.seed})")
     parser.add_argument("--repeats", type=int,
-                        help="independent toy-init repeats (default 100)")
-    parser.add_argument("--tasks", type=int, help="number of tasks (default 5)")
+                        help=f"independent toy-init repeats "
+                             f"(default {defaults.repeats})")
+    parser.add_argument("--tasks", type=int,
+                        help=f"number of tasks (default {defaults.tasks})")
     parser.add_argument("--s-max", dest="s_max", type=float,
-                        help="mask hardness ceiling (default 400)")
+                        help=f"mask hardness ceiling (default {defaults.s_max:g})")
     parser.add_argument("--schedule", choices=["linear", "cosine"],
                         help="per-epoch hardness schedule "
                              "(default: cosine; toy-init compares both)")
@@ -34,8 +38,10 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
                         help="embedding initialization "
                              "(default: ones; toy-init compares both)")
     parser.add_argument("--lambda", dest="reg_lambda", type=float,
-                        help="capacity-quota penalty weight (default 0.1)")
-    parser.add_argument("--out", help="output directory (default 'out')")
+                        help=f"capacity-quota penalty weight "
+                             f"(default {defaults.reg_lambda})")
+    parser.add_argument("--out",
+                        help=f"output directory (default '{defaults.out}')")
     parser.add_argument("--config",
                         help="key=value file applied under the flags")
     parser.add_argument("--print-config", action="store_true",

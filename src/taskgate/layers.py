@@ -494,24 +494,23 @@ def walk(model: Sequential):
     that masker and the gated layer is refused with ``ShapeError``.
     """
     # most recent masker, the module that owns it, and the first weighted
-    # module run after it
-    last = (None, None, None)
+    # module run after it; a list handed down, not a closure cell, so a
+    # walk leaves no reference cycle behind
+    yield from _visit(model.steps, "", [None, None, None])
 
-    def visit(steps, prefix):
-        nonlocal last
-        for i, module in enumerate(steps):
-            name = f"{prefix}{i}"
-            if isinstance(module, Sequential):
-                yield from visit(module.steps, name + ".")
-            elif isinstance(module, _GatedWeightedLayer):
-                yield name, module, _input_side(module, *last)
-                last = (module.output_masker, module, None)
-                yield name, module.output_masker, None
-            else:
-                if isinstance(module, HATMasker):
-                    last = (module, module, None)
-                elif last[2] is None and isinstance(module, Module):
-                    last = (last[0], last[1], module)
-                yield name, module, None
 
-    yield from visit(model.steps, "")
+def _visit(steps, prefix: str, last: list):
+    for i, module in enumerate(steps):
+        name = f"{prefix}{i}"
+        if isinstance(module, Sequential):
+            yield from _visit(module.steps, name + ".", last)
+        elif isinstance(module, _GatedWeightedLayer):
+            yield name, module, _input_side(module, *last)
+            last[:] = (module.output_masker, module, None)
+            yield name, module.output_masker, None
+        else:
+            if isinstance(module, HATMasker):
+                last[:] = (module, module, None)
+            elif last[2] is None and isinstance(module, Module):
+                last[2] = module
+            yield name, module, None

@@ -410,7 +410,9 @@ def relu(x: Tensor) -> Tensor:
     def backward_fn(g):
         return (g * mask,)
 
-    return _record("relu", (x,), np.where(mask, x.data, 0.0), backward_fn)
+    # fmax, not where(mask, ...): no branch per element, and the same bits,
+    # since fmax(x, 0.0) returns +0.0 for -0.0 and NaN
+    return _record("relu", (x,), np.fmax(x.data, 0.0), backward_fn)
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:

@@ -157,6 +157,15 @@ class TrainerConfig:
 
 @dataclass
 class EpochMetrics:
+    """Running training figures for one epoch, over the batches it ran.
+
+    ``loss`` is the mean of the batch losses (cross-entropy plus the
+    weighted capacity penalty). ``accuracy`` is the fraction of samples
+    whose training logits, computed at the batch's own mask scale and
+    before its optimizer step, put the largest value on the true class.
+    Held-out accuracy at full mask hardness is ``evaluate``'s job.
+    """
+
     epoch: int
     loss: float
     accuracy: float
@@ -179,7 +188,10 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     on_batch_end, if given, is called after every optimizer step with
     (global_batch_index, model); returning True stops training early (the
     toy benchmark uses this to count batches until the mask locks in).
-    Returns one EpochMetrics per completed epoch.
+    Returns one EpochMetrics per epoch run, an early-stopped one included.
+    Each batch runs the model forward exactly once: an epoch's loss and
+    accuracy come from the logits its batches trained on (see
+    EpochMetrics), with no separate pass over the data.
     """
     x, y = dataset
     if task is not None:
@@ -199,13 +211,15 @@ def train_task(model: Sequential, dataset, task: Optional[int],
         shuffle_rng = np.random.default_rng(
             [cfg.seed, 0 if task is None else task + 1, epoch])
         epoch_loss = 0.0
+        correct = seen = 0
         b = 0
         for b, idx in enumerate(_batches(len(x), cfg.batch_size, shuffle_rng), start=1):
             s = ScheduleState(cfg.schedule, cfg.s_max, b, total_batches).value()
             payload = HATPayload(Tensor(x[idx]), task=task, scale=s, training=True)
             with Tape() as tape:
-                out = model.forward(payload)
-                loss = ops.softmax_cross_entropy(out.masked_data(), y[idx])
+                logits = model.forward(payload).masked_data()
+                labels = y[idx]
+                loss = ops.softmax_cross_entropy(logits, labels)
                 if task is not None and cfg.reg_lambda > 0.0:
                     live = [m.current_mask(task, s) for m in maskers]
                     cum = [m.cumulative_mask for m in maskers]
@@ -217,13 +231,15 @@ def train_task(model: Sequential, dataset, task: Optional[int],
             for masker in maskers:
                 masker.clamp_embeddings()
             epoch_loss += loss.item()
+            correct += int(np.count_nonzero(logits.data.argmax(axis=1) == labels))
+            seen += len(idx)
             global_batch += 1
             if on_batch_end is not None and on_batch_end(global_batch, model):
                 stopped = True
                 break
         metrics.append(EpochMetrics(epoch=epoch,
                                     loss=epoch_loss / max(b, 1),
-                                    accuracy=evaluate(model, dataset, task)))
+                                    accuracy=correct / max(seen, 1)))
         if stopped:
             break
 

@@ -3,10 +3,16 @@ import pytest
 
 import taskgate as tg
 from taskgate import bench, cli
-from taskgate.checkpoint import read_entries
+from taskgate.checkpoint import CONFIG_ENTRY, read_entries, write_entries
 from taskgate.data import TOY_TEACHER, continual_tasks, toy_dataset
 
 from test_checkpoint import CORRUPT_ENTRIES, write_corrupt
+
+
+# config sizes that a run divides by or allocates with
+SIZE_FIELDS = ("toy_batch_size", "batch_size", "toy_samples", "toy_hidden",
+               "dim", "trunk_width", "train_n", "test_n")
+TOY_FIELDS = ("toy_batch_size", "toy_samples", "toy_hidden")
 
 
 def tiny_continual_kwargs(out):
@@ -129,6 +135,12 @@ class TestConfig:
             bench.ExperimentConfig(schedule="step")
         with pytest.raises(tg.UsageError):
             bench.ExperimentConfig(experiment="mystery")
+        for name in SIZE_FIELDS:
+            with pytest.raises(tg.UsageError, match=name):
+                bench.ExperimentConfig(**{name: 0})
+        for s_max in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(tg.UsageError, match="s_max"):
+                bench.ExperimentConfig(s_max=s_max)
 
 
 class TestToyRunner:
@@ -250,6 +262,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("taskgate: error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [(name, "0") for name in SIZE_FIELDS]
+                             + [("s_max", "0"), ("s_max", "nan"), ("s_max", "-inf")])
+    def test_degenerate_config_is_one_line_error(self, tmp_path, capsys, key, value):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"{key}={value}\n")
+        experiment = "toy-init" if key in TOY_FIELDS else "continual"
+        code = cli.main([experiment, "--config", str(cfgfile),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("taskgate: error:") and err.count("\n") == 1
+        assert key in err and "Traceback" not in err
+
+    def test_degenerate_stored_config_is_one_line_error(self, tmp_path, capsys):
+        text = bench.config_to_text(bench.ExperimentConfig(), exclude=("out",))
+        text = text.replace("batch_size=64", "batch_size=0")
+        write_entries(tmp_path / bench.CHECKPOINT_NAME, {
+            CONFIG_ENTRY: np.frombuffer(text.encode("utf-8"), dtype=np.uint8)})
+        code = cli.main(["forget", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("taskgate: error:") and err.count("\n") == 1
+        assert "batch_size" in err
+
+    def test_help_states_effective_lambda_default(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["continual", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        default = bench.ExperimentConfig().reg_lambda
+        assert f"penalty weight (default {default})" in help_text
 
     def test_bad_flag_value_exits_nonzero(self, tmp_path, capsys):
         code = cli.main(["continual", "--tasks", "0", "--print-config"])

@@ -2,6 +2,8 @@
 consumer of the model walk: maskers, trainable parameters, gradient
 protection, forgetting and checkpoints."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,17 @@ from gated_models import (BUILDERS, IMAGE, claim_binary, conv_model, flatten,
 
 
 class TestWalk:
+    def test_walk_leaves_no_cyclic_garbage(self):
+        model = nested_model(np.random.default_rng(99), task_count=2)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                list(walk(model))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_nested_maskers_and_parameters_included(self):
         model = nested_model(np.random.default_rng(100), task_count=2)
         l1, l2, l3 = model.steps[0], model.steps[2].steps[0], model.steps[3]

@@ -74,6 +74,27 @@ class TestElementwise:
         x = Tensor([-3.0, 2.0])
         np.testing.assert_array_equal(tg.relu(x).data, [0.0, 2.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_relu_bits_match_where_reference(self, dtype, layout):
+        info = np.finfo(dtype)
+        edges = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                          info.smallest_subnormal, -info.smallest_subnormal,
+                          info.tiny, -info.tiny, info.max, -info.max, 1.5, -1.5],
+                         dtype=dtype)
+        if layout == "strided":
+            # every other element of a 2-D array, read column-major
+            spread = np.zeros((2 * len(edges), 3), dtype=dtype)
+            spread[::2, 1] = edges
+            x = spread[::2, 1:].T
+            assert not x.flags.c_contiguous and not x.flags.f_contiguous
+        else:
+            x = np.tile(edges, (3, 1))
+        out = tg.relu(Tensor(x)).data
+        expected = np.where(x > 0, x, 0.0)
+        assert out.dtype == expected.dtype == dtype
+        assert out.tobytes() == expected.tobytes()
+
     def test_relu_grad(self):
         x = Tensor([-3.0, 2.0], requires_grad=True)
         with Tape() as tape:

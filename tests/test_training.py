@@ -289,6 +289,71 @@ class TestTrainTask:
         assert seen == [1, 2, 3]
 
 
+def plain_stack(seed):
+    rng = np.random.default_rng(seed)
+    return Sequential(HATLinear(6, 10, 1, "l1", rng), ReLU(),
+                      HATLinear(10, 2, 1, "l2", rng))
+
+
+def count_forwards(model):
+    """Make model.forward record the input batch of every call."""
+    batches = []
+    forward = model.forward
+
+    def counting(payload):
+        batches.append(payload.data.data)
+        return forward(payload)
+
+    model.forward = counting
+    return batches
+
+
+class TestEpochMetrics:
+    def test_accuracy_without_learning_equals_evaluate(self):
+        rng = np.random.default_rng(62)
+        model = plain_stack(63)
+        data = two_cluster_task(rng)
+        cfg = TrainerConfig(task_count=1, epochs=2, batch_size=32, seed=5,
+                            lr=0.0, reg_lambda=0.0)
+        expected = evaluate(model, data, None)
+        metrics = train_task(model, data, None, cfg)
+        assert [m.accuracy for m in metrics] == [expected, expected]
+
+    def test_early_stopped_epoch_counts_only_batches_run(self):
+        rng = np.random.default_rng(64)
+        model = plain_stack(65)
+        x, y = two_cluster_task(rng)
+        cfg = TrainerConfig(task_count=1, epochs=3, batch_size=30, seed=6,
+                            lr=0.0, reg_lambda=0.0)
+        batches = count_forwards(model)
+        # 4 batches per epoch: stop after the second batch of epoch 1
+        metrics = train_task(model, (x, y), None, cfg,
+                             on_batch_end=lambda i, m: i >= 6)
+        assert len(metrics) == 2 and len(batches) == 6
+        label = {row.tobytes(): t for row, t in zip(x, y)}
+        ran_x = np.concatenate(batches[4:])
+        ran_y = np.array([label[row.tobytes()] for row in ran_x])
+        expected = evaluate(model, (ran_x, ran_y), None)
+        assert len(ran_x) == 60
+        assert metrics[1].accuracy == expected
+        # the fixture discriminates: the whole set scores differently
+        assert expected != evaluate(model, (x, y), None)
+
+    # 4 batches per epoch, 3 epochs
+    @pytest.mark.parametrize("stop_at, calls, epochs",
+                             [(None, 12, 3), (6, 6, 2), (1, 1, 1)])
+    def test_one_forward_per_training_batch(self, stop_at, calls, epochs):
+        rng = np.random.default_rng(66)
+        model = small_model(rng, 2)
+        data = two_cluster_task(rng)
+        cfg = TrainerConfig(task_count=2, epochs=3, batch_size=30, seed=7)
+        batches = count_forwards(model)
+        stop = None if stop_at is None else (lambda i, m: i >= stop_at)
+        metrics = train_task(model, data, 0, cfg, on_batch_end=stop)
+        assert len(batches) == calls
+        assert len(metrics) == epochs
+
+
 class TestIdentityReduction:
     def test_plain_mode_matches_plain_network_trajectory(self):
         # same weights, same batches, lambda=0, no task id: the gated stack
