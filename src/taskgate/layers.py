@@ -355,11 +355,11 @@ class HATConv2d(_GatedWeightedLayer):
                  task_count: int, layer_tag: str, rng: np.random.Generator,
                  stride=1, padding=0, s_max: float = 400.0):
         super().__init__()
-        kh, kw = (kernel_size, kernel_size) if isinstance(kernel_size, int) else kernel_size
+        kh, kw = ops._pair(kernel_size, "kernel_size", 1)
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.stride = stride
-        self.padding = padding
+        self.stride = ops._pair(stride, "stride", 1)
+        self.padding = ops._pair(padding, "padding", 0)
         self.layer_tag = layer_tag
         bound = np.sqrt(1.0 / (in_channels * kh * kw))
         self.weight = Tensor(

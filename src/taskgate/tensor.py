@@ -460,26 +460,32 @@ def permute(x: Tensor, axes) -> Tensor:
     return _record("permute", (x,), x.data.transpose(axes), backward_fn)
 
 
-def _pair(v) -> tuple:
-    return (v, v) if isinstance(v, int) else tuple(v)
+def _pair(v, name: str, least: int) -> tuple:
+    """``v`` as an (h, w) pair of ints >= ``least``; anything else is refused."""
+    pair = (v, v) if isinstance(v, (int, np.integer)) else v
+    if (not isinstance(pair, (tuple, list)) or len(pair) != 2
+            or not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool)
+                       and p >= least for p in pair)):
+        raise UsageError(f"{name} must be an int >= {least} or a pair of them, got {v!r}")
+    return int(pair[0]), int(pair[1])
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, ho: int, wo: int) -> np.ndarray:
-    b, c = xp.shape[0], xp.shape[1]
-    cols = np.empty((b, c, kh, kw, ho, wo), dtype=xp.dtype)
+    c, b = xp.shape[0], xp.shape[3]
+    cols = np.empty((c, kh, kw, ho, wo, b), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
-    return cols.reshape(b, c * kh * kw, ho * wo)
+            cols[:, i, j] = xp[:, i:i + sh * ho:sh, j:j + sw * wo:sw]
+    return cols.reshape(c * kh * kw, ho * wo * b)
 
 
 def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, sh: int, sw: int, ho: int, wo: int) -> np.ndarray:
-    b, c, hp, wp = shape
+    c, b = shape[0], shape[3]
     xp = np.zeros(shape, dtype=cols.dtype)
-    cols = cols.reshape(b, c, kh, kw, ho, wo)
+    cols = cols.reshape(c, kh, kw, ho, wo, b)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += cols[:, :, i, j]
+            xp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += cols[:, i, j]
     return xp
 
 
@@ -487,47 +493,54 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=1, padding=0) -> Tensor:
     """Cross-correlation of [B,Cin,H,W] with [Cout,Cin,kh,kw] kernels.
 
-    The input is unfolded to columns laid out [B, Cin*kh*kw, Ho*Wo], so the
-    forward pass and both backward contractions are BLAS matrix products
-    against the [Cout, Cin*kh*kw] kernel matrix. When ``x`` does not require
-    a gradient (raw images into a first layer), backward computes no input
-    gradient and skips the fold back to image shape.
+    The input is padded once into a [Cin, Hp, Wp, B] buffer and unfolded to
+    columns laid out [Cin*kh*kw, Ho*Wo*B], batch innermost, so each kernel
+    tap copies contiguous runs of B values. The forward pass and each
+    backward contraction is then one BLAS matrix product against the
+    [Cout, Cin*kh*kw] kernel matrix. When ``x`` does not require a gradient
+    (raw images into a first layer), backward computes no input gradient
+    and skips the fold back to image shape.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d needs rank-4 input and weight, got {x.shape}, {weight.shape}")
     bsz, cin, h, w = x.shape
-    cout, cin_w, kh, kw = weight.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs weight {weight.shape}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
+    wshape = weight.shape
+    cout, cin_w, kh, kw = wshape
+    if cin != cin_w or min(kh, kw) < 1 or (bias is not None and bias.shape != (cout,)):
+        raise ShapeError(f"conv2d needs matching channels, a nonempty kernel and a "
+                         f"[Cout] bias: input {x.shape}, weight {wshape}, "
+                         f"bias {None if bias is None else bias.shape}")
+    sh, sw = _pair(stride, "stride", 1)
+    ph, pw = _pair(padding, "padding", 0)
     hp, wp = h + 2 * ph, w + 2 * pw
     if kh > hp or kw > wp:
         raise ShapeError(f"kernel {(kh, kw)} larger than padded input {(hp, wp)}")
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
 
-    xp = np.zeros((bsz, cin, hp, wp), dtype=x.data.dtype)
-    xp[:, :, ph:ph + h, pw:pw + w] = x.data
-    cols = _im2col(xp, kh, kw, sh, sw, ho, wo)           # [B, Cin*kh*kw, Ho*Wo]
+    xp = np.zeros((cin, hp, wp, bsz), dtype=x.data.dtype)
+    xp[:, ph:ph + h, pw:pw + w] = x.data.transpose(1, 2, 3, 0)
+    cols = _im2col(xp, kh, kw, sh, sw, ho, wo)           # [Cin*kh*kw, Ho*Wo*B]
     wflat = weight.data.reshape(cout, -1)
-    out = (wflat @ cols).reshape(bsz, cout, ho, wo)
+    out = wflat @ cols                                   # [Cout, Ho*Wo*B]
     if bias is not None:
-        out = out + bias.data.reshape(1, cout, 1, 1)
+        out += bias.data[:, None]
+    out = np.ascontiguousarray(out.reshape(cout, ho, wo, bsz).transpose(3, 0, 1, 2))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     need_gx = x.requires_grad  # decided when recorded, as the tape's parent ids are
+    has_bias = bias is not None
 
     def backward_fn(g):
-        gflat = g.reshape(bsz, cout, ho * wo)
-        gw = (gflat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        gt = g.transpose(1, 2, 3, 0).reshape(cout, -1)   # [Cout, Ho*Wo*B]
+        gw = (gt @ cols.T).reshape(wshape)
         gx = None
         if need_gx:
-            gxp = _col2im(wflat.T @ gflat, (bsz, cin, hp, wp), kh, kw, sh, sw, ho, wo)
-            gx = gxp[:, :, ph:ph + h, pw:pw + w]
-        if bias is None:
+            gxp = _col2im(wflat.T @ gt, (cin, hp, wp, bsz), kh, kw, sh, sw, ho, wo)
+            gx = np.ascontiguousarray(gxp[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2))
+        if not has_bias:
             return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw, gt.sum(axis=1)
 
     return _record("conv2d", inputs, out, backward_fn)
 

@@ -153,6 +153,10 @@ class TrainerConfig:
             raise UsageError(f"task_count must be >= 1, got {self.task_count}")
         if self.reg_lambda < 0:
             raise UsageError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
+        if self.batch_size < 1:
+            raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.s_max) and self.s_max > 0):
+            raise UsageError(f"s_max must be finite and > 0, got {self.s_max}")
 
 
 @dataclass

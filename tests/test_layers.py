@@ -304,6 +304,18 @@ class TestGatedForward:
         np.testing.assert_array_equal(layer.weight.grad, np.zeros((3, 2, 3, 3)))
         assert out.masked_data().shape == (2, 3, 4, 4)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"stride": 0}, {"stride": (1,)}, {"stride": 1.5}, {"padding": -1},
+        {"padding": (1, 2, 3)}, {"kernel_size": 0}, {"kernel_size": (3,)},
+        {"kernel_size": (3, 2.0)},
+    ], ids=repr)
+    def test_conv_layer_refuses_bad_arguments_when_built(self, kwargs):
+        args = {"kernel_size": 3, **kwargs}
+        with pytest.raises(tg.UsageError, match=next(iter(kwargs))) as err:
+            HATConv2d(2, 3, task_count=1, layer_tag="c",
+                      rng=np.random.default_rng(0), **args)
+        assert "\n" not in str(err.value)
+
     def test_output_masked_when_layer_returns(self):
         rng = np.random.default_rng(41)
         layer = HATLinear(3, 2, task_count=1, layer_tag="l", rng=rng)

@@ -195,6 +195,33 @@ class TestConv2d:
         with pytest.raises(tg.ShapeError):
             tg.conv2d(x, w)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"stride": 0}, {"stride": -1}, {"stride": (1,)}, {"stride": 1.5},
+        {"stride": (2, 0)}, {"stride": "2"}, {"stride": True}, {"stride": None},
+        {"padding": -1}, {"padding": (0, -1)}, {"padding": 0.5},
+        {"padding": (1, 1, 1)}, {"padding": np.int64(-1)},
+    ], ids=repr)
+    def test_bad_stride_or_padding_is_refused(self, kwargs):
+        x = Tensor(np.zeros((1, 1, 4, 4)))
+        w = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(tg.UsageError, match=next(iter(kwargs))) as err:
+            tg.conv2d(x, w, **kwargs)
+        assert "\n" not in str(err.value)
+
+    def test_numpy_and_list_arguments_are_accepted(self):
+        x = Tensor(np.zeros((1, 1, 5, 5)))
+        w = Tensor(np.zeros((1, 1, 3, 3)))
+        out = tg.conv2d(x, w, stride=np.int64(2), padding=[1, np.int32(0)])
+        assert out.shape == (1, 1, 3, 2)
+
+    @pytest.mark.parametrize("w_shape, b_shape", [
+        ((1, 1, 0, 3), None), ((2, 1, 3, 3), (3,)), ((2, 1, 3, 3), (2, 1)),
+    ])
+    def test_empty_kernel_or_wrong_bias_is_refused(self, w_shape, b_shape):
+        b = None if b_shape is None else Tensor(np.zeros(b_shape))
+        with pytest.raises(tg.ShapeError):
+            tg.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(w_shape)), b)
+
 
 def loop_conv2d(x, w, b, g, stride, padding):
     """Direct cross-correlation, one output entry at a time, in float64.
@@ -228,6 +255,30 @@ def loop_conv2d(x, w, b, g, stride, padding):
     return out, gxp[:, :, ph:ph + h, pw:pw + wd], gw, gb
 
 
+def check_against_loop(x_shape, cout, kernel, stride, padding, with_bias, dtype):
+    """conv2d's output and gradients equal the loop reference's within 4096 ulp."""
+    # Sums run over at most a few dozen terms of size ~1, so a few
+    # thousand ulps covers any summation order.
+    tol = 4096 * np.finfo(dtype).eps
+    rng = np.random.default_rng(30)
+    x = Tensor(rng.standard_normal(x_shape).astype(dtype), requires_grad=True)
+    w = Tensor(rng.standard_normal((cout, x_shape[1]) + kernel).astype(dtype), requires_grad=True)
+    b = Tensor(rng.standard_normal(cout).astype(dtype), requires_grad=True) if with_bias else None
+    with Tape() as tape:
+        out = tg.conv2d(x, w, b, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        loss = tg.mul(out, Tensor(g)).sum()
+    tape.backward(loss)
+    ref_out, ref_gx, ref_gw, ref_gb = loop_conv2d(
+        x.data, w.data, None if b is None else b.data, g, stride, padding)
+    assert out.dtype == dtype and x.grad.dtype == dtype and w.grad.dtype == dtype
+    np.testing.assert_allclose(out.data, ref_out, rtol=tol, atol=tol)
+    np.testing.assert_allclose(x.grad, ref_gx, rtol=tol, atol=tol)
+    np.testing.assert_allclose(w.grad, ref_gw, rtol=tol, atol=tol)
+    if b is not None:
+        np.testing.assert_allclose(b.grad, ref_gb, rtol=tol, atol=tol)
+
+
 class TestConv2dReference:
     """conv2d against the nested-loop reference, forward and all gradients."""
 
@@ -237,26 +288,37 @@ class TestConv2dReference:
     @pytest.mark.parametrize("padding", [0, 1, (1, 0)])
     @pytest.mark.parametrize("stride", [1, 2, (2, 1)])
     def test_matches_loop_reference(self, stride, padding, kernel, with_bias, dtype):
-        # Sums run over at most a few dozen terms of size ~1, so a few
-        # thousand ulps covers any summation order.
-        tol = 4096 * np.finfo(dtype).eps
-        rng = np.random.default_rng(30)
-        x = Tensor(rng.standard_normal((2, 2, 5, 6)).astype(dtype), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 2) + kernel).astype(dtype), requires_grad=True)
-        b = Tensor(rng.standard_normal(3).astype(dtype), requires_grad=True) if with_bias else None
-        with Tape() as tape:
-            out = tg.conv2d(x, w, b, stride=stride, padding=padding)
-            g = rng.standard_normal(out.shape).astype(dtype)
-            loss = tg.mul(out, Tensor(g)).sum()
-        tape.backward(loss)
-        ref_out, ref_gx, ref_gw, ref_gb = loop_conv2d(
-            x.data, w.data, None if b is None else b.data, g, stride, padding)
-        assert out.dtype == dtype and x.grad.dtype == dtype and w.grad.dtype == dtype
-        np.testing.assert_allclose(out.data, ref_out, rtol=tol, atol=tol)
-        np.testing.assert_allclose(x.grad, ref_gx, rtol=tol, atol=tol)
-        np.testing.assert_allclose(w.grad, ref_gw, rtol=tol, atol=tol)
-        if b is not None:
-            np.testing.assert_allclose(b.grad, ref_gb, rtol=tol, atol=tol)
+        check_against_loop((2, 2, 5, 6), 3, kernel, stride, padding, with_bias, dtype)
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2, (2, 1)])
+    def test_distinct_extents_batch_over_channels(self, stride, padding):
+        # B=3, Cin=2, H=5, W=6, Cout=4: a mixed-up axis cannot go unnoticed,
+        # and the batch is larger than the channel count.
+        check_against_loop((3, 2, 5, 6), 4, (3, 3), stride, padding, True, np.float64)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_samples_are_independent(self, stride):
+        rng = np.random.default_rng(32)
+        images = rng.standard_normal((5, 3, 7, 6))
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)))
+        b = Tensor(rng.standard_normal(4))
+
+        def run(batch, g=None):
+            x = Tensor(batch, requires_grad=True)
+            with Tape() as tape:
+                out = tg.conv2d(x, w, b, stride=stride, padding=1)
+                if g is None:
+                    g = rng.standard_normal(out.shape)
+                loss = tg.mul(out, Tensor(g)).sum()
+            tape.backward(loss)
+            return out.data, x.grad, g
+
+        out, gx, g = run(images)
+        for n in range(len(images)):
+            out_n, gx_n, _ = run(images[n:n + 1], g[n:n + 1])
+            np.testing.assert_allclose(out[n:n + 1], out_n, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gx[n:n + 1], gx_n, rtol=1e-12, atol=1e-12)
 
     def test_no_input_gradient_when_input_needs_none(self, monkeypatch):
         rng = np.random.default_rng(31)

@@ -425,3 +425,9 @@ class TestEvaluate:
             TrainerConfig(task_count=0)
         with pytest.raises(tg.UsageError):
             TrainerConfig(reg_lambda=-0.1)
+        for name, value in [("batch_size", 0), ("batch_size", -3), ("s_max", 0.0),
+                            ("s_max", -1.0), ("s_max", float("inf")),
+                            ("s_max", float("nan"))]:
+            with pytest.raises(tg.UsageError, match=name) as err:
+                TrainerConfig(task_count=1, **{name: value})
+            assert "\n" not in str(err.value)
