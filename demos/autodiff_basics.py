@@ -49,8 +49,9 @@ print(f"numeric d/dw[0,0] = {numeric:.6f}, analytic = {w.grad[0, 0]:.6f}")
 # 3. Gradient hooks
 #
 # A hook transforms the gradient flowing into a tensor during backward().
-# This is the primitive the gating machinery is built on: nullification and
-# compensation are just hooks installed by the layers.
+# The gated layers protect completed tasks with one: nullification is a hook
+# on each gated layer's weights. (Compensation is not a hook; it runs inside
+# the backward pass of the mask gate's own tape node.)
 
 w.grad = None
 with Tape() as tape:

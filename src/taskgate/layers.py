@@ -11,9 +11,11 @@ The pieces:
   its output units, training registers a gradient hook on the weights that
   multiplies each entry's gradient by ``1 - min(out_mask_i, in_mask_j)``, so
   parameters fully claimed by earlier tasks stop moving.
-* Mask embeddings get their own hook pair at mask-application time: an
-  analytic rescaling that undoes the vanishing sigmoid derivative at large
-  mask scales, followed by a magnitude rail.
+* Applying a mask records one ``gate`` tape node, ``data * sigmoid(s * e)``.
+  In training its backward also rescales the embedding gradient to undo the
+  vanishing sigmoid derivative at large mask scales, then clips it to a
+  magnitude rail. The regularizer's live mask on the same tape reuses the
+  gate's sigmoid in a ``mask`` node that does the same to its own gradient.
 * ``TaskIndexed`` holds one isolated submodule per task and dispatches on the
   payload's task id.
 
@@ -25,6 +27,7 @@ layer's input features and how those features map onto its units.
 
 from __future__ import annotations
 
+import weakref
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -104,6 +107,26 @@ def grad_rail(q: np.ndarray, raw_abs_max: float,
     return np.clip(q, -bound, bound)
 
 
+def _width(v, name: str) -> int:
+    """``v`` as a layer width, an int >= 1; anything else is refused."""
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
+        raise UsageError(f"{name} must be an int >= 1, got {v!r}")
+    return int(v)
+
+
+def _embedding_grad(q: np.ndarray, mask: np.ndarray, e: np.ndarray, s: float,
+                    s_max: float, protect: bool) -> np.ndarray:
+    """Gradient of the embedding behind ``mask = sigmoid(s * e)`` given the
+    mask's gradient ``q``, in the float order of the generic sigmoid and
+    scale nodes. ``protect`` (training) then compensates and rails it, the
+    rail bound to this one contribution's raw maximum."""
+    q = q * mask * (1.0 - mask) * s
+    if not protect:
+        return q
+    raw_abs_max = float(np.max(np.abs(q))) if q.size else 0.0
+    return grad_rail(grad_compensate(q, e, s, s_max), raw_abs_max)
+
+
 class HATMasker(PayloadModule):
     """Per-task sigmoid gate over one feature axis.
 
@@ -119,7 +142,7 @@ class HATMasker(PayloadModule):
                  s_max: float = 400.0):
         if task_count < 1:
             raise UsageError(f"task_count must be >= 1, got {task_count}")
-        self.n_features = n_features
+        self.n_features = n_features = _width(n_features, "n_features")
         self.task_count = task_count
         self.layer_tag = layer_tag
         self.s_max = float(s_max)
@@ -127,7 +150,9 @@ class HATMasker(PayloadModule):
                                for _ in range(task_count)]
         self.cumulative_mask = np.zeros(n_features)
         self.stored_task_masks: dict[int, np.ndarray] = {}
-        self._hooked_tape = None
+        # the last training gate: (weak ref to its tape, task, scale, mask,
+        # embedding snapshot), for current_mask to reuse on that tape
+        self._live = None
 
     def local_parameters(self):
         return list(self.embedding_rows)
@@ -144,9 +169,25 @@ class HATMasker(PayloadModule):
         return self.s_max if scale is None else float(scale)
 
     def current_mask(self, task: int, scale: Optional[float]) -> Tensor:
-        """The live (differentiable) mask for a task at a given scale."""
-        return attention(self.embedding_rows[self._check_task(task)],
-                         self.resolve_scale(scale))
+        """The live (differentiable) mask for a task at a given scale.
+
+        On the tape of a training gate for the same task and scale this is a
+        one-parent ``mask`` node over that gate's sigmoid, whose gradient is
+        compensated and railed on its own; otherwise plain ``attention``.
+        """
+        task = self._check_task(task)
+        s = self.resolve_scale(scale)
+        row = self.embedding_rows[task]
+        live, tape = self._live, Tape.current()
+        if (tape is None or live is None or live[0]() is not tape
+                or live[1] != task or live[2] != s):
+            return attention(row, s)
+        mask, e, s_max = live[3], live[4], self.s_max
+
+        def backward_fn(g):
+            return (_embedding_grad(g, mask, e, s, s_max, True),)
+
+        return ops._record("mask", (row,), mask, backward_fn)
 
     def mask_values(self, task: int, scale: Optional[float] = None) -> np.ndarray:
         """Mask as plain numbers, no tape."""
@@ -154,7 +195,13 @@ class HATMasker(PayloadModule):
         return sigmoid_values(self.resolve_scale(scale) * e)
 
     def apply(self, payload: HATPayload) -> Tensor:
-        """The payload's data with this masker's mask for its task applied."""
+        """The payload's data with this masker's mask for its task applied.
+
+        Records one ``gate`` node over (data, embedding row). Its backward
+        takes the chain rule through the product, the sigmoid and the scale
+        in the float order of those generic ops; in training it then
+        compensates the embedding gradient and clips it to the rail.
+        """
         data = payload.data
         if payload.task is None:
             return data
@@ -164,33 +211,32 @@ class HATMasker(PayloadModule):
             raise ShapeError(f"masker '{self.layer_tag}' covers {self.n_features} "
                              f"features but data has {feature_extent}")
         s = self.resolve_scale(payload.scale)
-        mask = attention(self.embedding_rows[task], s)
-        if payload.training:
-            self._register_embedding_hooks(task, s)
-        return ops.mul(data, mask)
-
-    def _register_embedding_hooks(self, task: int, s: float) -> None:
-        # Two hooks on the embedding leaf, firing in order on every incoming
-        # gradient: the analytic rescaling, then the safety rail. The rail's
-        # bound depends on the raw gradient, so the first hook stashes it.
-        tape = Tape.current()
-        if tape is None or tape is self._hooked_tape:
-            return
-        e_row = self.embedding_rows[task]
-        e_vals = e_row.data.copy()
+        if s <= 0:
+            raise UsageError(f"mask scale must be positive, got {s}")
+        row = self.embedding_rows[task]
+        mask = sigmoid_values(row.data * s)
+        # the mask along axis 1 (elementwise for a vector)
+        shaped = mask if data.ndim == 1 else mask.reshape(
+            (1, -1) + (1,) * (data.ndim - 2))
+        x = data.data
+        axes = (0,) + tuple(range(2, x.ndim))
+        need_gx = data.requires_grad  # decided when recorded, as the parent ids are
+        protect = payload.training
+        e = row.data.copy() if protect else None
         s_max = self.s_max
-        stash = {}
 
-        def compensate(q):
-            stash["raw_abs_max"] = float(np.max(np.abs(q))) if q.size else 0.0
-            return grad_compensate(q, e_vals, s, s_max)
+        def backward_fn(g):
+            gx = g * shaped if need_gx else None
+            q = g * x
+            if x.ndim > 1:
+                q = q.sum(axis=axes)
+            return gx, _embedding_grad(q, mask, e, s, s_max, protect)
 
-        def rail(q):
-            return grad_rail(q, stash["raw_abs_max"])
-
-        e_row.register_hook(compensate)
-        e_row.register_hook(rail)
-        self._hooked_tape = tape
+        out = ops._record("gate", (data, row), x * shaped, backward_fn)
+        tape = Tape.current()
+        if protect and tape is not None:
+            self._live = (weakref.ref(tape), task, s, mask, e)
+        return out
 
     def forward(self, p: HATPayload) -> HATPayload:
         return p.with_data(self.apply(p))
@@ -218,15 +264,15 @@ def _dense(x: Tensor, weight: Tensor, bias: Tensor, who: str) -> Tensor:
     """y = x Wᵀ + b for a [B, in] batch; `who` names the layer in errors."""
     if x.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"{who} expects [B,{weight.shape[1]}], got {x.shape}")
-    return ops.add(ops.matmul(x, ops.permute(weight, (1, 0))), bias)
+    return ops.linear(x, weight, bias)
 
 
 class Linear(Module):
     """Plain dense layer y = x Wᵀ + b on bare tensors."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
-        self.in_features = in_features
-        self.out_features = out_features
+        self.in_features = in_features = _width(in_features, "in_features")
+        self.out_features = out_features = _width(out_features, "out_features")
         self.weight = Tensor(np.zeros((out_features, in_features)), requires_grad=True)
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
         self.reset(rng)
@@ -252,7 +298,7 @@ class LayerNorm(Module):
     """Per-sample feature normalization with learnable gain/shift."""
 
     def __init__(self, n_features: int, eps: float = 1e-5):
-        self.n_features = n_features
+        self.n_features = n_features = _width(n_features, "n_features")
         self.eps = eps
         self.gain = Tensor(np.ones(n_features), requires_grad=True)
         self.shift = Tensor(np.zeros(n_features), requires_grad=True)
@@ -290,7 +336,7 @@ class _GatedWeightedLayer(PayloadModule):
     layer_tag: str
 
     def __init__(self):
-        self._nullify_tape = None
+        self._nullify_tape = None  # weak ref to the tape its hooks are on
         # alone, a layer is a first layer; every Sequential holding it
         # rebinds this from the model's structure (see walk)
         self.input_side = InputSide()
@@ -314,7 +360,8 @@ class _GatedWeightedLayer(PayloadModule):
         # Freeze factors are snapshots of the cumulative masks: they only
         # change at task finalization, never inside a task.
         tape = Tape.current()
-        if tape is None or tape is self._nullify_tape:
+        if tape is None or (self._nullify_tape is not None
+                            and self._nullify_tape() is tape):
             return
         a_out = self.output_masker.cumulative_mask.copy()
         # A first layer (no masker below) protects by output side alone: its
@@ -325,7 +372,7 @@ class _GatedWeightedLayer(PayloadModule):
                 else side.expand(side.masker.cumulative_mask))
         self.weight.register_hook(lambda g: grad_nullify(g, a_out, a_in))
         self.bias.register_hook(lambda g: grad_nullify(g, a_out))
-        self._nullify_tape = tape
+        self._nullify_tape = weakref.ref(tape)
 
 
 class HATLinear(_GatedWeightedLayer):
@@ -334,8 +381,8 @@ class HATLinear(_GatedWeightedLayer):
     def __init__(self, in_features: int, out_features: int, task_count: int,
                  layer_tag: str, rng: np.random.Generator, s_max: float = 400.0):
         super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
+        self.in_features = in_features = _width(in_features, "in_features")
+        self.out_features = out_features = _width(out_features, "out_features")
         self.layer_tag = layer_tag
         bound = np.sqrt(1.0 / in_features)
         self.weight = Tensor(rng.standard_normal((out_features, in_features)) * bound,
@@ -355,9 +402,9 @@ class HATConv2d(_GatedWeightedLayer):
                  task_count: int, layer_tag: str, rng: np.random.Generator,
                  stride=1, padding=0, s_max: float = 400.0):
         super().__init__()
+        self.in_channels = in_channels = _width(in_channels, "in_channels")
+        self.out_channels = out_channels = _width(out_channels, "out_channels")
         kh, kw = ops._pair(kernel_size, "kernel_size", 1)
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         self.stride = ops._pair(stride, "stride", 1)
         self.padding = ops._pair(padding, "padding", 0)
         self.layer_tag = layer_tag

@@ -11,6 +11,11 @@ gradient before it is accumulated into the node's gradient slot; hooks on one
 node fire in registration order, so registering ``f`` then ``g`` stores
 ``g(f(upstream))``.
 
+Hot compositions get one node where the generic ops would record several:
+``linear`` is ``add(matmul(x, permute(w)), b)`` with the same arithmetic.
+Other modules record their own fused nodes through the same recorder (the
+layers' mask gates).
+
 Everything defaults to double precision. Single precision is available by
 constructing tensors with ``dtype=np.float32``.
 """
@@ -101,6 +106,20 @@ class Tape:
         for node in self.nodes:
             node.grad = None
         self.consumed = False
+
+    def release(self) -> None:
+        """Detach every tensor recorded here from this tape.
+
+        A leaf points at the last tape it joined, so a parameter keeps that
+        whole graph alive until it joins another. Afterwards only the
+        caller's own references hold the tape; the tensors keep their values
+        and gradients, but none of them can seed a backward pass here.
+        """
+        for node in self.nodes:
+            t = node.tensor
+            if t._node_tape is self:
+                t._node_tape = None
+                t._node_id = None
 
     def _add_node(self, op, parents, backward_fn, tensor) -> Node:
         node = Node(len(self.nodes), op, parents, backward_fn, tensor)
@@ -314,6 +333,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), a_data @ b_data, backward_fn)
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Dense layer ``x Wᵀ + b`` of a [B,in] batch with [out,in] weights.
+
+    One node with the arithmetic of ``add(matmul(x, permute(weight)), bias)``:
+    a contiguous copy of Wᵀ, the product, then the bias. Backward gives
+    ``g @ Wᵀ.T``, ``(xᵀ @ g)ᵀ`` and ``g.sum(0)``; when ``x`` does not require
+    a gradient, its product is skipped.
+    """
+    if (x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]
+            or bias.shape != (weight.shape[0],)):
+        raise ShapeError(f"linear needs [B,in] input, [out,in] weight and [out] "
+                         f"bias, got {x.shape}, {weight.shape}, {bias.shape}")
+    x_data = x.data
+    wt = np.ascontiguousarray(weight.data.T)
+    need_gx = x.requires_grad  # decided when recorded, as the tape's parent ids are
+
+    def backward_fn(g):
+        gx = g @ wt.T if need_gx else None
+        return gx, (x_data.T @ g).T, g.sum(axis=0)
+
+    return _record("linear", (x, weight, bias), x_data @ wt + bias.data, backward_fn)
+
+
 def _feature_axes(full_shape: tuple) -> tuple:
     # all axes except the feature axis (axis 1 for rank >= 2)
     return (0,) + tuple(range(2, len(full_shape)))
@@ -378,18 +420,17 @@ def mul(a: Tensor, b) -> Tensor:
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Numerically stable numpy sigmoid, no tape involvement.
 
-    Split by sign so exp never overflows; saturates to exact 0.0/1.0 at
-    large |x|, which downstream mask logic relies on.
+    exp only ever sees -|x|, so it never overflows: 1/(1+z) for x >= 0 and
+    z/(1+z) below, with z = exp(min(x, -x)); that minimum is -|x| but keeps
+    a NaN's sign bit. Saturates to exact 0.0/1.0 at large |x|, which
+    downstream mask logic relies on.
     """
     x = np.asarray(x)
     if x.dtype not in (np.float32, np.float64):
         x = x.astype(np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    z = np.exp(np.minimum(x, -x))
+    d = 1.0 + z
+    return np.where(x >= 0, 1.0 / d, z / d)
 
 
 _sigmoid = sigmoid_values

@@ -206,10 +206,15 @@ def train_task(model: Sequential, dataset, task: Optional[int],
 
     optimizer = SGD(model.task_parameters(task), cfg.lr, cfg.momentum)
     maskers = model.maskers()
+    # the regularizer skips a layer with no free capacity, so ask no live
+    # mask of one; capacity only changes when a task is finalized
+    penalized = [m for m in maskers
+                 if float((1.0 - m.cumulative_mask).sum()) != 0.0]
     total_batches = math.ceil(len(x) / cfg.batch_size)
     metrics = []
     global_batch = 0
     stopped = False
+    tape = None
 
     for epoch in range(cfg.epochs):
         shuffle_rng = np.random.default_rng(
@@ -225,8 +230,8 @@ def train_task(model: Sequential, dataset, task: Optional[int],
                 labels = y[idx]
                 loss = ops.softmax_cross_entropy(logits, labels)
                 if task is not None and cfg.reg_lambda > 0.0:
-                    live = [m.current_mask(task, s) for m in maskers]
-                    cum = [m.cumulative_mask for m in maskers]
+                    live = [m.current_mask(task, s) for m in penalized]
+                    cum = [m.cumulative_mask for m in penalized]
                     penalty = regularizer(live, cum, cfg.task_count)
                     loss = ops.add(loss, ops.scale(penalty, cfg.reg_lambda))
             tape.backward(loss)
@@ -247,6 +252,8 @@ def train_task(model: Sequential, dataset, task: Optional[int],
         if stopped:
             break
 
+    if tape is not None:
+        tape.release()  # the parameters would keep the last batch's graph alive
     if task is not None:
         for masker in maskers:
             masker.finalize_task(task)

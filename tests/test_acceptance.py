@@ -162,6 +162,12 @@ def test_1_gradients_match_finite_differences(capsys):
         record("regularizer", max_rel_err(
             lambda: regularizer([attention(em, 1.0)], [cum], tasks), [em]))
 
+        # the fused dense node; drawn last, so every case above is unchanged
+        w = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        wb = Tensor(rng.standard_normal(2), requires_grad=True)
+        record("linear", max_rel_err(
+            lambda: weighted(ops.linear(a, w, wb), c32), [a, w, wb]))
+
     elapsed = time.perf_counter() - start
     peak = max(worst, key=worst.get)
     ok = worst[peak] < 1e-4 and elapsed < 60.0

@@ -291,6 +291,48 @@ class TestGatedForward:
                              float(np.max(np.abs(raw))))
         np.testing.assert_array_equal(hooked, expected)
 
+    def test_gate_and_live_mask_rail_their_own_contributions(self):
+        # at a soft scale compensation multiplies the raw gradient by ~1e5,
+        # so the rail clips both contributions to the embedding; railing
+        # their sum instead would give another gradient
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((6, 3))
+        e = rng.uniform(-0.5, 0.5, 3)
+        s, cum, tasks = 1.0 / 400.0, np.zeros(3), 4
+
+        def embedding_grad(training, gate=True, penalty=True):
+            m = HATMasker(3, tasks, "m", s_max=400.0)
+            row = m.embedding_rows[0]
+            row.data[...] = e
+            with Tape() as tape:
+                terms = []
+                if gate:
+                    p = m(HATPayload(Tensor(x), task=0, scale=s, training=training))
+                    terms.append(tg.reduce_sum(p.masked_data()))
+                if penalty:
+                    live = m.current_mask(0, s) if gate else attention(row, s)
+                    terms.append(tg.regularizer([live], [cum], tasks))
+                loss = terms[0] if len(terms) == 1 else tg.add(*terms)
+            if gate and penalty:
+                assert tape.nodes[live.node_id].op == ("mask" if training else "sigmoid")
+            tape.backward(loss)
+            return row.grad.copy()
+
+        def protect(raw):
+            return grad_rail(grad_compensate(raw, e, s, 400.0),
+                             float(np.max(np.abs(raw))))
+
+        raw_gate = embedding_grad(training=False, penalty=False)
+        raw_penalty = embedding_grad(training=False, gate=False)
+        for raw in (raw_gate, raw_penalty):
+            assert np.all(grad_compensate(raw, e, s, 400.0) != protect(raw))
+        both = embedding_grad(training=True)
+        np.testing.assert_array_equal(both, protect(raw_gate) + protect(raw_penalty))
+        assert not np.array_equal(both, protect(raw_gate + raw_penalty))
+        # without training nothing is compensated: the plain sum of the two
+        np.testing.assert_array_equal(embedding_grad(training=False),
+                                      raw_gate + raw_penalty)
+
     def test_conv_layer_masks_channels_and_freezes(self):
         rng = np.random.default_rng(40)
         layer = HATConv2d(2, 3, kernel_size=3, task_count=2, layer_tag="c",
@@ -315,6 +357,29 @@ class TestGatedForward:
             HATConv2d(2, 3, task_count=1, layer_tag="c",
                       rng=np.random.default_rng(0), **args)
         assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda w, r: HATLinear(w, 3, 1, "l", r), "in_features"),
+        (lambda w, r: HATLinear(3, w, 1, "l", r), "out_features"),
+        (lambda w, r: HATConv2d(w, 3, 3, 1, "c", r), "in_channels"),
+        (lambda w, r: HATConv2d(2, w, 3, 1, "c", r), "out_channels"),
+        (lambda w, r: Linear(w, 3, r), "in_features"),
+        (lambda w, r: Linear(3, w, r), "out_features"),
+        (lambda w, r: HATMasker(w, 1, "m"), "n_features"),
+        (lambda w, r: tg.LayerNorm(w), "n_features"),
+    ], ids=["HATLinear.in", "HATLinear.out", "HATConv2d.in", "HATConv2d.out",
+            "Linear.in", "Linear.out", "HATMasker", "LayerNorm"])
+    @pytest.mark.parametrize("width", [0, -2, 2.0, True], ids=repr)
+    def test_layers_refuse_bad_widths_when_built(self, build, name, width):
+        with pytest.raises(tg.UsageError, match=name) as err:
+            build(width, np.random.default_rng(0))
+        assert "\n" not in str(err.value)
+
+    def test_numpy_integer_widths_are_accepted(self):
+        layer = HATLinear(np.int64(3), np.int32(2), 1, "l", np.random.default_rng(0))
+        assert (layer.in_features, layer.out_features) == (3, 2)
+        assert type(layer.in_features) is int
+        assert layer.weight.shape == (2, 3)
 
     def test_output_masked_when_layer_returns(self):
         rng = np.random.default_rng(41)

@@ -41,6 +41,74 @@ class TestMatmul:
             tg.matmul(a, b)
 
 
+def unfused_linear(x, w, b):
+    return tg.add(tg.matmul(x, tg.permute(w, (1, 0))), b)
+
+
+class TestLinear:
+    @staticmethod
+    def outputs(op, x, w, b, upstream):
+        """Forward values and the three gradients under a general upstream."""
+        for t in (x, w, b):
+            t.grad = None
+        with Tape() as tape:
+            out = op(x, w, b)
+            loss = tg.reduce_sum(tg.mul(out, Tensor(upstream)))
+        tape.backward(loss)
+        return out.data, x.grad, w.grad, b.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch, fan_in, fan_out", [(7, 5, 3), (64, 48, 48)])
+    def test_bits_match_unfused_composition(self, dtype, batch, fan_in, fan_out):
+        rng = np.random.default_rng(batch + fan_in)
+        x, w, b = (Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+                   for shape in ((batch, fan_in), (fan_out, fan_in), (fan_out,)))
+        upstream = rng.standard_normal((batch, fan_out)).astype(dtype)
+        fused = self.outputs(tg.linear, x, w, b, upstream)
+        composed = self.outputs(unfused_linear, x, w, b, upstream)
+        for f, c in zip(fused, composed):
+            assert f.dtype == c.dtype == dtype and f.shape == c.shape
+            assert f.tobytes() == c.tobytes()
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+            w = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+            b = Tensor(rng.standard_normal(2), requires_grad=True)
+            c = Tensor(rng.standard_normal((3, 2)))
+            assert_grads_match(lambda: tg.reduce_sum(tg.mul(tg.linear(x, w, b), c)),
+                               [x, w, b])
+
+    def test_no_input_gradient_when_input_needs_none(self):
+        rng = np.random.default_rng(9)
+        inputs = rng.standard_normal((4, 5))
+        w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        upstream = rng.standard_normal((4, 3))
+        tracked = Tensor(inputs, requires_grad=True)
+        _, gx, gw_tracked, gb_tracked = self.outputs(tg.linear, tracked, w, b, upstream)
+        assert gx is not None
+        raw = Tensor(inputs)
+        with Tape() as tape:
+            out = tg.linear(raw, w, b)
+        # the product is skipped, not computed and dropped
+        assert tape.nodes[out.node_id].backward_fn(upstream)[0] is None
+        _, gx, gw_raw, gb_raw = self.outputs(tg.linear, raw, w, b, upstream)
+        assert gx is None
+        np.testing.assert_array_equal(gw_raw, gw_tracked)
+        np.testing.assert_array_equal(gb_raw, gb_tracked)
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((2, 4), (3, 5), (3,)), ((4,), (3, 4), (3,)), ((2, 4), (3, 4), (4,)),
+        ((2, 4), (3, 4, 1), (3,)),
+    ], ids=str)
+    def test_nonconforming_shapes_are_refused(self, x_shape, w_shape, b_shape):
+        x, w, b = (Tensor(np.zeros(shape)) for shape in (x_shape, w_shape, b_shape))
+        with pytest.raises(tg.ShapeError, match="linear"):
+            tg.linear(x, w, b)
+
+
 class TestElementwise:
     @pytest.mark.parametrize("op", [tg.add, tg.sub, tg.mul])
     def test_equal_shape_grads(self, op):
@@ -92,6 +160,31 @@ class TestElementwise:
             x = np.tile(edges, (3, 1))
         out = tg.relu(Tensor(x)).data
         expected = np.where(x > 0, x, 0.0)
+        assert out.dtype == expected.dtype == dtype
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_sigmoid_bits_match_split_reference(self, dtype, layout):
+        info = np.finfo(dtype)
+        edges = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                          info.smallest_subnormal, -info.smallest_subnormal,
+                          info.tiny, -info.tiny, info.max, -info.max,
+                          800.0, -800.0, 20.0, -20.0, 1.5, -1.5], dtype=dtype)
+        if layout == "strided":
+            spread = np.zeros((2 * len(edges), 3), dtype=dtype)
+            spread[::2, 1] = edges
+            x = spread[::2, 1:].T
+            assert not x.flags.c_contiguous and not x.flags.f_contiguous
+        else:
+            x = np.tile(edges, (3, 1))
+        out = tg.sigmoid_values(x)
+        # split by sign, each side through exp of a nonpositive argument
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        below = np.exp(x[~pos])
+        expected[~pos] = below / (1.0 + below)
         assert out.dtype == expected.dtype == dtype
         assert out.tobytes() == expected.tobytes()
 
@@ -454,6 +547,18 @@ class TestBackward:
             loss = tg.mul(x, x).sum()
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [6.0])
+
+    def test_release_detaches_every_tensor_and_keeps_gradients(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            y = tg.mul(x, x)
+            loss = y.sum()
+        tape.backward(loss)
+        tape.release()
+        assert x.node_id is None and y.node_id is None and loss.node_id is None
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        with pytest.raises(tg.UsageError):
+            tape.backward(loss)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)

@@ -1,8 +1,11 @@
+import collections
+import gc
+
 import numpy as np
 import pytest
 
 import taskgate as tg
-from taskgate import HATLinear, HATMasker, HATPayload, Linear, ReLU, Sequential, Tensor
+from taskgate import HATLinear, HATMasker, HATPayload, Linear, ReLU, Sequential, Tensor, bench
 from taskgate.training import (
     SGD,
     ScheduleState,
@@ -352,6 +355,48 @@ class TestEpochMetrics:
         metrics = train_task(model, data, 0, cfg, on_batch_end=stop)
         assert len(batches) == calls
         assert len(metrics) == epochs
+
+
+def live_tapes():
+    gc.collect()
+    return [o for o in gc.get_objects() if isinstance(o, tg.Tape)]
+
+
+class TestTapes:
+    def test_training_batches_record_fused_nodes(self, monkeypatch):
+        # the default continual model on two tasks: task 0 pays the capacity
+        # penalty, task 1 trains under nullification
+        batches = []
+        backward = tg.Tape.backward
+
+        def spy(tape, loss):
+            batches.append(collections.Counter(node.op for node in tape.nodes))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(tg.Tape, "backward", spy)
+        bench.run_continual(bench.ExperimentConfig(tasks=2, train_n=128,
+                                                   test_n=16, epochs=2))
+        assert len(batches) == 8
+        for ops in batches:
+            assert not {"permute", "matmul", "sigmoid"} & set(ops), ops
+            # one gate per masker, one linear per dense layer (head included)
+            assert (ops["gate"], ops["linear"]) == (2, 3)
+            # scale nodes only in the penalty: one per penalized layer, one
+            # for its weight
+            assert ops["scale"] == ops["mask"] + (ops["mask"] > 0)
+        assert [ops["mask"] for ops in batches] == [2] * 4 + [0] * 4
+
+    @pytest.mark.parametrize("stop_at", [None, 2])
+    def test_no_tape_outlives_train_task(self, stop_at):
+        rng = np.random.default_rng(67)
+        model = small_model(rng, 2)
+        data = two_cluster_task(rng)
+        cfg = TrainerConfig(task_count=2, epochs=2, batch_size=30, seed=1)
+        stop = None if stop_at is None else (lambda i, m: i >= stop_at)
+        before = live_tapes()
+        for task in (0, 1):  # task 1 trains under the nullify hooks
+            train_task(model, data, task, cfg, on_batch_end=stop)
+            assert [t for t in live_tapes() if not any(t is b for b in before)] == []
 
 
 class TestIdentityReduction:
