@@ -103,8 +103,9 @@ class ExperimentConfig:
             raise UsageError(f"unknown schedule '{self.schedule}'")
         if self.init not in ("", "ones", "gaussian"):
             raise UsageError(f"unknown init '{self.init}'")
-        for name in ("batch_cap", "batch_size", "toy_samples", "toy_hidden",
-                     "toy_batch_size", "dim", "train_n", "test_n", "trunk_width"):
+        for name in ("batch_cap", "batch_size", "epochs", "toy_samples",
+                     "toy_hidden", "toy_batch_size", "dim", "train_n", "test_n",
+                     "trunk_width"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.s_max) and self.s_max > 0):

@@ -8,14 +8,19 @@ The pieces:
   stored binary mask.
 * ``HATLinear`` / ``HATConv2d`` wrap a weighted base layer and gate its
   output through an output masker. Once a completed task has claimed any of
-  its output units, training registers a gradient hook on the weights that
-  multiplies each entry's gradient by ``1 - min(out_mask_i, in_mask_j)``, so
-  parameters fully claimed by earlier tasks stop moving.
+  its output units, every forward with a task id recorded on a tape
+  registers a gradient hook on the weights (once per tape) that multiplies
+  each entry's gradient by ``1 - min(out_mask_i, in_mask_j)``, so
+  parameters fully claimed by earlier tasks stop moving in any training
+  loop.
 * Applying a mask records one ``gate`` tape node, ``data * sigmoid(s * e)``.
-  In training its backward also rescales the embedding gradient to undo the
-  vanishing sigmoid derivative at large mask scales, then clips it to a
-  magnitude rail. The regularizer's live mask on the same tape reuses the
-  gate's sigmoid in a ``mask`` node that does the same to its own gradient.
+  With the payload's ``training`` flag its backward also rescales the
+  embedding gradient to undo the vanishing sigmoid derivative at large mask
+  scales, then clips it to a magnitude rail. The regularizer's live mask on
+  the same tape reuses the gate's sigmoid in a ``mask`` node that does the
+  same to its own gradient.
+* Per-recording state (hooks registered, the gate's mask for reuse) is
+  noted in ``Tape.notes`` and dropped with the tape; modules keep none.
 * ``TaskIndexed`` holds one isolated submodule per task and dispatches on the
   payload's task id.
 
@@ -27,7 +32,6 @@ layer's input features and how those features map onto its units.
 
 from __future__ import annotations
 
-import weakref
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -150,9 +154,6 @@ class HATMasker(PayloadModule):
                                for _ in range(task_count)]
         self.cumulative_mask = np.zeros(n_features)
         self.stored_task_masks: dict[int, np.ndarray] = {}
-        # the last training gate: (weak ref to its tape, task, scale, mask,
-        # embedding snapshot), for current_mask to reuse on that tape
-        self._live = None
 
     def local_parameters(self):
         return list(self.embedding_rows)
@@ -171,18 +172,19 @@ class HATMasker(PayloadModule):
     def current_mask(self, task: int, scale: Optional[float]) -> Tensor:
         """The live (differentiable) mask for a task at a given scale.
 
-        On the tape of a training gate for the same task and scale this is a
-        one-parent ``mask`` node over that gate's sigmoid, whose gradient is
-        compensated and railed on its own; otherwise plain ``attention``.
+        A training gate notes (task, scale, mask, embedding snapshot) on its
+        tape. On that tape, for the same task and scale, this is a one-parent
+        ``mask`` node over the gate's sigmoid, whose gradient is compensated
+        and railed on its own; otherwise plain ``attention``.
         """
         task = self._check_task(task)
         s = self.resolve_scale(scale)
         row = self.embedding_rows[task]
-        live, tape = self._live, Tape.current()
-        if (tape is None or live is None or live[0]() is not tape
-                or live[1] != task or live[2] != s):
+        tape = Tape.current()
+        live = None if tape is None else tape.notes.get(self)
+        if live is None or live[:2] != (task, s):
             return attention(row, s)
-        mask, e, s_max = live[3], live[4], self.s_max
+        mask, e, s_max = live[2], live[3], self.s_max
 
         def backward_fn(g):
             return (_embedding_grad(g, mask, e, s, s_max, True),)
@@ -235,7 +237,7 @@ class HATMasker(PayloadModule):
         out = ops._record("gate", (data, row), x * shaped, backward_fn)
         tape = Tape.current()
         if protect and tape is not None:
-            self._live = (weakref.ref(tape), task, s, mask, e)
+            tape.notes[self] = (task, s, mask, e)
         return out
 
     def forward(self, p: HATPayload) -> HATPayload:
@@ -336,7 +338,6 @@ class _GatedWeightedLayer(PayloadModule):
     layer_tag: str
 
     def __init__(self):
-        self._nullify_tape = None  # weak ref to the tape its hooks are on
         # alone, a layer is a first layer; every Sequential holding it
         # rebinds this from the model's structure (see walk)
         self.input_side = InputSide()
@@ -351,18 +352,15 @@ class _GatedWeightedLayer(PayloadModule):
         h = self._weighted(p.data)
         # nothing to protect until a completed task claims an output unit:
         # with a zero output-side mask every factor 1 - min(out, in) is 1
-        if (p.training and p.task is not None
+        tape = Tape.current()
+        if (tape is not None and p.task is not None and self not in tape.notes
                 and self.output_masker.cumulative_mask.any()):
-            self._register_nullify_hooks()
+            self._register_nullify_hooks(tape)
         return self.output_masker.forward(p.with_data(h))
 
-    def _register_nullify_hooks(self) -> None:
+    def _register_nullify_hooks(self, tape: Tape) -> None:
         # Freeze factors are snapshots of the cumulative masks: they only
         # change at task finalization, never inside a task.
-        tape = Tape.current()
-        if tape is None or (self._nullify_tape is not None
-                            and self._nullify_tape() is tape):
-            return
         a_out = self.output_masker.cumulative_mask.copy()
         # A first layer (no masker below) protects by output side alone: its
         # inputs are task-free, so a weight is frozen exactly when its output
@@ -372,7 +370,7 @@ class _GatedWeightedLayer(PayloadModule):
                 else side.expand(side.masker.cumulative_mask))
         self.weight.register_hook(lambda g: grad_nullify(g, a_out, a_in))
         self.bias.register_hook(lambda g: grad_nullify(g, a_out))
-        self._nullify_tape = weakref.ref(tape)
+        tape.notes[self] = True  # hooks are on this tape
 
 
 class HATLinear(_GatedWeightedLayer):

@@ -1,10 +1,13 @@
 """Tensor-plus-task-metadata value that flows through gated networks.
 
 A payload carries the tensor, the task id (absent = plain/unmasked mode), the
-current mask scale and whether this is a training pass. Maskers apply their
-mask as soon as they run, so a payload's data is always fully masked; which
-masker feeds which gated layer is resolved once, from the model's structure,
-when a ``Sequential`` is built.
+current mask scale and the ``training`` flag, which compensates and rails
+the mask-embedding gradients (``train_task`` sets it). Protection of
+completed tasks does not depend on the flag: it applies to any forward with
+a task id recorded on a tape. Maskers apply their mask as soon as they run,
+so a payload's data is always fully masked; which masker feeds which gated
+layer is resolved once, from the model's structure, when a ``Sequential`` is
+built.
 """
 
 from __future__ import annotations

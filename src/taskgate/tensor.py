@@ -9,7 +9,9 @@ use.
 Gradient hooks attach to individual nodes. Each hook transforms an incoming
 gradient before it is accumulated into the node's gradient slot; hooks on one
 node fire in registration order, so registering ``f`` then ``g`` stores
-``g(f(upstream))``.
+``g(f(upstream))``. What a module must remember about one recording (hooks
+it has registered, a mask a later op reuses) goes in the tape's ``notes``
+dict, so it lives and dies with the tape instead of on the module.
 
 Hot compositions get one node where the generic ops would record several:
 ``linear`` is ``add(matmul(x, permute(w)), b)`` with the same arithmetic.
@@ -78,12 +80,16 @@ class Tape:
     A tape can be consumed by exactly one backward pass; call :meth:`reset`
     to clear gradient slots and run backward again over the same graph.
     Tapes are single-threaded; the active tape is tracked per thread.
+
+    ``notes`` maps a module to what it noted about this recording; nothing
+    else reads it, and it is dropped with the tape.
     """
 
     _tls = threading.local()
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.notes: dict = {}
         self.consumed = False
         self._next_hook_id = 0
 

@@ -48,28 +48,6 @@ def scale_cosine(p: float, s_max: float, s_min: Optional[float] = None) -> float
     return max(s_min, (s_max / 2.0) * (1.0 + math.cos(2.0 * math.pi * p)))
 
 
-@dataclass
-class ScheduleState:
-    """Where the annealing stands inside the current epoch."""
-
-    kind: str  # "linear" | "cosine"
-    s_max: float
-    batch_index: int  # 1-based
-    total_batches: int
-    s_min: Optional[float] = None
-
-    @property
-    def progress(self) -> float:
-        return (self.batch_index - 1) / self.total_batches
-
-    def value(self) -> float:
-        if self.kind == "linear":
-            return scale_linear(self.batch_index, self.total_batches, self.s_max)
-        if self.kind == "cosine":
-            return scale_cosine(self.progress, self.s_max, self.s_min)
-        raise UsageError(f"unknown schedule kind '{self.kind}'")
-
-
 def regularizer(current_masks: list, cumulative: list, task_count: int) -> Tensor:
     """Per-layer over-quota usage of leftover capacity, summed over layers.
 
@@ -151,6 +129,12 @@ class TrainerConfig:
     def __post_init__(self):
         if self.task_count < 1:
             raise UsageError(f"task_count must be >= 1, got {self.task_count}")
+        if self.schedule not in ("linear", "cosine"):
+            raise UsageError(f"unknown schedule '{self.schedule}'")
+        if self.init not in ("ones", "gaussian"):
+            raise UsageError(f"unknown init '{self.init}'")
+        if self.epochs < 1:
+            raise UsageError(f"epochs must be >= 1, got {self.epochs}")
         if self.reg_lambda < 0:
             raise UsageError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
         if self.batch_size < 1:
@@ -207,7 +191,8 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     optimizer = SGD(model.task_parameters(task), cfg.lr, cfg.momentum)
     maskers = model.maskers()
     # the regularizer skips a layer with no free capacity, so ask no live
-    # mask of one; capacity only changes when a task is finalized
+    # mask of one, and with none left add no penalty term at all; capacity
+    # only changes when a task is finalized
     penalized = [m for m in maskers
                  if float((1.0 - m.cumulative_mask).sum()) != 0.0]
     total_batches = math.ceil(len(x) / cfg.batch_size)
@@ -223,13 +208,14 @@ def train_task(model: Sequential, dataset, task: Optional[int],
         correct = seen = 0
         b = 0
         for b, idx in enumerate(_batches(len(x), cfg.batch_size, shuffle_rng), start=1):
-            s = ScheduleState(cfg.schedule, cfg.s_max, b, total_batches).value()
+            s = (scale_linear(b, total_batches, cfg.s_max) if cfg.schedule == "linear"
+                 else scale_cosine((b - 1) / total_batches, cfg.s_max))
             payload = HATPayload(Tensor(x[idx]), task=task, scale=s, training=True)
             with Tape() as tape:
                 logits = model.forward(payload).masked_data()
                 labels = y[idx]
                 loss = ops.softmax_cross_entropy(logits, labels)
-                if task is not None and cfg.reg_lambda > 0.0:
+                if task is not None and cfg.reg_lambda > 0.0 and penalized:
                     live = [m.current_mask(task, s) for m in penalized]
                     cum = [m.cumulative_mask for m in penalized]
                     penalty = regularizer(live, cum, cfg.task_count)

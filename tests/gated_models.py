@@ -76,13 +76,14 @@ def logits(model, x, task):
     return out.masked_data().data.copy()
 
 
-def sgd_steps(model, x, y, task, steps=25, lr=0.2, scale=30.0):
-    """Plain gradient descent on everything `task` may move, hooks active."""
+def sgd_steps(model, x, y, task, steps=25, lr=0.2, scale=30.0, training=True):
+    """Plain gradient descent on everything `task` may move, in a loop of
+    its own: no ``train_task``, and ``training`` set as given."""
     params = model.task_parameters(task)
     for _ in range(steps):
         with tg.Tape() as tape:
             out = model.forward(tg.HATPayload(tg.Tensor(x), task=task,
-                                              scale=scale, training=True))
+                                              scale=scale, training=training))
             loss = tg.softmax_cross_entropy(out.masked_data(), y)
         tape.backward(loss)
         for p in params:

@@ -11,7 +11,7 @@ from test_checkpoint import CORRUPT_ENTRIES, write_corrupt
 
 # config sizes that a run divides by or allocates with
 SIZE_FIELDS = ("toy_batch_size", "batch_size", "toy_samples", "toy_hidden",
-               "dim", "trunk_width", "train_n", "test_n")
+               "dim", "trunk_width", "train_n", "test_n", "epochs")
 TOY_FIELDS = ("toy_batch_size", "toy_samples", "toy_hidden")
 
 

@@ -544,6 +544,24 @@ class TestProtection:
         after = task0_logits()
         assert np.array_equal(before, after)  # bit-exact, not merely close
 
+    def test_loop_without_training_flag_keeps_task0_bit_exact(self):
+        # a hand-written loop on the payload's default training=False: the
+        # nullify hooks hang on the task id and the tape, not on the flag
+        rng = np.random.default_rng(49)
+        model = Sequential(
+            HATLinear(4, 6, 2, "l1", rng),
+            ReLU(),
+            HATLinear(6, 6, 2, "l2", rng),
+            ReLU(),
+            tg.task_indexed_linear(6, 2, 2, "head", rng),
+        )
+        claim_binary(model, 0, rng)
+        x_eval = rng.standard_normal((8, 4))
+        before = logits(model, x_eval, 0)
+        sgd_steps(model, rng.standard_normal((16, 4)), rng.integers(0, 2, 16), 1,
+                  training=False)
+        assert np.array_equal(before, logits(model, x_eval, 0))
+
     def test_out_of_order_training_keeps_completed_task_bit_exact(self):
         # task 2 completes first; training task 0 afterwards must not move it
         rng = np.random.default_rng(50)

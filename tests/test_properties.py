@@ -1,9 +1,11 @@
 """Property test: random train / forget / retrain sequences never move a
 protected parameter.
 
-Before each training run, every weight or bias entry whose nullify factor is
-exactly 0 must come out of it bit-identical, and no operation may touch the
-per-task head of a task it is not about.
+Training is ``train_task`` or a few steps of a hand-written loop on raw
+tapes, with or without the payload's ``training`` flag. Before each, every
+weight or bias entry whose nullify factor is exactly 0 must come out of it
+bit-identical, and no operation may touch the per-task head of a task it is
+not about.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from taskgate import TrainerConfig, forget_task, grad_nullify, train_task
 from taskgate.layers import walk
 
-from gated_models import BUILDERS, gated_layers, inputs
+from gated_models import BUILDERS, gated_layers, inputs, sgd_steps
 
 TASKS = 3
 CFG = TrainerConfig(task_count=TASKS, epochs=1, batch_size=8, lr=0.1,
@@ -59,16 +61,21 @@ def test_protected_entries_never_move(kind, seed, data):
 
     for _ in range(data.draw(st.integers(1, 5), label="operations")):
         done = completed(model)
-        choices = ([("train", t) for t in range(TASKS) if t not in done]
+        choices = ([(op, t) for t in range(TASKS) if t not in done
+                    for op in ("train", "step")]
                    + [("forget", t) for t in sorted(done)])
         op, task = data.draw(st.sampled_from(choices), label="operation")
         heads = [(p, p.data.copy()) for p in head_parameters(model, task)]
-        if op == "train":
+        if op == "forget":
+            forget_task(model, task)
+        else:
             frozen = [(t, sel, t.data.copy()) for t, sel in frozen_entries(model)]
-            train_task(model, datasets[task], task, CFG)
+            if op == "train":
+                train_task(model, datasets[task], task, CFG)
+            else:
+                training = data.draw(st.booleans(), label="training")
+                sgd_steps(model, *datasets[task], task, steps=3, training=training)
             for tensor, sel, before in frozen:
                 assert np.array_equal(tensor.data[sel], before[sel])
-        else:
-            forget_task(model, task)
         for param, before in heads:
             assert np.array_equal(param.data, before)

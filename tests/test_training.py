@@ -1,5 +1,6 @@
 import collections
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import taskgate as tg
 from taskgate import HATLinear, HATMasker, HATPayload, Linear, ReLU, Sequential, Tensor, bench
 from taskgate.training import (
     SGD,
-    ScheduleState,
     TrainerConfig,
     evaluate,
     init_embeddings,
@@ -17,6 +17,7 @@ from taskgate.training import (
     scale_linear,
     train_task,
 )
+from taskgate.layers import walk
 
 from gradcheck import numeric_grad, relative_error
 
@@ -38,6 +39,9 @@ class TestLinearSchedule:
             vals = [scale_linear(b, B, 400.0) for b in range(1, B + 1)]
             assert vals == sorted(vals)
             assert all(1 / 400.0 <= v <= 400.0 for v in vals)
+
+    def test_first_batch_of_epoch_is_floor(self):
+        assert scale_linear(1, 10, 400.0) == 1 / 400.0
 
     def test_out_of_range_batch_rejected(self):
         with pytest.raises(tg.UsageError):
@@ -67,29 +71,17 @@ class TestCosineSchedule:
         assert np.all(np.diff(first) < 0)
         assert np.all(np.diff(second) > 0)
 
+    def test_progress_within_epoch(self):
+        # train_task's progress for batch b of B is (b - 1) / B
+        assert scale_cosine((1 - 1) / 8, 400.0) == 400.0
+        assert scale_cosine((5 - 1) / 8, 400.0) == 1 / 400.0
+
     def test_explicit_floor_respected(self):
         assert scale_cosine(0.5, 400.0, s_min=3.0) == 3.0
 
     def test_invalid_progress(self):
         with pytest.raises(tg.UsageError):
             scale_cosine(1.5, 400.0)
-
-
-class TestScheduleState:
-    def test_progress_within_epoch(self):
-        st = ScheduleState("cosine", 400.0, batch_index=1, total_batches=8)
-        assert st.progress == 0.0
-        assert st.value() == 400.0
-        st = ScheduleState("cosine", 400.0, batch_index=5, total_batches=8)
-        assert st.progress == 0.5
-
-    def test_linear_kind(self):
-        st = ScheduleState("linear", 400.0, batch_index=1, total_batches=10)
-        assert st.value() == 1 / 400.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(tg.UsageError):
-            ScheduleState("step", 400.0, 1, 10).value()
 
 
 class TestRegularizer:
@@ -399,6 +391,42 @@ class TestTapes:
             assert [t for t in live_tapes() if not any(t is b for b in before)] == []
 
 
+def tape_references(model):
+    """(module name, attribute) pairs that hold a tape or a weak reference,
+    directly or inside a tuple or list."""
+    found = []
+    for name, module, _ in walk(model):
+        for attr, value in getattr(module, "__dict__", {}).items():
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            if any(isinstance(v, (tg.Tape, weakref.ref)) for v in items):
+                found.append((name, attr))
+    return found
+
+
+class TestTapeNotes:
+    def test_modules_hold_no_tape_after_a_step(self):
+        # task 1 trains under the nullify hooks and the live masks; what the
+        # layers note about each recording stays on the tape
+        rng = np.random.default_rng(68)
+        model = small_model(rng, 2)
+        data = two_cluster_task(rng)
+        cfg = TrainerConfig(task_count=2, epochs=1, batch_size=30, seed=1)
+        train_task(model, data, 0, cfg)
+        seen = []
+        train_task(model, data, 1, cfg,
+                   on_batch_end=lambda i, m: seen.append(tape_references(m)))
+        assert seen == [[]] * 4
+
+        x, y = data
+        with tg.Tape() as tape:
+            out = model.forward(HATPayload(Tensor(x), task=1, scale=2.0, training=True))
+            loss = tg.softmax_cross_entropy(out.masked_data(), y)
+        tape.backward(loss)
+        assert tape_references(model) == []
+        layers = [m for _, m, side in walk(model) if side is not None]
+        assert set(tape.notes) == set(layers) | set(model.maskers())
+
+
 class TestIdentityReduction:
     def test_plain_mode_matches_plain_network_trajectory(self):
         # same weights, same batches, lambda=0, no task id: the gated stack
@@ -472,7 +500,9 @@ class TestEvaluate:
             TrainerConfig(reg_lambda=-0.1)
         for name, value in [("batch_size", 0), ("batch_size", -3), ("s_max", 0.0),
                             ("s_max", -1.0), ("s_max", float("inf")),
-                            ("s_max", float("nan"))]:
+                            ("s_max", float("nan")), ("epochs", 0), ("epochs", -1),
+                            ("schedule", "cosin"), ("schedule", "step"),
+                            ("schedule", ""), ("init", "zeros"), ("init", "")]:
             with pytest.raises(tg.UsageError, match=name) as err:
                 TrainerConfig(task_count=1, **{name: value})
             assert "\n" not in str(err.value)
