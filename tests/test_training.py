@@ -506,3 +506,7 @@ class TestEvaluate:
             with pytest.raises(tg.UsageError, match=name) as err:
                 TrainerConfig(task_count=1, **{name: value})
             assert "\n" not in str(err.value)
+
+    def test_unknown_schedule_kind_rejected(self):
+        with pytest.raises(tg.UsageError, match="schedule"):
+            TrainerConfig(task_count=10, s_max=400.0, schedule="step")
