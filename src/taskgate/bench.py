@@ -23,7 +23,7 @@ import numpy as np
 from .checkpoint import config_text, load_model_state, model_state, read_entries, write_entries
 from .data import TOY_USEFUL, TOY_USELESS, continual_tasks, toy_dataset
 from .forgetting import forget_task
-from .layers import HATLinear, HATMasker, Linear, ReLU, Sequential
+from .layers import EMBEDDING_INITS, HATLinear, HATMasker, Linear, ReLU, Sequential
 from .layers import task_indexed_layer_norm, task_indexed_linear
 from .tensor import UsageError
 from .training import TrainerConfig, evaluate, init_embeddings, train_task
@@ -101,7 +101,7 @@ class ExperimentConfig:
             raise UsageError(f"tasks must be >= 1, got {self.tasks}")
         if self.schedule not in ("", "linear", "cosine"):
             raise UsageError(f"unknown schedule '{self.schedule}'")
-        if self.init not in ("", "ones", "gaussian"):
+        if self.init not in ("",) + EMBEDDING_INITS:
             raise UsageError(f"unknown init '{self.init}'")
         for name in ("batch_cap", "batch_size", "epochs", "toy_samples",
                      "toy_hidden", "toy_batch_size", "dim", "train_n", "test_n",

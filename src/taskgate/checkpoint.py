@@ -134,9 +134,7 @@ def read_entries(path) -> dict:
 def _named_local(module) -> list:
     if isinstance(module, Linear):
         return [("weight", module.weight), ("bias", module.bias)]
-    if isinstance(module, LayerNorm):
-        return [("gain", module.gain), ("shift", module.shift)]
-    raise UsageError(f"cannot checkpoint submodule type {type(module).__name__}")
+    return [("gain", module.gain), ("shift", module.shift)]  # a LayerNorm
 
 
 def _named_params(name: str, module) -> list:

@@ -10,6 +10,11 @@ change by a single bit.
 Weights are zeroed only when *both* endpoints are exclusive. A weight into a
 shared output unit is kept even if its input unit is exclusive — erasing less
 in exchange for a hard non-interference guarantee.
+
+Exclusivity is read from the stored binary masks alone: they are the record
+of what each completed task owns. A task-indexed ``Linear`` is exclusive by
+construction and is zeroed outright; a task-indexed ``LayerNorm`` returns to
+its fresh state. Each masker's ``reset_task`` then frees the task's slot.
 """
 
 from dataclasses import dataclass, field
@@ -17,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .layers import (THETA_BIN, HATMasker, InputSide, LayerNorm, Linear,
-                     Sequential, TaskIndexed, walk)
-from .tensor import StateError, UsageError
+from .layers import (HATMasker, InputSide, Linear, Sequential, TaskIndexed,
+                     check_embedding_init, walk)
+from .tensor import StateError
 
 __all__ = ["ForgetReport", "attribution", "forget_task"]
 
@@ -45,40 +50,29 @@ class ForgetReport:
         return out
 
 
-def attribution(masker: HATMasker, task: int,
-                theta: float = THETA_BIN) -> np.ndarray:
-    """Boolean vector of units used by `task` and by no other completed task.
-
-    At the default threshold this reads the stored binary masks directly; any
-    other threshold re-binarizes the current embeddings at full scale.
-    """
-    if task not in masker.stored_task_masks:
+def attribution(masker: HATMasker, task: int) -> np.ndarray:
+    """Boolean vector of units whose stored mask is on for `task` and off for
+    every other completed task."""
+    stored = masker.stored_task_masks
+    if task not in stored:
         raise StateError(f"task {task} was never finalized at masker "
                          f"'{masker.layer_tag}'")
-    if not 0.0 < theta < 1.0:
-        raise UsageError(f"attribution threshold must lie in (0,1), got {theta}")
-
-    def usage(t: int) -> np.ndarray:
-        if theta == THETA_BIN:
-            return masker.stored_task_masks[t]
-        return masker.mask_values(t) > theta
-
-    exclusive = usage(task).copy()
+    exclusive = stored[task].copy()
     for other in masker.completed_tasks():
         if other != task:
-            exclusive &= ~usage(other)
+            exclusive &= ~stored[other]
     return exclusive
 
 
-def _zero_counting(values: np.ndarray, select: np.ndarray) -> int:
-    """Zero `values[select]`, returning how many entries actually changed."""
+def _zero_counting(values: np.ndarray, select) -> int:
+    """Zero `values[select]` (all of it for ``...``), returning how many
+    entries actually changed."""
     changed = int(np.count_nonzero(values[select]))
     values[select] = 0.0
     return changed
 
 
-def forget_task(model: Sequential, task: int, theta: float = THETA_BIN,
-                embedding_init: str = "ones",
+def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
                 rng: Optional[np.random.Generator] = None) -> ForgetReport:
     """Erase the parameters exclusively associated with one finalized task.
 
@@ -87,72 +81,49 @@ def forget_task(model: Sequential, task: int, theta: float = THETA_BIN,
     (first layers, having no such masker, zero the whole row; a dense layer
     after a flattened convolution reads each channel's exclusivity at all of
     its pixels). Bias i is zeroed on output-side exclusivity alone. The
-    task's embedding rows are reset so the slot can be retrained, its stored
-    masks are dropped, cumulative masks are rebuilt from the remaining
-    tasks, and any task-indexed submodule for the slot is freshly
-    reinitialized.
+    task's task-indexed submodules are zeroed or reset, and every masker
+    resets the task's slot (``HATMasker.reset_task``) so it can be retrained.
+    A refused call changes nothing.
     """
-    if embedding_init not in ("ones", "gaussian"):
-        raise UsageError(f"unknown embedding init '{embedding_init}'")
-    if embedding_init == "gaussian" and rng is None:
-        raise UsageError("gaussian embedding reset needs an rng")
+    check_embedding_init(embedding_init, rng)
     for masker in model.maskers():
         if task not in masker.stored_task_masks:
             raise StateError(f"task {task} was never finalized at masker "
                              f"'{masker.layer_tag}'")
+    walked = list(walk(model))
+    # every range check before the first entry is zeroed
+    slots = {module: module.submodule(task) for _, module, _ in walked
+             if isinstance(module, TaskIndexed)}
 
     report = ForgetReport()
-    for _, module, side in walk(model):
+    for _, module, side in walked:
+        sub = slots.get(module)
         if side is not None:
-            _forget_gated(module, side, task, theta, report)
-            continue
-        if not isinstance(module, TaskIndexed):
-            continue
-        sub = module.submodules[task]
-        if isinstance(sub, Linear):
+            _forget_gated(module, side, task, report)
+        elif isinstance(sub, Linear):
             # a per-task head is exclusive by construction: zero it outright,
             # leaving the forgotten slot with constant (all-zero) outputs
-            weights = _zero_counting(sub.weight.data,
-                                     np.ones(sub.weight.shape, dtype=bool))
-            biases = _zero_counting(sub.bias.data,
-                                    np.ones(sub.bias.shape, dtype=bool))
-            sub.weight.grad = None
-            sub.bias.grad = None
+            weights = _zero_counting(sub.weight.data, ...)
+            biases = _zero_counting(sub.bias.data, ...)
+            sub.weight.grad = sub.bias.grad = None
             report.add_layer(module.layer_tag, weights, biases)
-        elif isinstance(sub, LayerNorm):
-            # fresh normalization state; the shift lands on zero, so entries
-            # it actually moved there count toward the report
-            biases = _zero_counting(sub.shift.data,
-                                    np.ones(sub.shift.shape, dtype=bool))
+        elif sub is not None:
+            # a LayerNorm: fresh normalization state; the shift lands on
+            # zero, so entries it actually moved there count toward the report
+            biases = _zero_counting(sub.shift.data, ...)
             sub.reset()
             report.add_layer(module.layer_tag, 0, biases)
-        else:
-            reset_rng = rng if rng is not None else np.random.default_rng(task)
-            module.reset_task(task, reset_rng)
-
     for masker in model.maskers():
-        row = masker.embedding_rows[task]
-        if embedding_init == "ones":
-            row.data[...] = 1.0
-        else:
-            row.data[...] = rng.standard_normal(row.shape)
-        row.grad = None
-        del masker.stored_task_masks[task]
-        rebuilt = np.zeros(masker.n_features)
-        for other in masker.completed_tasks():
-            rebuilt = np.maximum(rebuilt, masker.mask_values(other))
-        masker.cumulative_mask = rebuilt
-
+        masker.reset_task(task, embedding_init, rng)
     return report
 
 
-def _forget_gated(layer, side: InputSide, task: int, theta: float,
-                  report: ForgetReport) -> None:
-    out_excl = attribution(layer.output_masker, task, theta)
+def _forget_gated(layer, side: InputSide, task: int, report: ForgetReport) -> None:
+    out_excl = attribution(layer.output_masker, task)
     if side.masker is None:
         weight_sel = out_excl
     else:
-        in_excl = side.expand(attribution(side.masker, task, theta))
+        in_excl = side.expand(attribution(side.masker, task))
         pair = out_excl[:, None] & in_excl[None, :]
         # conv kernels share the channel pair across all taps
         weight_sel = np.broadcast_to(

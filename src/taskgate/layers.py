@@ -5,7 +5,7 @@ The pieces:
 * ``HATMasker`` owns one trainable embedding row per task; the row's scaled
   sigmoid is that task's unit mask, applied as soon as the masker runs.
   Completed tasks leave behind a cumulative mask (elementwise max) and a
-  stored binary mask.
+  stored binary mask; ``reset_task`` is the one way back to a fresh slot.
 * ``HATLinear`` / ``HATConv2d`` wrap a weighted base layer and gate its
   output through an output masker. Once a completed task has claimed any of
   its output units, every forward with a task id recorded on a tape
@@ -21,8 +21,8 @@ The pieces:
   same to its own gradient.
 * Per-recording state (hooks registered, the gate's mask for reuse) is
   noted in ``Tape.notes`` and dropped with the tape; modules keep none.
-* ``TaskIndexed`` holds one isolated submodule per task and dispatches on the
-  payload's task id.
+* ``TaskIndexed`` holds one isolated ``Linear`` or ``LayerNorm`` per task and
+  dispatches on the payload's task id.
 
 Plain modules and functions (``Linear``, ``ReLU``, a flatten) operate on
 bare tensors inside a ``Sequential``, which may nest. ``walk`` is the one
@@ -44,6 +44,7 @@ E_MAX = 6.0           # post-step bound on embedding values
 COSH_CLAMP = 50.0     # bound on cosh arguments inside the gradient rescaling
 RAIL_FACTOR = 100.0   # rescaled gradients may not exceed 100x the raw max
 THETA_BIN = 0.5       # threshold for storing a completed task's binary mask
+EMBEDDING_INITS = ("ones", "gaussian")  # how a task slot's embedding row starts
 
 
 class Module:
@@ -90,17 +91,16 @@ def grad_nullify(g: np.ndarray, a_out_cum: np.ndarray,
     return g * factor.reshape(factor.shape + (1,) * (g.ndim - factor.ndim))
 
 
-def grad_compensate(q: np.ndarray, e: np.ndarray, s: float, s_max: float,
-                    cosh_clamp: float = COSH_CLAMP) -> np.ndarray:
+def grad_compensate(q: np.ndarray, e: np.ndarray, s: float, s_max: float) -> np.ndarray:
     """Rescale embedding gradients to undo the sigmoid's scale-induced decay.
 
     q'_i = s_max * (cosh(s * e_i) + 1) / (s * (cosh(e_i) + 1)) * q_i,
-    with both cosh arguments clamped to [-cosh_clamp, cosh_clamp] so the
+    with both cosh arguments clamped to [-COSH_CLAMP, COSH_CLAMP] so the
     ratio stays representable. At s = s_max and e = 0 the factor is exactly 1.
     """
     e = np.asarray(e, dtype=np.float64)
-    num = np.cosh(np.clip(s * e, -cosh_clamp, cosh_clamp)) + 1.0
-    den = np.cosh(np.clip(e, -cosh_clamp, cosh_clamp)) + 1.0
+    num = np.cosh(np.clip(s * e, -COSH_CLAMP, COSH_CLAMP)) + 1.0
+    den = np.cosh(np.clip(e, -COSH_CLAMP, COSH_CLAMP)) + 1.0
     return q * (s_max * num) / (s * den)
 
 
@@ -116,6 +116,14 @@ def _width(v, name: str) -> int:
     if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
         raise UsageError(f"{name} must be an int >= 1, got {v!r}")
     return int(v)
+
+
+def check_embedding_init(kind: str, rng: Optional[np.random.Generator]) -> None:
+    """Refuse an init kind outside ``EMBEDDING_INITS``, or gaussian without an rng."""
+    if kind not in EMBEDDING_INITS:
+        raise UsageError(f"unknown embedding init '{kind}'")
+    if kind == "gaussian" and rng is None:
+        raise UsageError("gaussian embedding init needs an rng")
 
 
 def _embedding_grad(q: np.ndarray, mask: np.ndarray, e: np.ndarray, s: float,
@@ -253,10 +261,29 @@ class HATMasker(PayloadModule):
         self.cumulative_mask = np.maximum(self.cumulative_mask, mask)
         self.stored_task_masks[task] = mask > THETA_BIN
 
-    def clamp_embeddings(self) -> None:
-        """Post-optimizer-step value clamp: |e| <= E_MAX."""
-        for row in self.embedding_rows:
-            np.clip(row.data, -E_MAX, E_MAX, out=row.data)
+    def reset_task(self, task: int, init: str,
+                   rng: Optional[np.random.Generator] = None) -> None:
+        """Return a task's slot to its untrained state.
+
+        The embedding row becomes all ones or fresh standard-normal draws.
+        A stored mask for the task is dropped and the cumulative mask is
+        rebuilt from the tasks still completed.
+        """
+        task = self._check_task(task)
+        check_embedding_init(init, rng)
+        row = self.embedding_rows[task]
+        row.data[...] = 1.0 if init == "ones" else rng.standard_normal(row.shape)
+        row.grad = None
+        if self.stored_task_masks.pop(task, None) is not None:
+            rebuilt = np.zeros(self.n_features)
+            for other in self.completed_tasks():
+                rebuilt = np.maximum(rebuilt, self.mask_values(other))
+            self.cumulative_mask = rebuilt
+
+    def clamp_embeddings(self, task: int) -> None:
+        """Post-optimizer-step value clamp on a task's row: |e| <= E_MAX."""
+        row = self.embedding_rows[self._check_task(task)].data
+        np.clip(row, -E_MAX, E_MAX, out=row)
 
     def completed_tasks(self) -> list:
         return sorted(self.stored_task_masks)
@@ -275,14 +302,10 @@ class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.in_features = in_features = _width(in_features, "in_features")
         self.out_features = out_features = _width(out_features, "out_features")
-        self.weight = Tensor(np.zeros((out_features, in_features)), requires_grad=True)
+        bound = np.sqrt(1.0 / in_features)
+        self.weight = Tensor(rng.standard_normal((out_features, in_features)) * bound,
+                             requires_grad=True)
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
-        self.reset(rng)
-
-    def reset(self, rng: np.random.Generator) -> None:
-        bound = np.sqrt(1.0 / self.in_features)
-        self.weight.data[...] = rng.standard_normal(self.weight.shape) * bound
-        self.bias.data[...] = 0.0
 
     def local_parameters(self):
         return [self.weight, self.bias]
@@ -305,7 +328,7 @@ class LayerNorm(Module):
         self.gain = Tensor(np.ones(n_features), requires_grad=True)
         self.shift = Tensor(np.zeros(n_features), requires_grad=True)
 
-    def reset(self, rng=None) -> None:
+    def reset(self) -> None:
         self.gain.data[...] = 1.0
         self.shift.data[...] = 0.0
 
@@ -420,28 +443,35 @@ class HATConv2d(_GatedWeightedLayer):
 
 
 class TaskIndexed(PayloadModule):
-    """One isolated submodule per task, dispatched by the payload's task id."""
+    """One isolated ``Linear`` or ``LayerNorm`` per task, dispatched by the
+    payload's task id. Only these can be trained, checkpointed and forgotten
+    slot by slot, so any other submodule is refused when built."""
 
     def __init__(self, submodules: list, layer_tag: str):
         self.submodules = list(submodules)
         self.layer_tag = layer_tag
+        kinds = [type(sub).__name__ for sub in self.submodules]
+        if not kinds or not all(isinstance(s, (Linear, LayerNorm)) for s in self.submodules):
+            raise UsageError(f"task-indexed module '{layer_tag}' needs one Linear or "
+                             f"LayerNorm per task, got [{', '.join(kinds)}]")
 
     def local_parameters(self):
         return []  # parameters live on the submodules, one task's at a time
 
-    def forward(self, p: HATPayload) -> HATPayload:
-        if p.task is None:
+    def submodule(self, task: Optional[int]):
+        """The submodule serving ``task``; a missing or out-of-range id is refused."""
+        if task is None:
             raise UsageError(f"task-indexed module '{self.layer_tag}' needs a task id")
-        if not 0 <= p.task < len(self.submodules):
-            raise UsageError(f"task id {p.task} out of range [0, "
+        if not 0 <= task < len(self.submodules):
+            raise UsageError(f"task id {task} out of range [0, "
                              f"{len(self.submodules)}) at '{self.layer_tag}'")
-        return p.with_data(self.submodules[p.task](p.data))
+        return self.submodules[task]
 
-    def reset_task(self, task: int, rng: np.random.Generator) -> None:
-        self.submodules[task].reset(rng)
+    def forward(self, p: HATPayload) -> HATPayload:
+        return p.with_data(self.submodule(p.task)(p.data))
 
     def task_parameters(self, task: int) -> list:
-        return self.submodules[task].local_parameters()
+        return self.submodule(task).local_parameters()
 
 
 def task_indexed_layer_norm(n_features: int, task_count: int, layer_tag: str) -> TaskIndexed:

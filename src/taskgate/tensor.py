@@ -669,8 +669,3 @@ def backward(loss: Tensor) -> None:
     if loss._node_tape is None:
         raise UsageError("loss was not recorded on a tape; compute it inside `with Tape():`")
     loss._node_tape.backward(loss)
-
-
-def register_grad_hook(target: Tensor, transform: Callable[[np.ndarray], np.ndarray]) -> HookHandle:
-    """Attach a gradient transform to a tensor's live tape node."""
-    return target.register_hook(transform)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as ops
-from .layers import HATMasker, Sequential
+from .layers import EMBEDDING_INITS, Sequential, check_embedding_init
 from .payload import HATPayload
 from .tensor import StateError, Tape, Tensor, UsageError
 
@@ -74,17 +74,12 @@ def regularizer(current_masks: list, cumulative: list, task_count: int) -> Tenso
 
 
 def init_embeddings(maskers: list, kind: str, rng: Optional[np.random.Generator] = None) -> None:
-    """Set every embedding row of every masker: all-ones or standard normal."""
-    if kind not in ("ones", "gaussian"):
-        raise UsageError(f"unknown embedding init '{kind}'")
-    if kind == "gaussian" and rng is None:
-        raise UsageError("gaussian init needs an rng")
+    """Reset every task slot of every masker (``HATMasker.reset_task``):
+    all-ones or standard-normal embedding rows."""
+    check_embedding_init(kind, rng)
     for masker in maskers:
-        for row in masker.embedding_rows:
-            if kind == "ones":
-                row.data[...] = 1.0
-            else:
-                row.data[...] = rng.standard_normal(row.shape)
+        for task in range(masker.task_count):
+            masker.reset_task(task, kind, rng)
 
 
 class SGD:
@@ -131,7 +126,7 @@ class TrainerConfig:
             raise UsageError(f"task_count must be >= 1, got {self.task_count}")
         if self.schedule not in ("linear", "cosine"):
             raise UsageError(f"unknown schedule '{self.schedule}'")
-        if self.init not in ("ones", "gaussian"):
+        if self.init not in EMBEDDING_INITS:
             raise UsageError(f"unknown init '{self.init}'")
         if self.epochs < 1:
             raise UsageError(f"epochs must be >= 1, got {self.epochs}")
@@ -223,8 +218,9 @@ def train_task(model: Sequential, dataset, task: Optional[int],
             tape.backward(loss)
             optimizer.step()
             optimizer.zero_grad()
-            for masker in maskers:
-                masker.clamp_embeddings()
+            if task is not None:  # only the training task's rows moved
+                for masker in maskers:
+                    masker.clamp_embeddings(task)
             epoch_loss += loss.item()
             correct += int(np.count_nonzero(logits.data.argmax(axis=1) == labels))
             seen += len(idx)

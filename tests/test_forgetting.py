@@ -10,6 +10,7 @@ from taskgate import (
     Sequential,
     Tensor,
 )
+from taskgate.checkpoint import model_state
 from taskgate.forgetting import ForgetReport, attribution, forget_task
 
 from gated_models import gated_layers, set_binary_row
@@ -56,22 +57,6 @@ class TestAttribution:
         m = HATMasker(3, 2, "m")
         with pytest.raises(tg.StateError):
             attribution(m, 0)
-
-    def test_threshold_bounds(self):
-        m = HATMasker(3, 2, "m")
-        set_binary_row(m, 0, [0])
-        m.finalize_task(0)
-        with pytest.raises(tg.UsageError):
-            attribution(m, 0, theta=1.0)
-
-    def test_nondefault_threshold_rebinarizes_embeddings(self):
-        m = HATMasker(2, 1, "m", s_max=1.0)
-        m.embedding_rows[0].data[...] = [2.0, -2.0]  # masks sigm(2), sigm(-2)
-        m.finalize_task(0)
-        hi = attribution(m, 0, theta=0.9)
-        np.testing.assert_array_equal(hi, [False, False])
-        lo = attribution(m, 0, theta=0.05)
-        np.testing.assert_array_equal(lo, [True, True])
 
 
 class TestForgetTask:
@@ -231,6 +216,36 @@ class TestForgetTask:
         finalize(model, 0)
         with pytest.raises(tg.StateError):
             forget_task(model, 1)
+
+    @pytest.mark.parametrize("task, kwargs, error", [
+        (1, {}, tg.StateError),
+        (0, {"embedding_init": "zeros"}, tg.UsageError),
+        (0, {"embedding_init": "gaussian"}, tg.UsageError),
+        (2, {}, tg.UsageError),
+    ], ids=["unfinalized", "unknown-init", "gaussian-without-rng", "beyond-head"])
+    def test_refused_forget_leaves_model_state_bit_identical(self, task, kwargs,
+                                                             error):
+        rng = np.random.default_rng(84)
+        model = Sequential(
+            HATLinear(4, 6, 3, "l1", rng),
+            ReLU(),
+            tg.task_indexed_layer_norm(6, 2, "norm"),
+            tg.task_indexed_linear(6, 2, 2, "head", rng),  # no slot for task 2
+        )
+        randomize_biases(model, rng)
+        model.steps[2].submodules[0].shift.data[...] = rng.standard_normal(6)
+        m1 = model.maskers()[0]
+        set_binary_row(m1, 0, [0, 1])
+        set_binary_row(m1, 2, [2])
+        finalize(model, 0, 2)
+        before = model_state(model)
+        with pytest.raises(error):
+            forget_task(model, task, **kwargs)
+        after = model_state(model)
+        assert list(after) == list(before)
+        for name, value in before.items():
+            assert after[name].dtype == value.dtype, name
+            assert after[name].tobytes() == value.tobytes(), name
 
     def test_task_indexed_head_zeroed_other_tasks_untouched(self):
         rng = np.random.default_rng(80)

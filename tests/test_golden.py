@@ -1,7 +1,8 @@
 """Golden bytes of the command line's default outputs.
 
 Pins the SHA-256 of every file that `taskgate continual`, `taskgate forget`
-and `taskgate toy-init --repeats 3` write at their defaults. A speed-up must
+and `taskgate toy-init --repeats 3` write at their defaults, and of the
+files `continual --init gaussian` followed by `forget` write. A speed-up must
 leave all of them unchanged. A change that alters a default output on
 purpose updates its hash here and says in CHANGES.md what changed and why.
 
@@ -36,15 +37,51 @@ GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden")
-    for argv in (["continual"], ["forget"], ["toy-init", "--repeats", "3"]):
+# `continual --init gaussian` then `forget`: the one run of the command line
+# whose forget zeroes trunk weights (l1 weights=48 biases=3)
+GOLDEN_GAUSSIAN = {
+    "continual_matrix.csv":
+        "6a3ebc77ca0eac7b2208175b20441add80a08ac2fec2953305020150516e2ec1",
+    "continual_matrix.md":
+        "2122b267b982777d37a98467160627afd78e8d16cc1409c1e1f11f18c2e7c43b",
+    "continual.ckpt":
+        "536232c1f6a6f7fb15de98a21b09387bc73669249e0427c3d2c1f237142e19c5",
+    "forget_row.csv":
+        "a6c27ca49cbceb943e75bc58fcfde68e3a7464abce4c7ef7a9f6110126393f9a",
+    "forget_row.md":
+        "c4286dc8bd8413ef80a5895625d8c2e1c980c08d50723212607b3699898c59d7",
+    "forget_report.txt":
+        "ce08a3c7325946c27d6dd27c51de6e84370c17dab4375452eb1dd1a3ebdb710f",
+}
+
+
+def _run(out, *argvs):
+    for argv in argvs:
         assert cli.main(argv + ["--out", str(out)]) == 0
     return out
 
 
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return _run(tmp_path_factory.mktemp("golden"), ["continual"], ["forget"],
+                ["toy-init", "--repeats", "3"])
+
+
+@pytest.fixture(scope="module")
+def gaussian_outputs(tmp_path_factory):
+    return _run(tmp_path_factory.mktemp("golden_gaussian"),
+                ["continual", "--init", "gaussian"], ["forget"])
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_default_output_bytes(outputs, name):
-    digest = hashlib.sha256((outputs / name).read_bytes()).hexdigest()
-    assert digest == GOLDEN[name], f"{name} changed"
+    assert _digest(outputs / name) == GOLDEN[name], f"{name} changed"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GAUSSIAN))
+def test_gaussian_init_output_bytes(gaussian_outputs, name):
+    assert _digest(gaussian_outputs / name) == GOLDEN_GAUSSIAN[name], f"{name} changed"

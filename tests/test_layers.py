@@ -17,7 +17,7 @@ from taskgate import (
 )
 from taskgate.layers import COSH_CLAMP, E_MAX, InputSide, Linear, ReLU, walk
 
-from gated_models import claim_binary, flat_model, logits, sgd_steps
+from gated_models import claim_binary, flat_model, logits, set_binary_row, sgd_steps
 from gradcheck import assert_grads_match
 
 
@@ -185,11 +185,43 @@ class TestMaskerLifecycle:
             assert np.all(m.cumulative_mask >= previous)
             previous = m.cumulative_mask.copy()
 
+    def test_reset_task_frees_the_slot(self):
+        m = HATMasker(3, 3, "m")
+        for t, on in enumerate(([0], [1], [0, 2])):
+            set_binary_row(m, t, on)
+            m.finalize_task(t)
+        m.reset_task(2, "gaussian", np.random.default_rng(8))
+        np.testing.assert_array_equal(m.embedding_rows[2].data,
+                                      np.random.default_rng(8).standard_normal(3))
+        assert m.completed_tasks() == [0, 1]
+        np.testing.assert_array_equal(
+            m.cumulative_mask, np.maximum(m.mask_values(0), m.mask_values(1)))
+        m.reset_task(1, "ones")
+        np.testing.assert_array_equal(m.embedding_rows[1].data, np.ones(3))
+        np.testing.assert_array_equal(m.cumulative_mask, m.mask_values(0))
+        m.reset_task(1, "ones")  # a slot without a stored mask keeps the records
+        np.testing.assert_array_equal(m.cumulative_mask, m.mask_values(0))
+
+    @pytest.mark.parametrize("init", ["zeros", "gaussian"])  # gaussian: no rng
+    def test_reset_task_refuses_bad_init(self, init):
+        m = HATMasker(3, 2, "m")
+        set_binary_row(m, 0, [1])
+        m.finalize_task(0)
+        row, cumulative = m.embedding_rows[0].data.copy(), m.cumulative_mask.copy()
+        with pytest.raises(tg.UsageError):
+            m.reset_task(0, init)
+        np.testing.assert_array_equal(m.embedding_rows[0].data, row)
+        np.testing.assert_array_equal(m.cumulative_mask, cumulative)
+        assert m.completed_tasks() == [0]
+
     def test_clamp_embeddings(self):
-        m = HATMasker(3, 1, "m")
-        m.embedding_rows[0].data[...] = [10.0, -7.5, 2.0]
-        m.clamp_embeddings()
-        np.testing.assert_array_equal(m.embedding_rows[0].data, [6.0, -6.0, 2.0])
+        m = HATMasker(3, 3, "m")
+        for row in m.embedding_rows:
+            row.data[...] = [10.0, -7.5, 2.0]
+        m.clamp_embeddings(1)
+        np.testing.assert_array_equal(m.embedding_rows[1].data, [6.0, -6.0, 2.0])
+        for t in (0, 2):  # rows the training task did not move stay as they are
+            np.testing.assert_array_equal(m.embedding_rows[t].data, [10.0, -7.5, 2.0])
 
 
 def _payload(x, task, scale, training=True):
@@ -442,6 +474,32 @@ class TestTaskIndexed:
         ti = tg.task_indexed_layer_norm(4, 2, "norm")
         with pytest.raises(tg.UsageError):
             ti.forward(HATPayload(Tensor(np.ones((1, 4))), task=5, scale=1.0))
+
+    @pytest.mark.parametrize("submodules", [
+        lambda rng: [Sequential(Linear(4, 2, rng))],
+        lambda rng: [ReLU()],
+        lambda rng: [_Rescale(4)],
+        lambda rng: [],
+        lambda rng: [Linear(4, 2, rng), ReLU()],
+    ], ids=["sequential", "relu", "custom-module", "empty", "linear-and-relu"])
+    def test_refuses_other_submodules_when_built(self, submodules):
+        with pytest.raises(tg.UsageError, match="'head' needs one Linear or "
+                                                "LayerNorm per task") as info:
+            tg.TaskIndexed(submodules(np.random.default_rng(44)), "head")
+        assert "\n" not in str(info.value)
+
+
+class _Rescale(tg.layers.Module):
+    """A module of the user's own: elementwise trainable scale."""
+
+    def __init__(self, n):
+        self.w = Tensor(np.ones(n), requires_grad=True)
+
+    def local_parameters(self):
+        return [self.w]
+
+    def __call__(self, x):
+        return tg.mul(x, self.w)
 
 
 class TestSequential:

@@ -283,6 +283,15 @@ class TestTrainTask:
                    on_batch_end=lambda i, m: (seen.append(i), i >= 3)[1])
         assert seen == [1, 2, 3]
 
+    def test_task_beyond_head_refused(self):
+        rng = np.random.default_rng(58)
+        model = Sequential(HATLinear(6, 12, 3, "l1", rng), ReLU(),
+                           tg.task_indexed_linear(12, 2, 2, "head", rng))
+        cfg = TrainerConfig(task_count=3, epochs=1, batch_size=30, seed=2)
+        with pytest.raises(tg.UsageError, match="out of range") as info:
+            train_task(model, two_cluster_task(rng), 2, cfg)
+        assert "\n" not in str(info.value)
+
 
 def plain_stack(seed):
     rng = np.random.default_rng(seed)
