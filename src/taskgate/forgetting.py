@@ -86,7 +86,11 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
     A refused call changes nothing.
     """
     check_embedding_init(embedding_init, rng)
-    for masker in model.maskers():
+    maskers = model.maskers()
+    if not maskers:
+        raise StateError("model has no masker, so no record of completed "
+                         "tasks to forget from")
+    for masker in maskers:
         if task not in masker.stored_task_masks:
             raise StateError(f"task {task} was never finalized at masker "
                              f"'{masker.layer_tag}'")
@@ -113,7 +117,7 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
             biases = _zero_counting(sub.shift.data, ...)
             sub.reset()
             report.add_layer(module.layer_tag, 0, biases)
-    for masker in model.maskers():
+    for masker in maskers:
         masker.reset_task(task, embedding_init, rng)
     return report
 

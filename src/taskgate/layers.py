@@ -79,7 +79,8 @@ def grad_nullify(g: np.ndarray, a_out_cum: np.ndarray,
     by ``1 - min(a_out_cum[i], a_in_cum[j])``; extra trailing axes (conv
     spatial taps) share their (i, j) factor. Without it — bias vectors and
     first-layer weights, whose input side carries no mask — the factor is
-    ``1 - a_out_cum[i]`` per output unit.
+    ``1 - a_out_cum[i]`` per output unit. An entry whose factor is 0 comes
+    out as an exact zero even where ``g`` is infinite or NaN.
     """
     a_out = np.asarray(a_out_cum, dtype=g.dtype)
     if a_in_cum is None:
@@ -88,7 +89,8 @@ def grad_nullify(g: np.ndarray, a_out_cum: np.ndarray,
         factor = 1.0 - np.minimum.outer(a_out, np.asarray(a_in_cum, dtype=g.dtype))
     if factor.ndim > g.ndim:
         raise ShapeError(f"mask factor rank {factor.ndim} exceeds gradient rank {g.ndim}")
-    return g * factor.reshape(factor.shape + (1,) * (g.ndim - factor.ndim))
+    factor = factor.reshape(factor.shape + (1,) * (g.ndim - factor.ndim))
+    return np.where(factor == 0.0, 0.0, g * factor)  # inf * 0 would be NaN
 
 
 def grad_compensate(q: np.ndarray, e: np.ndarray, s: float, s_max: float) -> np.ndarray:

@@ -116,10 +116,12 @@ class Tape:
     def release(self) -> None:
         """Detach every tensor recorded here from this tape.
 
-        A leaf points at the last tape it joined, so a parameter keeps that
-        whole graph alive until it joins another. Afterwards only the
+        Every recorded tensor points back at the tape, so an unreleased graph
+        is a reference cycle that only the cycle collector frees, and a leaf
+        keeps its last tape alive until it joins another. Afterwards only the
         caller's own references hold the tape; the tensors keep their values
         and gradients, but none of them can seed a backward pass here.
+        ``train_task`` releases every batch's tape once its backward ends.
         """
         for node in self.nodes:
             t = node.tensor

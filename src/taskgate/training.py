@@ -174,7 +174,9 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     Returns one EpochMetrics per epoch run, an early-stopped one included.
     Each batch runs the model forward exactly once: an epoch's loss and
     accuracy come from the logits its batches trained on (see
-    EpochMetrics), with no separate pass over the data.
+    EpochMetrics), with no separate pass over the data. Each batch's tape
+    is released as soon as its backward ends, so reference counting frees
+    the batch's graph and buffers without waiting for the cycle collector.
     """
     x, y = dataset
     if task is not None:
@@ -194,7 +196,6 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     metrics = []
     global_batch = 0
     stopped = False
-    tape = None
 
     for epoch in range(cfg.epochs):
         shuffle_rng = np.random.default_rng(
@@ -216,6 +217,7 @@ def train_task(model: Sequential, dataset, task: Optional[int],
                     penalty = regularizer(live, cum, cfg.task_count)
                     loss = ops.add(loss, ops.scale(penalty, cfg.reg_lambda))
             tape.backward(loss)
+            tape.release()  # no cycle left: rebinding frees this graph
             optimizer.step()
             optimizer.zero_grad()
             if task is not None:  # only the training task's rows moved
@@ -234,8 +236,6 @@ def train_task(model: Sequential, dataset, task: Optional[int],
         if stopped:
             break
 
-    if tape is not None:
-        tape.release()  # the parameters would keep the last batch's graph alive
     if task is not None:
         for masker in maskers:
             masker.finalize_task(task)

@@ -247,6 +247,19 @@ class TestForgetTask:
             assert after[name].dtype == value.dtype, name
             assert after[name].tobytes() == value.tobytes(), name
 
+    def test_model_without_masker_refused(self):
+        # no masker, no record of which tasks are complete
+        rng = np.random.default_rng(85)
+        model = Sequential(tg.task_indexed_linear(4, 2, 3, "head", rng))
+        before = model_state(model)
+        with pytest.raises(tg.StateError) as info:
+            forget_task(model, 1)
+        assert "\n" not in str(info.value)
+        after = model_state(model)
+        assert list(after) == list(before)
+        for name, value in before.items():
+            assert after[name].tobytes() == value.tobytes(), name
+
     def test_task_indexed_head_zeroed_other_tasks_untouched(self):
         rng = np.random.default_rng(80)
         model = Sequential(

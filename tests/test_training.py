@@ -19,6 +19,7 @@ from taskgate.training import (
 )
 from taskgate.layers import walk
 
+from gated_models import conv_model, inputs, logits as logits_of
 from gradcheck import numeric_grad, relative_error
 
 
@@ -292,6 +293,27 @@ class TestTrainTask:
             train_task(model, two_cluster_task(rng), 2, cfg)
         assert "\n" not in str(info.value)
 
+    def test_non_finite_batch_moves_no_protected_entry(self):
+        # inf * 0 is NaN: a nullify factor of 0 must give an exact zero
+        rng = np.random.default_rng(59)
+        model = bench.build_continual_model(
+            rng, bench.ExperimentConfig(tasks=2, dim=6, trunk_width=8))
+        data = two_cluster_task(rng)
+        test_x = two_cluster_task(rng, n=40)[0]
+        cfg = TrainerConfig(task_count=2, epochs=2, batch_size=30, seed=1)
+        train_task(model, data, 0, cfg)
+        # task 0 claims the whole trunk, so every l1/l2 entry is protected
+        assert all(np.all(m.cumulative_mask == 1.0) for m in model.maskers())
+        before = logits_of(model, test_x, 0)
+        x, y = data[0].copy(), data[1]
+        x[3, 2] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            train_task(model, (x, y), 1, cfg)
+        assert logits_of(model, test_x, 0).tobytes() == before.tobytes()
+        for layer in model.steps[0], model.steps[2]:
+            for p in layer.weight, layer.bias:
+                assert not np.isnan(p.data).any(), layer.layer_tag
+
 
 def plain_stack(seed):
     rng = np.random.default_rng(seed)
@@ -398,6 +420,31 @@ class TestTapes:
         for task in (0, 1):  # task 1 trains under the nullify hooks
             train_task(model, data, task, cfg, on_batch_end=stop)
             assert [t for t in live_tapes() if not any(t is b for b in before)] == []
+
+    @pytest.mark.parametrize("shape, stop_at", [
+        ("continual", None), ("conv", None), ("continual", 2)])
+    def test_train_task_leaves_no_cyclic_garbage(self, shape, stop_at):
+        # each batch's graph is released once its backward ends, so reference
+        # counting frees it and the collector finds nothing
+        rng = np.random.default_rng(69)
+        if shape == "conv":  # conv -> flatten -> HATLinear
+            model = conv_model(rng, 2)
+            x = inputs("conv", 60, rng)
+            data = (x, (x.sum(axis=(1, 2, 3)) > 0).astype(int))
+        else:
+            model = bench.build_continual_model(
+                rng, bench.ExperimentConfig(tasks=2, dim=6, trunk_width=8))
+            data = two_cluster_task(rng)
+        cfg = TrainerConfig(task_count=2, epochs=2, batch_size=30, seed=1)
+        stop = None if stop_at is None else (lambda i, m: i >= stop_at)
+        for task in (0, 1):  # task 0 pays the penalty, task 1 is nullified
+            gc.collect()
+            gc.disable()
+            try:
+                train_task(model, data, task, cfg, on_batch_end=stop)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
 
 def tape_references(model):
