@@ -210,11 +210,15 @@ def build_toy_model(rng: np.random.Generator, cfg: ExperimentConfig) -> Sequenti
     )
 
 
+_USEFUL = np.array(TOY_USEFUL)
+_USELESS = np.array(TOY_USELESS)
+
+
 def mask_locked(masker: HATMasker, cfg: ExperimentConfig) -> bool:
     """Full-hardness input mask is on for useful features, off for noise."""
     mask = masker.mask_values(0)
-    return (bool(np.all(mask[list(TOY_USEFUL)] > cfg.theta_hi))
-            and bool(np.all(mask[list(TOY_USELESS)] < cfg.theta_lo)))
+    return (bool((mask[_USEFUL] > cfg.theta_hi).all())
+            and bool((mask[_USELESS] < cfg.theta_lo).all()))
 
 
 def toy_strategies(cfg: ExperimentConfig) -> dict:

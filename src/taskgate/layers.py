@@ -71,6 +71,12 @@ def attention(e: Tensor, s: float) -> Tensor:
     return ops.sigmoid(ops.scale(e, s))
 
 
+def _clip(x, bound, out=None):
+    """``np.clip(x, -bound, bound)`` for a bound >= 0 or NaN, with the same
+    bits (NaN signs and -0.0 included) but without np.clip's Python wrapper."""
+    return np.maximum(-bound, np.minimum(bound, x, out=out), out=out)
+
+
 def grad_nullify(g: np.ndarray, a_out_cum: np.ndarray,
                  a_in_cum: Optional[np.ndarray] = None) -> np.ndarray:
     """Scale each gradient entry by 1 - min(out-side mask, in-side mask).
@@ -101,16 +107,15 @@ def grad_compensate(q: np.ndarray, e: np.ndarray, s: float, s_max: float) -> np.
     ratio stays representable. At s = s_max and e = 0 the factor is exactly 1.
     """
     e = np.asarray(e, dtype=np.float64)
-    num = np.cosh(np.clip(s * e, -COSH_CLAMP, COSH_CLAMP)) + 1.0
-    den = np.cosh(np.clip(e, -COSH_CLAMP, COSH_CLAMP)) + 1.0
+    num = np.cosh(_clip(s * e, COSH_CLAMP)) + 1.0
+    den = np.cosh(_clip(e, COSH_CLAMP)) + 1.0
     return q * (s_max * num) / (s * den)
 
 
 def grad_rail(q: np.ndarray, raw_abs_max: float,
               factor: float = RAIL_FACTOR) -> np.ndarray:
     """Clip a rescaled gradient to +/- factor times the raw gradient's max."""
-    bound = factor * raw_abs_max
-    return np.clip(q, -bound, bound)
+    return _clip(q, factor * raw_abs_max)
 
 
 def _width(v, name: str) -> int:
@@ -137,7 +142,7 @@ def _embedding_grad(q: np.ndarray, mask: np.ndarray, e: np.ndarray, s: float,
     q = q * mask * (1.0 - mask) * s
     if not protect:
         return q
-    raw_abs_max = float(np.max(np.abs(q))) if q.size else 0.0
+    raw_abs_max = float(np.abs(q).max()) if q.size else 0.0
     return grad_rail(grad_compensate(q, e, s, s_max), raw_abs_max)
 
 
@@ -253,12 +258,21 @@ class HATMasker(PayloadModule):
     def forward(self, p: HATPayload) -> HATPayload:
         return p.with_data(self.apply(p))
 
-    def finalize_task(self, task: int) -> None:
-        """Fold a finished task's mask into the cumulative/stored records."""
+    def check_finalizable(self, task: int) -> int:
+        """Refuse to finalize a task twice, or from a non-finite embedding
+        row, whose NaN mask would spread to every later task's factors."""
         task = self._check_task(task)
         if task in self.stored_task_masks:
             raise StateError(f"task {task} already finalized at masker "
                              f"'{self.layer_tag}'")
+        if not np.isfinite(self.embedding_rows[task].data).all():
+            raise StateError(f"task {task}'s embedding row at masker "
+                             f"'{self.layer_tag}' is not finite; not finalized")
+        return task
+
+    def finalize_task(self, task: int) -> None:
+        """Fold a finished task's mask into the cumulative/stored records."""
+        task = self.check_finalizable(task)
         mask = self.mask_values(task)  # at s_max
         self.cumulative_mask = np.maximum(self.cumulative_mask, mask)
         self.stored_task_masks[task] = mask > THETA_BIN
@@ -285,7 +299,7 @@ class HATMasker(PayloadModule):
     def clamp_embeddings(self, task: int) -> None:
         """Post-optimizer-step value clamp on a task's row: |e| <= E_MAX."""
         row = self.embedding_rows[self._check_task(task)].data
-        np.clip(row, -E_MAX, E_MAX, out=row)
+        _clip(row, E_MAX, out=row)
 
     def completed_tasks(self) -> list:
         return sorted(self.stored_task_masks)

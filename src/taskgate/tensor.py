@@ -13,10 +13,16 @@ node fire in registration order, so registering ``f`` then ``g`` stores
 it has registered, a mask a later op reuses) goes in the tape's ``notes``
 dict, so it lives and dies with the tape instead of on the module.
 
-Hot compositions get one node where the generic ops would record several:
-``linear`` is ``add(matmul(x, permute(w)), b)`` with the same arithmetic.
-Other modules record their own fused nodes through the same recorder (the
-layers' mask gates).
+Hot compositions get one node where the generic ops would record several,
+with the generic ops' arithmetic in their float order. The fused nodes are:
+
+* ``linear`` (here): ``add(matmul(x, permute(w)), b)``;
+* ``gate`` (``layers``): data times a task's sigmoid mask over the
+  embedding row;
+* ``mask`` (``layers``): the live mask, reusing a gate's sigmoid;
+* ``penalty`` (``training``): the capacity regularizer over the live masks.
+
+Other modules record theirs through the same recorder, ``_record``.
 
 Everything defaults to double precision. Single precision is available by
 constructing tensors with ``dtype=np.float32``.
@@ -166,21 +172,25 @@ class Tape:
         self.consumed = True
 
         seed_node = self.nodes[loss._node_id]
-        seed = np.ones((), dtype=loss.data.dtype)
-        seed_node.grad = self._hooked(seed_node, seed)
+        seed = np.array(1, dtype=loss.data.dtype)
+        seed_node.grad = self._hooked(seed_node, seed) if seed_node.hooks else seed
 
-        for node in reversed(self.nodes):
+        nodes = self.nodes
+        for node in reversed(nodes):
             if node.grad is None or node.backward_fn is None:
                 continue
             input_grads = node.backward_fn(node.grad)
             for parent_id, g in zip(node.parents, input_grads):
                 if parent_id is None or g is None:
                     continue
-                parent = self.nodes[parent_id]
-                g = self._hooked(parent, np.asarray(g))
+                parent = nodes[parent_id]
+                if type(g) is not np.ndarray:
+                    g = np.asarray(g)
+                if parent.hooks:
+                    g = self._hooked(parent, g)
                 parent.grad = g if parent.grad is None else parent.grad + g
 
-        for node in self.nodes:
+        for node in nodes:
             t = node.tensor
             if node.grad is None or t is None or not t.requires_grad:
                 continue
@@ -309,14 +319,31 @@ def _leaf_id(tape: Tape, t: Tensor) -> int:
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
-    tape = Tape.current()
-    track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=track, dtype=out_data.dtype)
+    """Wrap an op's result as ``Tensor()`` would (an ndarray of the op's
+    dtype, 0-d for a numpy scalar, C-contiguous) and, on an active tape with
+    an input that requires a gradient, append its node."""
+    if type(out_data) is not np.ndarray:
+        out_data = np.asarray(out_data)
+    if not out_data.flags.c_contiguous:
+        out_data = np.ascontiguousarray(out_data)  # never 0-d: those are contiguous
+    out = object.__new__(Tensor)  # the fields Tensor.__init__ sets
+    out.data = out_data
+    out.grad = None
+    out._node_tape = out._node_id = None
+    tape = getattr(Tape._tls, "active", None)
+    track = False
+    if tape is not None:
+        parents = []
+        for t in inputs:
+            if t.requires_grad:
+                track = True
+                parents.append(_leaf_id(tape, t))
+            else:
+                parents.append(None)
+    out.requires_grad = track
     if track:
-        parents = tuple(_leaf_id(tape, t) if t.requires_grad else None for t in inputs)
-        node = tape._add_node(op, parents, backward_fn, out)
+        out._node_id = tape._add_node(op, tuple(parents), backward_fn, out).nid
         out._node_tape = tape
-        out._node_id = node.nid
     return out
 
 

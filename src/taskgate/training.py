@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as ops
 from .layers import EMBEDDING_INITS, Sequential, check_embedding_init
 from .payload import HATPayload
-from .tensor import StateError, Tape, Tensor, UsageError
+from .tensor import ShapeError, Tape, Tensor, UsageError
 
 
 def scale_linear(b: int, B: int, s_max: float) -> float:
@@ -55,22 +55,43 @@ def regularizer(current_masks: list, cumulative: list, task_count: int) -> Tenso
     live mask claims, minus the 1/T quota, floored at zero. Layers with no
     free capacity contribute nothing. Differentiable in the live masks;
     the cumulative masks are plain numbers.
+
+    Records one ``penalty`` node over the masks of layers with free
+    capacity, in the float order of the generic ops it replaces: per layer
+    ``sum(mask * free) * (1/sum(free)) + (-1/T)``, floored at 0 as ``relu``
+    does, then summed over layers in order; a mask's gradient is
+    ``((g * over_quota) * (1/sum(free))) * free``. With no free capacity
+    anywhere it returns a constant 0.
     """
     if len(current_masks) != len(cumulative):
         raise UsageError(f"{len(current_masks)} masks vs {len(cumulative)} "
                          "cumulative vectors")
-    quota = 1.0 / task_count
+    neg_quota = np.float64(-1.0 / task_count)
+    masks, terms = [], []
     total = None
     for mask, cum in zip(current_masks, cumulative):
-        cum = np.asarray(cum)
-        free = 1.0 - cum
+        free = 1.0 - np.asarray(cum)
         denom = float(free.sum())
         if denom == 0.0:
             continue
-        used = ops.reduce_sum(ops.mul(mask, Tensor(free)))
-        over = ops.relu(ops.add(ops.scale(used, 1.0 / denom), Tensor(-quota)))
-        total = over if total is None else ops.add(total, over)
-    return total if total is not None else Tensor(0.0)
+        if mask.shape != free.shape:
+            raise ShapeError(f"penalty: mask shape {mask.shape} vs cumulative "
+                             f"shape {free.shape}")
+        c = 1.0 / denom
+        used = mask.data * free
+        excess = used.sum() * c + neg_quota
+        over = excess if excess > 0 else 0.0  # relu's fmax: 0 for -0.0 and NaN
+        total = over if total is None else total + over
+        masks.append(mask)
+        terms.append((free, c, excess > 0, used.dtype.type))
+    if not masks:
+        return Tensor(0.0)
+
+    def backward_fn(g):
+        # a scalar times free: the bits of np.full(free.shape, scalar) * free
+        return tuple(cast((g * on) * c) * free for free, c, on, cast in terms)
+
+    return ops._record("penalty", masks, total, backward_fn)
 
 
 def init_embeddings(maskers: list, kind: str, rng: Optional[np.random.Generator] = None) -> None:
@@ -177,16 +198,17 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     EpochMetrics), with no separate pass over the data. Each batch's tape
     is released as soon as its backward ends, so reference counting frees
     the batch's graph and buffers without waiting for the cycle collector.
+    A task already finalized, or whose embedding row at some masker is not
+    finite, is refused with ``StateError`` before training and again
+    before any masker finalizes it.
     """
     x, y = dataset
-    if task is not None:
-        for masker in model.maskers():
-            if task in masker.stored_task_masks:
-                raise StateError(f"task {task} already finalized at masker "
-                                 f"'{masker.layer_tag}'")
+    maskers = model.maskers()
+    if task is not None:  # refused up front as at finalization
+        for masker in maskers:
+            masker.check_finalizable(task)
 
     optimizer = SGD(model.task_parameters(task), cfg.lr, cfg.momentum)
-    maskers = model.maskers()
     # the regularizer skips a layer with no free capacity, so ask no live
     # mask of one, and with none left add no penalty term at all; capacity
     # only changes when a task is finalized
@@ -237,6 +259,8 @@ def train_task(model: Sequential, dataset, task: Optional[int],
             break
 
     if task is not None:
+        for masker in maskers:  # all or none: refuse before any finalizes
+            masker.check_finalizable(task)
         for masker in maskers:
             masker.finalize_task(task)
     return metrics

@@ -146,6 +146,41 @@ class TestGradRail:
                                       [0.0, 0.0])
 
 
+# every float class a clamp can meet: signed zeros, NaNs of either sign,
+# infinities, subnormal-adjacent, on and around the bounds
+EDGES = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, -1e-300,
+                  5.0, -5.0, 6.0, -6.0, 7.0, -7.0, 50.0, -50.0, 1e300, -1e300])
+
+
+class TestClampBits:
+    """The clamps keep np.clip's bits, a NaN's sign and -0.0 included."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bound", [0.0, 6.0, 50.0, np.inf, np.nan, 3e-5])
+    def test_rail(self, bound, dtype):
+        with np.errstate(over="ignore"):
+            q = np.tile(EDGES, 3).astype(dtype)  # past the 16-lane SIMD width
+        out = grad_rail(q, bound, factor=1.0)
+        assert out.dtype == dtype
+        assert out.tobytes() == np.clip(q, -bound, bound).tobytes()
+
+    def test_compensation_arguments(self):
+        e = np.tile(EDGES, 3)
+        for s in (1.0, 0.0025, 400.0):
+            with np.errstate(invalid="ignore", over="ignore"):
+                out = grad_compensate(np.ones_like(e), e, s, 400.0)
+                expected = (400.0 * (np.cosh(np.clip(s * e, -COSH_CLAMP, COSH_CLAMP)) + 1.0)
+                            / (s * (np.cosh(np.clip(e, -COSH_CLAMP, COSH_CLAMP)) + 1.0)))
+            assert out.tobytes() == expected.tobytes()
+
+    def test_embedding_rows(self):
+        m = HATMasker(EDGES.size, 1, "m")
+        row = m.embedding_rows[0]
+        row.data[...] = EDGES
+        m.clamp_embeddings(0)
+        assert row.data.tobytes() == np.clip(EDGES, -E_MAX, E_MAX).tobytes()
+
+
 class TestMaskerLifecycle:
     def test_finalize_takes_elementwise_max(self):
         m = HATMasker(2, 3, "m")
@@ -174,6 +209,22 @@ class TestMaskerLifecycle:
         with pytest.raises(tg.StateError):
             m.finalize_task(0)
         m.finalize_task(1)  # other tasks unaffected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_not_finalized(self, bad):
+        m = HATMasker(3, 3, "m")
+        set_binary_row(m, 0, [1])
+        m.finalize_task(0)
+        cumulative = m.cumulative_mask.copy()
+        m.embedding_rows[1].data[...] = [1.0, bad, -1.0]
+        with pytest.raises(tg.StateError, match="not finite") as info:
+            m.finalize_task(1)
+        assert "\n" not in str(info.value)
+        assert m.cumulative_mask.tobytes() == cumulative.tobytes()
+        assert m.completed_tasks() == [0]
+        m.reset_task(1, "ones")  # a fresh row finalizes again
+        m.finalize_task(1)
+        assert np.isfinite(m.cumulative_mask).all()
 
     def test_cumulative_monotone_across_tasks(self):
         rng = np.random.default_rng(34)

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -734,3 +736,24 @@ class TestTensorBasics:
         x = np.array([1.0, 2.0, 3.0])
         g = numeric_grad(lambda: (x ** 2).sum(), x)
         assert relative_error(g, 2.0 * x) < 1e-8
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_op_results_are_contiguous_arrays_of_the_op_dtype(self, dtype, taped):
+        x = Tensor(np.arange(6.0, dtype=dtype).reshape(2, 3), requires_grad=True)
+        with Tape() if taped else contextlib.nullcontext() as tape:
+            outs = {
+                "permute": tg.permute(x, (1, 0)),         # a strided view
+                "sum": tg.reduce_sum(x),                  # a 0-d array
+                "scale": tg.scale(tg.reduce_sum(x), 2.0),  # a numpy scalar
+                "relu": tg.relu(x),
+            }
+        for op, out in outs.items():
+            assert type(out.data) is np.ndarray, op
+            assert out.data.flags.c_contiguous and out.dtype == dtype, op
+            assert out.grad is None and out.requires_grad == taped, op
+            if taped:
+                assert tape.nodes[out.node_id].op == op and tape.nodes[out.node_id].tensor is out
+            else:
+                assert out.node_id is None and out._node_tape is None
+        assert outs["permute"].shape == (3, 2) and outs["scale"].shape == ()

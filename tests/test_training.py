@@ -142,6 +142,91 @@ class TestRegularizer:
             regularizer([Tensor(np.zeros(3))], [], task_count=2)
 
 
+def generic_regularizer(current_masks, cumulative, task_count):
+    """The capacity penalty composed from generic tape ops, as it was
+    recorded before the fused ``penalty`` node; the reference it must match
+    bit for bit."""
+    quota = 1.0 / task_count
+    total = None
+    for mask, cum in zip(current_masks, cumulative):
+        free = 1.0 - np.asarray(cum)
+        denom = float(free.sum())
+        if denom == 0.0:
+            continue
+        used = tg.reduce_sum(tg.mul(mask, Tensor(free)))
+        over = tg.relu(tg.add(tg.scale(used, 1.0 / denom), Tensor(-quota)))
+        total = over if total is None else tg.add(total, over)
+    return total if total is not None else Tensor(0.0)
+
+
+def penalty_and_grads(regularize, rows, cums, weight, live, tasks=4, s=2.5):
+    """The penalty's value and each masker's embedding gradient when the
+    loss is ``weight * penalty``; ``live`` asks for the gates' live masks,
+    as train_task does, instead of plain sigmoids."""
+    maskers = [HATMasker(len(e), tasks, f"m{i}") for i, e in enumerate(rows)]
+    for m, e in zip(maskers, rows):
+        m.embedding_rows[0].data[...] = e
+    with tg.Tape() as tape:
+        if live:
+            for m in maskers:
+                m.apply(HATPayload(Tensor(np.ones((3, m.n_features))), task=0,
+                                   scale=s, training=True))
+            masks = [m.current_mask(0, s) for m in maskers]
+        else:
+            masks = [tg.attention(m.embedding_rows[0], s) for m in maskers]
+        penalty = regularize(masks, cums, tasks)
+        loss = tg.scale(penalty, weight)
+    if loss.node_id is not None:
+        tape.backward(loss)
+    grads = [m.embedding_rows[0].grad for m in maskers]
+    return penalty.data, [None if g is None else g.tobytes() for g in grads]
+
+
+class TestPenaltyNode:
+    rng = np.random.default_rng(71)
+    CASES = {
+        "one layer": ([rng.uniform(-1, 1, 5)], [np.zeros(5)]),
+        "two layers": ([rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 3)],
+                       [np.zeros(5), rng.uniform(0.0, 0.5, 3)]),
+        "saturated layer": ([rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3)],
+                            [np.ones(4), np.zeros(3)]),
+        "under quota": ([np.full(5, -3.0)], [np.zeros(5)]),
+        "under quota beside over": ([np.full(4, -3.0), rng.uniform(-1, 1, 3)],
+                                    [np.zeros(4), np.zeros(3)]),
+        "cum partly 1": ([rng.uniform(-1, 1, 6)],
+                         [np.array([1.0, 1.0, 0.0, 0.3, 0.0, 1.0])]),
+        "all saturated": ([rng.uniform(-1, 1, 3)], [np.ones(3)]),
+    }
+
+    @pytest.mark.parametrize("live", [True, False])
+    @pytest.mark.parametrize("weight", [0.075, -0.5])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bit_identical_to_generic_ops(self, case, weight, live):
+        rows, cums = self.CASES[case]
+        fused_value, fused_grads = penalty_and_grads(regularizer, rows, cums, weight, live)
+        value, grads = penalty_and_grads(generic_regularizer, rows, cums, weight, live)
+        assert (fused_value.dtype, fused_value.shape) == (value.dtype, value.shape) == (np.float64, ())
+        assert fused_value.tobytes() == value.tobytes()
+        assert fused_grads == grads
+        if case == "under quota":
+            assert fused_value[()] == 0.0
+        if "saturated" in case:  # no free capacity: not even a zero gradient
+            assert fused_grads[0] is None
+
+    def test_one_node_over_the_masks_with_free_capacity(self):
+        rows, cums = self.CASES["saturated layer"]
+        with tg.Tape() as tape:
+            masks = [tg.attention(Tensor(e, requires_grad=True), 2.5) for e in rows]
+            recorded = len(tape.nodes)
+            penalty = regularizer(masks, cums, 4)
+        assert [n.op for n in tape.nodes[recorded:]] == ["penalty"]
+        assert tape.nodes[penalty.node_id].parents == (masks[1].node_id,)
+
+    def test_mask_shape_must_match_its_cumulative_mask(self):
+        with pytest.raises(tg.ShapeError, match="penalty"):
+            regularizer([Tensor(np.zeros(3))], [np.zeros(4)], task_count=2)
+
+
 class TestInitEmbeddings:
     def test_ones(self):
         m = HATMasker(4, 3, "m")
@@ -307,12 +392,61 @@ class TestTrainTask:
         before = logits_of(model, test_x, 0)
         x, y = data[0].copy(), data[1]
         x[3, 2] = np.inf
-        with np.errstate(invalid="ignore", over="ignore"):
+        # task 1's own embedding rows go NaN, so it is not finalized
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(tg.StateError, match="not finite"):
             train_task(model, (x, y), 1, cfg)
         assert logits_of(model, test_x, 0).tobytes() == before.tobytes()
         for layer in model.steps[0], model.steps[2]:
             for p in layer.weight, layer.bias:
                 assert not np.isnan(p.data).any(), layer.layer_tag
+
+    def test_non_finite_embedding_row_is_not_finalized(self):
+        # a task-1 batch with one inf input turns task 1's embedding rows
+        # NaN; finalizing them made the l1/l2 cumulative masks NaN, and
+        # training task 2 on finite data then wrote NaN into every l1
+        # weight, changing task 0's logits
+        rng = np.random.default_rng(60)
+        model = bench.build_continual_model(
+            rng, bench.ExperimentConfig(tasks=3, dim=6, trunk_width=8))
+        data = two_cluster_task(rng)
+        test_x = two_cluster_task(rng, n=40)[0]
+        cfg = TrainerConfig(task_count=3, epochs=2, batch_size=30, seed=1)
+        train_task(model, data, 0, cfg)
+        before = logits_of(model, test_x, 0)
+        maskers = model.maskers()
+        records = [(m.cumulative_mask.copy(), dict(m.stored_task_masks))
+                   for m in maskers]
+        x, y = data[0].copy(), data[1]
+        x[3, 2] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(tg.StateError, match="not finite") as info:
+            train_task(model, (x, y), 1, cfg)
+        assert "\n" not in str(info.value)
+        # refused at every masker before any was finalized
+        for m, (cum, stored) in zip(maskers, records):
+            assert m.cumulative_mask.tobytes() == cum.tobytes(), m.layer_tag
+            assert m.stored_task_masks.keys() == stored.keys() == {0}
+            assert m.stored_task_masks[0] is stored[0]
+        train_task(model, two_cluster_task(rng), 2, cfg)
+        assert np.isfinite(model.steps[0].weight.data).all()
+        assert logits_of(model, test_x, 0).tobytes() == before.tobytes()
+
+    def test_a_refusing_masker_leaves_every_masker_unfinalized(self):
+        # only the last masker's row is bad; the first must not finalize
+        rng = np.random.default_rng(61)
+        model = small_model(rng, 2)
+        first, last = model.maskers()
+
+        def spoil(index, _model):  # after the last of 4 batches' steps
+            if index == 4:
+                last.embedding_rows[0].data[1] = np.nan
+
+        cfg = TrainerConfig(task_count=2, epochs=1, batch_size=30, seed=1)
+        with pytest.raises(tg.StateError, match="'l2.mask'"):
+            train_task(model, two_cluster_task(rng), 0, cfg, on_batch_end=spoil)
+        assert first.completed_tasks() == last.completed_tasks() == []
+        assert not first.cumulative_mask.any() and not last.cumulative_mask.any()
 
 
 def plain_stack(seed):
@@ -387,8 +521,6 @@ def live_tapes():
 
 class TestTapes:
     def test_training_batches_record_fused_nodes(self, monkeypatch):
-        # the default continual model on two tasks: task 0 pays the capacity
-        # penalty, task 1 trains under nullification
         batches = []
         backward = tg.Tape.backward
 
@@ -397,17 +529,34 @@ class TestTapes:
             return backward(tape, loss)
 
         monkeypatch.setattr(tg.Tape, "backward", spy)
+        # the default continual model on two tasks: task 0 pays the capacity
+        # penalty, task 1 trains under nullification
         bench.run_continual(bench.ExperimentConfig(tasks=2, train_n=128,
                                                    test_n=16, epochs=2))
         assert len(batches) == 8
         for ops in batches:
-            assert not {"permute", "matmul", "sigmoid"} & set(ops), ops
-            # one gate per masker, one linear per dense layer (head included)
-            assert (ops["gate"], ops["linear"]) == (2, 3)
-            # scale nodes only in the penalty: one per penalized layer, one
-            # for its weight
-            assert ops["scale"] == ops["mask"] + (ops["mask"] > 0)
+            assert not {"permute", "matmul", "sigmoid", "mul", "sum"} & set(ops), ops
+            # one gate per masker, one linear per dense layer (head included),
+            # one relu per ReLU module and none from the penalty
+            assert (ops["gate"], ops["linear"], ops["relu"]) == (2, 3, 2)
+            # a penalized batch: a live mask per layer, one penalty node over
+            # them, one scale for its weight and one add into the loss
+            expected = (1, 1, 1) if ops["mask"] else (0, 0, 0)
+            assert (ops["penalty"], ops["scale"], ops["add"]) == expected
         assert [ops["mask"] for ops in batches] == [2] * 4 + [0] * 4
+
+        # a toy batch: 5 leaves, gate, linear, relu, linear, cross-entropy,
+        # then mask, penalty, scale and add (18 nodes with the generic
+        # penalty ops: mask, mul, sum, scale, add, relu, scale, add)
+        batches.clear()
+        bench.run_toy(bench.ExperimentConfig(experiment="toy-init", repeats=1,
+                                             batch_cap=6))
+        assert len(batches) == 12  # 2 strategies x 6 batches
+        for ops in batches:
+            assert ops == {"leaf": 5, "gate": 1, "linear": 2, "relu": 1,
+                           "softmax_cross_entropy": 1, "mask": 1, "penalty": 1,
+                           "scale": 1, "add": 1}, ops
+            assert sum(ops.values()) == 14
 
     @pytest.mark.parametrize("stop_at", [None, 2])
     def test_no_tape_outlives_train_task(self, stop_at):
