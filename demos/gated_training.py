@@ -2,8 +2,9 @@
 Sequential training with per-task gates: learn three tasks, harm none.
 
 Each gated layer owns one trainable embedding row per task; the sigmoid of
-(scale * embedding) gates the layer's units. Once a task is finalized, the
-running maximum of its binary mask joins the cumulative mask, and gradient
+(scale * embedding) gates the layer's units while the task trains. Once a
+task is finalized, its mask is stored binarized and the task runs on that
+stored mask; the units it claims join the cumulative mask, and gradient
 hooks stop later tasks from touching the weights it claimed.
 
 Run with:  python3 demos/gated_training.py

@@ -13,8 +13,8 @@ Layout (all integers little-endian):
         payload   raw little-endian C-order array bytes
 
 Entry names mirror the model: gated layers save `{tag}/weight` and
-`{tag}/bias`; each masker saves `{tag}/embeddings` ([tasks, features]),
-`{tag}/cumulative`, and one `{tag}/stored/{t}` bitmask per finalized task;
+`{tag}/bias`; each masker saves `{tag}/embeddings` ([tasks, features]) and
+one `{tag}/stored/{t}` bitmask per finalized task, the task's one record;
 task-indexed modules save `{tag}/{t}/{param}`; untagged plain layers are
 named by pipeline position (`step3/weight`, or `step3.1/weight` for step 1
 of a nested pipeline at step 3). The launch configuration rides
@@ -168,7 +168,6 @@ def model_state(model: Sequential, config: str = None) -> dict:
             name = module.layer_tag
             put(f"{name}/embeddings",
                 np.stack([row.data for row in module.embedding_rows]))
-            put(f"{name}/cumulative", module.cumulative_mask.copy())
             for t, mask in sorted(module.stored_task_masks.items()):
                 put(f"{name}/stored/{t}", mask.astype(np.uint8))
     if config is not None:
@@ -180,9 +179,13 @@ def load_model_state(model: Sequential, entries: dict) -> None:
     """Restore a model in place from `read_entries` output.
 
     Every non-meta entry must be consumed and every expected entry present,
-    so loading into a mismatched architecture fails loudly.
+    so loading into a mismatched architecture fails loudly. Every stored
+    mask must hold only 0s and 1s, and every masker must record the same
+    completed tasks. A refused checkpoint leaves the model as it was.
     """
     remaining = dict(entries)
+    writes = []  # (tensor, value), made once every check has passed
+    records = []  # (masker, {task: stored mask}) in walk order
 
     def pull(name):
         if name not in remaining:
@@ -193,8 +196,7 @@ def load_model_state(model: Sequential, entries: dict) -> None:
         if tensor.shape != value.shape:
             raise ShapeError(f"entry '{name}' has shape {value.shape}, "
                              f"model expects {tensor.shape}")
-        tensor.data[...] = value
-        tensor.grad = None
+        writes.append((tensor, value))
 
     for step, obj, _ in walk(model):
         for name, param in _named_params(step, obj):
@@ -206,15 +208,7 @@ def load_model_state(model: Sequential, entries: dict) -> None:
                 raise ShapeError(
                     f"entry '{name}/embeddings' has shape {stacked.shape}, "
                     f"masker expects {(len(obj.embedding_rows), obj.n_features)}")
-            for row, values in zip(obj.embedding_rows, stacked):
-                row.data[...] = values
-                row.grad = None
-            cumulative = pull(f"{name}/cumulative")
-            if cumulative.shape != (obj.n_features,):
-                raise ShapeError(f"entry '{name}/cumulative' has shape "
-                                 f"{cumulative.shape}, masker expects "
-                                 f"{(obj.n_features,)}")
-            obj.cumulative_mask = cumulative.astype(np.float64)
+            writes.extend(zip(obj.embedding_rows, stacked))
             prefix = f"{name}/stored/"
             stored = {}
             for key in sorted(k for k in remaining if k.startswith(prefix)):
@@ -229,13 +223,29 @@ def load_model_state(model: Sequential, entries: dict) -> None:
                 if mask.shape != (obj.n_features,):
                     raise ShapeError(f"entry {key!r} has shape {mask.shape}, masker "
                                      f"expects {(obj.n_features,)}")
-                stored[task] = mask.astype(bool)
-            obj.stored_task_masks = stored
+                if not ((mask == 0) | (mask == 1)).all():
+                    raise UsageError(f"entry {key!r} holds a value other than 0 or 1")
+                stored[task] = mask
+            records.append((obj, stored))
 
     leftovers = [k for k in remaining if not k.startswith("meta/")]
     if leftovers:
         raise UsageError(f"checkpoint entries not used by this model: "
                          f"{', '.join(sorted(leftovers))}")
+    completed = set().union(*(stored for _, stored in records))
+    for masker, stored in records:
+        missing = completed - stored.keys()
+        if missing:
+            task = min(missing)
+            holder = next(m for m, other in records if task in other)
+            raise UsageError(f"checkpoint records task {task} as completed at "
+                             f"masker '{holder.layer_tag}' but not at "
+                             f"'{masker.layer_tag}'")
+    for tensor, value in writes:
+        tensor.data[...] = value
+        tensor.grad = None
+    for masker, stored in records:
+        masker.restore_stored_masks(stored)
 
 
 def config_text(entries: dict) -> str:

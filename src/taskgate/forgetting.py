@@ -3,9 +3,9 @@
 A unit is *exclusive* to a task when its stored binary mask is on for that
 task and off for every other completed task. Zeroing the weights wired
 between exclusive units (plus the biases of exclusive output units) destroys
-only the forgotten task: under any remaining task those units are masked to
-zero anyway, so for exactly-binary masks the other tasks' outputs do not
-change by a single bit.
+only the forgotten task: every remaining task runs on its stored mask, which
+is exactly zero at those units, so its outputs do not change by a single
+bit.
 
 Weights are zeroed only when *both* endpoints are exclusive. A weight into a
 shared output unit is kept even if its input unit is exclusive — erasing less

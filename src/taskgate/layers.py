@@ -2,18 +2,16 @@
 
 The pieces:
 
-* ``HATMasker`` owns one trainable embedding row per task; the row's scaled
-  sigmoid is that task's unit mask, applied as soon as the masker runs.
-  Completed tasks leave behind a cumulative mask (elementwise max) and a
-  stored binary mask; ``reset_task`` is the one way back to a fresh slot.
+* ``HATMasker`` owns one trainable embedding row per task; its scaled sigmoid
+  masks a training task's units. A completed task runs on its stored binary
+  mask, which also yields the cumulative mask; ``reset_task`` frees a slot.
 * ``HATLinear`` / ``HATConv2d`` wrap a weighted base layer and gate its
   output through an output masker. Once a completed task has claimed any of
   its output units, every forward with a task id recorded on a tape
   registers a gradient hook on the weights (once per tape) that multiplies
   each entry's gradient by ``1 - min(out_mask_i, in_mask_j)``, so
-  parameters fully claimed by earlier tasks stop moving in any training
-  loop.
-* Applying a mask records one ``gate`` tape node, ``data * sigmoid(s * e)``.
+  parameters claimed by earlier tasks stop moving in any training loop.
+* Applying a training mask records one ``gate`` node, ``data * sigmoid(s * e)``.
   With the payload's ``training`` flag its backward also rescales the
   embedding gradient to undo the vanishing sigmoid derivative at large mask
   scales, then clips it to a magnitude rail. The regularizer's live mask on
@@ -147,14 +145,13 @@ def _embedding_grad(q: np.ndarray, mask: np.ndarray, e: np.ndarray, s: float,
 
 
 class HATMasker(PayloadModule):
-    """Per-task sigmoid gate over one feature axis.
+    """Per-task gate over one feature axis.
 
     Owns a trainable embedding row per task. Applying the masker multiplies
-    the payload's data by sigmoid(scale * embedding[task]) along the feature
-    axis (axis 1 for stacked data, elementwise for vectors). Completed tasks
-    are recorded in ``cumulative_mask`` (running elementwise max, drives
-    gradient nullification) and ``stored_task_masks`` (binary, drives
-    forgetting attribution).
+    the payload's data along the feature axis (axis 1 for stacked data,
+    elementwise for vectors) by sigmoid(scale * embedding[task]), or for a
+    completed task by its binary ``stored_task_masks`` entry, the one
+    record of that task; ``cumulative_mask`` is derived from those.
     """
 
     def __init__(self, n_features: int, task_count: int, layer_tag: str,
@@ -167,7 +164,6 @@ class HATMasker(PayloadModule):
         self.s_max = float(s_max)
         self.embedding_rows = [Tensor(np.ones(n_features), requires_grad=True)
                                for _ in range(task_count)]
-        self.cumulative_mask = np.zeros(n_features)
         self.stored_task_masks: dict[int, np.ndarray] = {}
 
     def local_parameters(self):
@@ -183,6 +179,14 @@ class HATMasker(PayloadModule):
 
     def resolve_scale(self, scale: Optional[float]) -> float:
         return self.s_max if scale is None else float(scale)
+
+    @property
+    def cumulative_mask(self) -> np.ndarray:
+        """1.0 at each unit some completed task's stored mask claims, else 0.0."""
+        claimed = np.zeros(self.n_features)
+        for mask in self.stored_task_masks.values():
+            claimed[mask] = 1.0
+        return claimed
 
     def current_mask(self, task: int, scale: Optional[float]) -> Tensor:
         """The live (differentiable) mask for a task at a given scale.
@@ -207,9 +211,11 @@ class HATMasker(PayloadModule):
         return ops._record("mask", (row,), mask, backward_fn)
 
     def mask_values(self, task: int, scale: Optional[float] = None) -> np.ndarray:
-        """Mask as plain numbers, no tape."""
-        e = self.embedding_rows[self._check_task(task)].data
-        return sigmoid_values(self.resolve_scale(scale) * e)
+        """Mask as plain numbers, no tape; a completed task's stored one."""
+        stored = self.stored_task_masks.get(self._check_task(task))
+        if stored is not None:
+            return stored.astype(np.float64)
+        return sigmoid_values(self.resolve_scale(scale) * self.embedding_rows[task].data)
 
     def apply(self, payload: HATPayload) -> Tensor:
         """The payload's data with this masker's mask for its task applied.
@@ -217,7 +223,8 @@ class HATMasker(PayloadModule):
         Records one ``gate`` node over (data, embedding row). Its backward
         takes the chain rule through the product, the sigmoid and the scale
         in the float order of those generic ops; in training it then
-        compensates the embedding gradient and clips it to the rail.
+        compensates the embedding gradient and clips it to the rail. A
+        completed task's data is a plain ``mul`` by its stored mask.
         """
         data = payload.data
         if payload.task is None:
@@ -230,6 +237,8 @@ class HATMasker(PayloadModule):
         s = self.resolve_scale(payload.scale)
         if s <= 0:
             raise UsageError(f"mask scale must be positive, got {s}")
+        if task in self.stored_task_masks:  # no gradient to its embedding
+            return ops.mul(data, Tensor(self.mask_values(task)))
         row = self.embedding_rows[task]
         mask = sigmoid_values(row.data * s)
         # the mask along axis 1 (elementwise for a vector)
@@ -271,30 +280,27 @@ class HATMasker(PayloadModule):
         return task
 
     def finalize_task(self, task: int) -> None:
-        """Fold a finished task's mask into the cumulative/stored records."""
+        """Store a finished task's mask at s_max, binarized at THETA_BIN."""
         task = self.check_finalizable(task)
-        mask = self.mask_values(task)  # at s_max
-        self.cumulative_mask = np.maximum(self.cumulative_mask, mask)
-        self.stored_task_masks[task] = mask > THETA_BIN
+        self.stored_task_masks[task] = self.mask_values(task) > THETA_BIN
 
     def reset_task(self, task: int, init: str,
                    rng: Optional[np.random.Generator] = None) -> None:
         """Return a task's slot to its untrained state.
 
-        The embedding row becomes all ones or fresh standard-normal draws.
-        A stored mask for the task is dropped and the cumulative mask is
-        rebuilt from the tasks still completed.
+        The embedding row becomes all ones or fresh standard-normal draws,
+        and a stored mask for the task is dropped.
         """
         task = self._check_task(task)
         check_embedding_init(init, rng)
         row = self.embedding_rows[task]
         row.data[...] = 1.0 if init == "ones" else rng.standard_normal(row.shape)
         row.grad = None
-        if self.stored_task_masks.pop(task, None) is not None:
-            rebuilt = np.zeros(self.n_features)
-            for other in self.completed_tasks():
-                rebuilt = np.maximum(rebuilt, self.mask_values(other))
-            self.cumulative_mask = rebuilt
+        self.stored_task_masks.pop(task, None)
+
+    def restore_stored_masks(self, masks: dict) -> None:
+        """Take ``{task: mask of 0s and 1s}`` as the completed tasks' records."""
+        self.stored_task_masks = {t: np.asarray(m, dtype=bool) for t, m in masks.items()}
 
     def clamp_embeddings(self, task: int) -> None:
         """Post-optimizer-step value clamp on a task's row: |e| <= E_MAX."""
@@ -398,12 +404,11 @@ class _GatedWeightedLayer(PayloadModule):
         return self.output_masker.forward(p.with_data(h))
 
     def _register_nullify_hooks(self, tape: Tape) -> None:
-        # Freeze factors are snapshots of the cumulative masks: they only
-        # change at task finalization, never inside a task.
-        a_out = self.output_masker.cumulative_mask.copy()
+        # the cumulative masks change only at finalization, never inside a task
+        a_out = self.output_masker.cumulative_mask
         # A first layer (no masker below) protects by output side alone: its
         # inputs are task-free, so a weight is frozen exactly when its output
-        # unit is fully claimed. Equivalent to an all-ones input-side mask.
+        # unit is claimed. Equivalent to an all-ones input-side mask.
         side = self.input_side
         a_in = (None if side.masker is None
                 else side.expand(side.masker.cumulative_mask))

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as ops
 from .layers import EMBEDDING_INITS, Sequential, check_embedding_init
 from .payload import HATPayload
-from .tensor import ShapeError, Tape, Tensor, UsageError
+from .tensor import ShapeError, StateError, Tape, Tensor, UsageError
 
 
 def scale_linear(b: int, B: int, s_max: float) -> float:
@@ -200,7 +200,9 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     the batch's graph and buffers without waiting for the cycle collector.
     A task already finalized, or whose embedding row at some masker is not
     finite, is refused with ``StateError`` before training and again
-    before any masker finalizes it.
+    before any masker finalizes it. A batch whose loss is not finite is
+    refused with ``StateError`` before its optimizer step, leaving no
+    gradient behind, so the task can be trained again on finite data.
     """
     x, y = dataset
     maskers = model.maskers()
@@ -212,8 +214,8 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     # the regularizer skips a layer with no free capacity, so ask no live
     # mask of one, and with none left add no penalty term at all; capacity
     # only changes when a task is finalized
-    penalized = [m for m in maskers
-                 if float((1.0 - m.cumulative_mask).sum()) != 0.0]
+    penalized = [m for m in maskers if not m.cumulative_mask.all()]
+    cum = [m.cumulative_mask for m in penalized]
     total_batches = math.ceil(len(x) / cfg.batch_size)
     metrics = []
     global_batch = 0
@@ -235,9 +237,14 @@ def train_task(model: Sequential, dataset, task: Optional[int],
                 loss = ops.softmax_cross_entropy(logits, labels)
                 if task is not None and cfg.reg_lambda > 0.0 and penalized:
                     live = [m.current_mask(task, s) for m in penalized]
-                    cum = [m.cumulative_mask for m in penalized]
                     penalty = regularizer(live, cum, cfg.task_count)
                     loss = ops.add(loss, ops.scale(penalty, cfg.reg_lambda))
+            batch_loss = loss.item()
+            if not math.isfinite(batch_loss):
+                tape.release()
+                optimizer.zero_grad()
+                raise StateError(f"loss of epoch {epoch} batch {b} is not finite; "
+                                 f"refused before its optimizer step")
             tape.backward(loss)
             tape.release()  # no cycle left: rebinding frees this graph
             optimizer.step()
@@ -245,7 +252,7 @@ def train_task(model: Sequential, dataset, task: Optional[int],
             if task is not None:  # only the training task's rows moved
                 for masker in maskers:
                     masker.clamp_embeddings(task)
-            epoch_loss += loss.item()
+            epoch_loss += batch_loss
             correct += int(np.count_nonzero(logits.data.argmax(axis=1) == labels))
             seen += len(idx)
             global_batch += 1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import taskgate as tg
-from taskgate import HATLinear, HATMasker, HATPayload, Linear, ReLU, Sequential, Tensor
+from taskgate import (HATLinear, HATMasker, HATPayload, Linear, ReLU, Sequential, Tensor,
+                      bench, cli)
 from taskgate.checkpoint import (
     MAGIC,
     config_text,
@@ -99,7 +100,7 @@ class TestModelState:
         assert "l1/weight" in entries and "l1/bias" in entries
         assert "l1.mask/embeddings" in entries
         assert entries["l1.mask/embeddings"].shape == (2, 8)
-        assert "l1.mask/cumulative" in entries
+        assert "l1.mask/cumulative" not in entries  # derived from the stored masks
         assert "l1.mask/stored/0" in entries
         assert "l1.mask/stored/1" not in entries
         assert "norm/0/gain" in entries and "norm/1/shift" in entries
@@ -237,3 +238,52 @@ class TestCorruptFiles:
         with pytest.raises(error) as info:
             load_model_state(model, read_entries(path))
         assert "\n" not in str(info.value)
+
+    def test_maskers_disagreeing_on_completed_tasks_are_refused(self, tmp_path):
+        # l2 recorded task 2 and l1 did not: task 2 could then be neither
+        # trained (finalized at l2) nor forgotten (never finalized at l1)
+        model = continual_style_model(np.random.default_rng(101), task_count=3)
+        for m in model.maskers():
+            m.finalize_task(0)
+        entries = model_state(model)
+        entries["l2.mask/stored/2"] = np.ones(8, dtype=np.uint8)
+        path = tmp_path / "bad.ckpt"
+        write_entries(path, entries)
+        fresh = continual_style_model(np.random.default_rng(102), task_count=3)
+        before = model_state(fresh)
+        with pytest.raises(tg.UsageError, match="task 2 .*'l2.mask'.*'l1.mask'") as info:
+            load_model_state(fresh, read_entries(path))
+        assert "\n" not in str(info.value)
+        after = model_state(fresh)  # refused: nothing was loaded
+        assert after.keys() == before.keys()
+        assert all(after[k].tobytes() == before[k].tobytes() for k in before)
+
+    @pytest.mark.parametrize("value", [2, 255])
+    def test_stored_mask_byte_other_than_0_or_1_is_refused(self, tmp_path, value):
+        model = continual_style_model(np.random.default_rng(103), task_count=2)
+        for m in model.maskers():
+            m.finalize_task(0)
+        entries = model_state(model)
+        entries["l1.mask/stored/0"][3] = value
+        path = tmp_path / "bad.ckpt"
+        write_entries(path, entries)
+        with pytest.raises(tg.UsageError, match="'l1.mask/stored/0'.*0 or 1") as info:
+            load_model_state(model, read_entries(path))
+        assert "\n" not in str(info.value)
+
+    def test_checkpoint_with_a_cumulative_entry_is_a_one_line_error(self, tmp_path, capsys):
+        # checkpoints used to save each masker's cumulative mask as well;
+        # it is derived from the stored masks now, so such an entry is unused
+        cfg = bench.ExperimentConfig()
+        model = bench.build_continual_model(np.random.default_rng([cfg.seed, 11]), cfg)
+        for m in model.maskers():
+            m.finalize_task(0)
+        entries = model_state(model, bench.config_to_text(cfg, exclude=("out",)))
+        entries["l1.mask/cumulative"] = np.ones(cfg.trunk_width)
+        write_entries(tmp_path / bench.CHECKPOINT_NAME, entries)
+        code = cli.main(["forget", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("taskgate: error:") and err.count("\n") == 1
+        assert "entries not used by this model: l1.mask/cumulative" in err
+        assert "Traceback" not in err

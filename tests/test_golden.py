@@ -23,7 +23,7 @@ GOLDEN = {
     "continual_matrix.md":
         "99e53bb983a8a269d909c86e74da9be0d9d67dfafbf4f26b0184a5c148fb55a7",
     "continual.ckpt":
-        "642f6d4b2173b42b77e17c27ecd83caf977ba0c6a4cd499248ba492f0e29de5b",
+        "d3d7d143a63cc8bf0bc72f1d33452904a62950589fd06e3177318e22f81c094c",
     "forget_row.csv":
         "be3a961f53677a24c37070f97d8a63b06942dba287043c9e3fb9923301dbe3b8",
     "forget_row.md":
@@ -38,20 +38,20 @@ GOLDEN = {
 
 
 # `continual --init gaussian` then `forget`: the one run of the command line
-# whose forget zeroes trunk weights (l1 weights=48 biases=3)
+# whose forget zeroes trunk weights (l1 weights=32 biases=2)
 GOLDEN_GAUSSIAN = {
     "continual_matrix.csv":
-        "6a3ebc77ca0eac7b2208175b20441add80a08ac2fec2953305020150516e2ec1",
+        "33d1dd39862a14642a125e972204687db76cc7318c92f33383fa096ab5d955aa",
     "continual_matrix.md":
-        "2122b267b982777d37a98467160627afd78e8d16cc1409c1e1f11f18c2e7c43b",
+        "9558d1d72e6c7f6d5f1e3758ea03fc85313dd765a70f99b8cba74e3b24cbebb2",
     "continual.ckpt":
-        "536232c1f6a6f7fb15de98a21b09387bc73669249e0427c3d2c1f237142e19c5",
+        "b2618a48b8d7ac6090856392514ac60bff67db47eeb11cdaf709f83e5c2be762",
     "forget_row.csv":
-        "a6c27ca49cbceb943e75bc58fcfde68e3a7464abce4c7ef7a9f6110126393f9a",
+        "32090674312349ffb511e3c10a2e6aca32b39d1938313576d5fcef281f5125b0",
     "forget_row.md":
-        "c4286dc8bd8413ef80a5895625d8c2e1c980c08d50723212607b3699898c59d7",
+        "4247a81bef83e429d2cab9cc0f5f0439b4d1dbc89673e8534a35ce060657a018",
     "forget_report.txt":
-        "ce08a3c7325946c27d6dd27c51de6e84370c17dab4375452eb1dd1a3ebdb710f",
+        "c2917111fef4e63a0384157ce8d1f3822e69b2cef5b6648f94b873969557a20d",
 }
 
 

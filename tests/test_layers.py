@@ -183,14 +183,36 @@ class TestClampBits:
 
 class TestMaskerLifecycle:
     def test_finalize_takes_elementwise_max(self):
-        m = HATMasker(2, 3, "m")
-        m.cumulative_mask = np.array([0.9, 0.1])
-        m.embedding_rows[0].data[...] = 0.0  # placeholder values, overridden below
-        # drive the new mask to [0.2, 0.8] by choosing embeddings at s_max
-        e = np.array([np.log(0.2 / 0.8), np.log(0.8 / 0.2)]) / 400.0
-        m.embedding_rows[0].data[...] = e
+        # the cumulative mask is the OR of the stored binary masks, even
+        # where a finalized mask was soft: 0.9 -> 1, 0.1 -> 0, 0.2 -> 0, 0.8 -> 1
+        m = HATMasker(3, 3, "m")
+        for task, soft in enumerate(([0.9, 0.1, 0.2], [0.2, 0.8, 0.1])):
+            soft = np.array(soft)
+            m.embedding_rows[task].data[...] = np.log(soft / (1.0 - soft)) / 400.0
+            m.finalize_task(task)
+        np.testing.assert_array_equal(m.stored_task_masks[0], [True, False, False])
+        np.testing.assert_array_equal(m.stored_task_masks[1], [False, True, False])
+        np.testing.assert_array_equal(m.cumulative_mask, [1.0, 1.0, 0.0])
+        for task in (0, 1):
+            np.testing.assert_array_equal(m.mask_values(task),
+                                          m.stored_task_masks[task])
+
+    def test_completed_task_runs_on_its_stored_mask(self):
+        # a soft finalized mask (0.9, 0.3) gates as its binary record (1, 0)
+        # at any scale, and the task's embedding row takes no gradient
+        m = HATMasker(2, 2, "m")
+        soft = np.array([0.9, 0.3])
+        m.embedding_rows[0].data[...] = np.log(soft / (1.0 - soft)) / 400.0
         m.finalize_task(0)
-        np.testing.assert_allclose(m.cumulative_mask, [0.9, 0.8], atol=1e-12)
+        x = Tensor(np.array([[2.0, -3.0], [0.5, 4.0]]), requires_grad=True)
+        with Tape() as tape:
+            out = m(HATPayload(x, task=0, scale=2.0, training=True)).masked_data()
+            loss = tg.reduce_sum(out)
+        tape.backward(loss)
+        np.testing.assert_array_equal(out.data, x.data * [1.0, 0.0])
+        np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [1.0, 0.0]])
+        assert m.embedding_rows[0].grad is None
+        np.testing.assert_array_equal(m.mask_values(0, 2.0), [1.0, 0.0])
 
     def test_stored_mask_binarized_at_half(self):
         m = HATMasker(2, 2, "m")
@@ -301,9 +323,10 @@ class TestGatedForward:
     def test_saturated_cumulative_masks_freeze_weights(self):
         rng = np.random.default_rng(36)
         pre = HATMasker(3, 2, "pre")
-        pre.cumulative_mask = np.ones(3)
         layer = HATLinear(3, 2, task_count=2, layer_tag="l", rng=rng)
-        layer.output_masker.cumulative_mask = np.ones(2)
+        for masker in pre, layer.output_masker:  # task 0 claims every unit
+            set_binary_row(masker, 0, range(masker.n_features))
+            masker.finalize_task(0)
         model = Sequential(pre, layer)
 
         p = _payload(rng.standard_normal((4, 3)), task=1, scale=1.0)
@@ -317,17 +340,18 @@ class TestGatedForward:
     def test_hooked_gradient_equals_closed_form(self):
         rng = np.random.default_rng(37)
         x = rng.standard_normal((5, 3))
-        a_in = rng.uniform(0, 1, 3)
-        a_out = rng.uniform(0, 1, 2)
+        a_in = np.array([1.0, 0.0, 1.0])
+        a_out = np.array([0.0, 1.0])
 
         def run(with_history):
             r = np.random.default_rng(7)
             pre = HATMasker(3, 2, "pre")
             pre.embedding_rows[1].data[...] = 0.0
             layer = HATLinear(3, 2, task_count=2, layer_tag="l", rng=r)
-            if with_history:
-                pre.cumulative_mask = a_in.copy()
-                layer.output_masker.cumulative_mask = a_out.copy()
+            if with_history:  # task 0 claims the units where a_in / a_out are 1
+                for masker, claimed in ((pre, a_in), (layer.output_masker, a_out)):
+                    set_binary_row(masker, 0, np.flatnonzero(claimed))
+                    masker.finalize_task(0)
             model = Sequential(pre, layer)
             with Tape() as tape:
                 out = model.forward(_payload(x, task=1, scale=2.0))
@@ -345,7 +369,8 @@ class TestGatedForward:
         # freeze entirely, other rows keep their raw gradient
         rng = np.random.default_rng(38)
         layer = HATLinear(3, 2, task_count=2, layer_tag="l", rng=rng)
-        layer.output_masker.cumulative_mask = np.array([1.0, 0.0])
+        set_binary_row(layer.output_masker, 0, [0])  # task 0 claims unit 0
+        layer.output_masker.finalize_task(0)
         with Tape() as tape:
             out = layer.forward(_payload(np.ones((2, 3)), task=1, scale=1.0))
             loss = tg.reduce_sum(out.masked_data())
@@ -420,7 +445,8 @@ class TestGatedForward:
         rng = np.random.default_rng(40)
         layer = HATConv2d(2, 3, kernel_size=3, task_count=2, layer_tag="c",
                           rng=rng, padding=1)
-        layer.output_masker.cumulative_mask = np.ones(3)
+        set_binary_row(layer.output_masker, 0, range(3))  # task 0 claims all
+        layer.output_masker.finalize_task(0)
         with Tape() as tape:
             out = layer.forward(_payload(rng.standard_normal((2, 2, 4, 4)),
                                          task=1, scale=1.0))

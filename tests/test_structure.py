@@ -2,7 +2,9 @@
 consumer of the model walk: maskers, trainable parameters, gradient
 protection, forgetting and checkpoints."""
 
+import ast
 import gc
+import pathlib
 
 import numpy as np
 import pytest
@@ -184,7 +186,7 @@ class TestCheckpoint:
             Linear(8, 2, rng),
         )
         assert sorted(model_state(model)) == [
-            "gate/cumulative", "gate/embeddings",
+            "gate/embeddings",
             "step1/bias", "step1/weight",
             "step2.1/bias", "step2.1/weight",
             "step4/bias", "step4/weight",
@@ -194,3 +196,81 @@ class TestCheckpoint:
         model = nested_model(np.random.default_rng(132), task_count=2)
         entries = model_state(model)
         assert "l2/weight" in entries and "l2.mask/embeddings" in entries
+
+
+RECORDS = {"cumulative_mask", "stored_task_masks"}
+MUTATORS = {"pop", "popitem", "clear", "update", "setdefault"}
+
+
+def _written(target):
+    """The attributes an assignment target writes into: ``m.records[t] = v``
+    and ``m.records, n = v`` both write ``m.records``."""
+    while isinstance(target, (ast.Subscript, ast.Starred)):
+        target = target.value
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [a for elt in target.elts for a in _written(elt)]
+    return [target] if isinstance(target, ast.Attribute) else []
+
+
+def _mutating_call(call):
+    """``m.records.pop(t)`` and the like, or ``setattr(m, "records", v)``."""
+    f, args = call.func, call.args
+    if isinstance(f, ast.Attribute):
+        return (f.attr in MUTATORS and isinstance(f.value, ast.Attribute)
+                and f.value.attr in RECORDS)
+    return (isinstance(f, ast.Name) and f.id == "setattr" and len(args) > 1
+            and isinstance(args[1], ast.Constant) and args[1].value in RECORDS)
+
+
+def record_writes(tree):
+    """Every node that assigns, deletes or mutates a masker's task records."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if _mutating_call(node):
+                yield node
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(a.attr in RECORDS for t in targets for a in _written(t)):
+            yield node
+
+
+class TestOwnership:
+    def test_only_the_masker_writes_its_task_records(self):
+        # the stored binary masks are the one record of what completed tasks
+        # own; the cumulative mask is derived from them inside HATMasker
+        inside, outside = 0, []
+        for path in sorted(pathlib.Path(tg.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            owner = {id(n) for c in ast.walk(tree)
+                     if isinstance(c, ast.ClassDef) and c.name == "HATMasker"
+                     for n in ast.walk(c)}
+            for node in record_writes(tree):
+                if id(node) in owner:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+        assert outside == []
+        assert inside > 0  # the search does see the masker's own writes
+        assert HATMasker.cumulative_mask.fset is None
+
+    @pytest.mark.parametrize("source", [
+        "m.cumulative_mask = x", "m.stored_task_masks = {}",
+        "m.stored_task_masks[0] = x", "del m.stored_task_masks[0]",
+        "m.cumulative_mask[:] = 1.0", "m.cumulative_mask += 1.0",
+        "a, m.stored_task_masks = x", "m.stored_task_masks.pop(0)",
+        "m.stored_task_masks.update(x)", "setattr(m, 'cumulative_mask', x)",
+    ])
+    def test_the_search_sees_every_kind_of_write(self, source):
+        assert len(list(record_writes(ast.parse(source)))) == 1
+
+    @pytest.mark.parametrize("source", [
+        "x = m.cumulative_mask", "m.stored_task_masks.get(0)",
+        "x[m.cumulative_mask > 0] = 1.0", "m.embedding_rows[0] = x",
+    ])
+    def test_the_search_ignores_reads(self, source):
+        assert list(record_writes(ast.parse(source))) == []

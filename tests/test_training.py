@@ -432,6 +432,31 @@ class TestTrainTask:
         assert np.isfinite(model.steps[0].weight.data).all()
         assert logits_of(model, test_x, 0).tobytes() == before.tobytes()
 
+    def test_refused_task_trains_again(self):
+        # the batch with the inf input is refused before its optimizer step,
+        # so task 1's head, norm and embedding slots stay finite and task 1
+        # trains again on finite data
+        rng = np.random.default_rng(62)
+        model = bench.build_continual_model(
+            rng, bench.ExperimentConfig(tasks=3, dim=6, trunk_width=8))
+        data = two_cluster_task(rng)
+        test_x = two_cluster_task(rng, n=40)[0]
+        cfg = TrainerConfig(task_count=3, epochs=2, batch_size=30, seed=1)
+        train_task(model, data, 0, cfg)
+        before = logits_of(model, test_x, 0)
+        x, y = data[0].copy(), data[1]
+        x[3, 2] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(tg.StateError, match="not finite") as info:
+            train_task(model, (x, y), 1, cfg)
+        assert "\n" not in str(info.value)
+        params = model.task_parameters(1)
+        assert all(p.grad is None and np.isfinite(p.data).all() for p in params)
+        train_task(model, two_cluster_task(rng), 1, cfg)
+        assert all(m.completed_tasks() == [0, 1] for m in model.maskers())
+        assert np.isfinite(logits_of(model, test_x, 1)).all()
+        assert logits_of(model, test_x, 0).tobytes() == before.tobytes()
+
     def test_a_refusing_masker_leaves_every_masker_unfinalized(self):
         # only the last masker's row is bad; the first must not finalize
         rng = np.random.default_rng(61)
@@ -611,11 +636,12 @@ def tape_references(model):
 class TestTapeNotes:
     def test_modules_hold_no_tape_after_a_step(self):
         # task 1 trains under the nullify hooks and the live masks; what the
-        # layers note about each recording stays on the tape
+        # layers note about each recording stays on the tape (task 2 for the
+        # hand-written step: a completed task's gate notes no live mask)
         rng = np.random.default_rng(68)
-        model = small_model(rng, 2)
+        model = small_model(rng, 3)
         data = two_cluster_task(rng)
-        cfg = TrainerConfig(task_count=2, epochs=1, batch_size=30, seed=1)
+        cfg = TrainerConfig(task_count=3, epochs=1, batch_size=30, seed=1)
         train_task(model, data, 0, cfg)
         seen = []
         train_task(model, data, 1, cfg,
@@ -624,7 +650,7 @@ class TestTapeNotes:
 
         x, y = data
         with tg.Tape() as tape:
-            out = model.forward(HATPayload(Tensor(x), task=1, scale=2.0, training=True))
+            out = model.forward(HATPayload(Tensor(x), task=2, scale=2.0, training=True))
             loss = tg.softmax_cross_entropy(out.masked_data(), y)
         tape.backward(loss)
         assert tape_references(model) == []
