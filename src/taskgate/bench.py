@@ -24,7 +24,7 @@ from .checkpoint import config_text, load_model_state, model_state, read_entries
 from .data import TOY_USEFUL, TOY_USELESS, continual_tasks, toy_dataset
 from .forgetting import forget_task
 from .layers import EMBEDDING_INITS, HATLinear, HATMasker, Linear, ReLU, Sequential
-from .layers import task_indexed_layer_norm, task_indexed_linear
+from .layers import check_scale, task_indexed_layer_norm, task_indexed_linear
 from .tensor import UsageError
 from .training import TrainerConfig, evaluate, init_embeddings, train_task
 
@@ -108,8 +108,7 @@ class ExperimentConfig:
                      "trunk_width"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.s_max) and self.s_max > 0):
-            raise UsageError(f"s_max must be finite and > 0, got {self.s_max}")
+        check_scale(self.s_max, "s_max")
 
 
 def config_to_text(cfg: ExperimentConfig, exclude: tuple = ()) -> str:

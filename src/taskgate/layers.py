@@ -4,13 +4,16 @@ The pieces:
 
 * ``HATMasker`` owns one trainable embedding row per task; its scaled sigmoid
   masks a training task's units. A completed task runs on its stored binary
-  mask, which also yields the cumulative mask; ``reset_task`` frees a slot.
+  mask. The cumulative mask, their OR, is rebuilt only where those records
+  change; ``reset_task`` frees a slot.
 * ``HATLinear`` / ``HATConv2d`` wrap a weighted base layer and gate its
   output through an output masker. Once a completed task has claimed any of
   its output units, every forward with a task id recorded on a tape
   registers a gradient hook on the weights (once per tape) that multiplies
   each entry's gradient by ``1 - min(out_mask_i, in_mask_j)``, so
   parameters claimed by earlier tasks stop moving in any training loop.
+  The hooks' inputs are worked out once per change to the maskers' records
+  or to the layer's input side, not once per tape.
 * Applying a training mask records one ``gate`` node, ``data * sigmoid(s * e)``.
   With the payload's ``training`` flag its backward also rescales the
   embedding gradient to undo the vanishing sigmoid derivative at large mask
@@ -30,6 +33,7 @@ layer's input features and how those features map onto its units.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -62,11 +66,18 @@ class PayloadModule(Module):
         return self.forward(p)
 
 
+def check_scale(value, name: str = "mask scale") -> float:
+    """``value`` as a mask scale or ``s_max``: a real number, finite and > 0.
+    Anything else (NaN, an infinity, a bool, a string) is refused."""
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and 0.0 < value < math.inf):
+        return float(value)
+    raise UsageError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def attention(e: Tensor, s: float) -> Tensor:
     """Unit mask a = sigmoid(s * e), differentiable in e."""
-    if s <= 0:
-        raise UsageError(f"mask scale must be positive, got {s}")
-    return ops.sigmoid(ops.scale(e, s))
+    return ops.sigmoid(ops.scale(e, check_scale(s)))
 
 
 def _clip(x, bound, out=None):
@@ -151,7 +162,8 @@ class HATMasker(PayloadModule):
     the payload's data along the feature axis (axis 1 for stacked data,
     elementwise for vectors) by sigmoid(scale * embedding[task]), or for a
     completed task by its binary ``stored_task_masks`` entry, the one
-    record of that task; ``cumulative_mask`` is derived from those.
+    record of that task; ``cumulative_mask`` is derived from those. Only
+    this class writes either of them.
     """
 
     def __init__(self, n_features: int, task_count: int, layer_tag: str,
@@ -161,10 +173,10 @@ class HATMasker(PayloadModule):
         self.n_features = n_features = _width(n_features, "n_features")
         self.task_count = task_count
         self.layer_tag = layer_tag
-        self.s_max = float(s_max)
+        self.s_max = check_scale(s_max, "s_max")
         self.embedding_rows = [Tensor(np.ones(n_features), requires_grad=True)
                                for _ in range(task_count)]
-        self.stored_task_masks: dict[int, np.ndarray] = {}
+        self.restore_stored_masks({})
 
     def local_parameters(self):
         return list(self.embedding_rows)
@@ -178,15 +190,23 @@ class HATMasker(PayloadModule):
         return task
 
     def resolve_scale(self, scale: Optional[float]) -> float:
-        return self.s_max if scale is None else float(scale)
+        return self.s_max if scale is None else check_scale(scale)
 
     @property
     def cumulative_mask(self) -> np.ndarray:
-        """1.0 at each unit some completed task's stored mask claims, else 0.0."""
+        """1.0 at each unit some completed task's stored mask claims, else 0.0.
+
+        A read-only array, rebuilt only where the stored masks change; the
+        same object is returned until then, so it can key a cache.
+        """
+        return self._cumulative
+
+    def _rebuild_cumulative(self) -> None:
         claimed = np.zeros(self.n_features)
         for mask in self.stored_task_masks.values():
             claimed[mask] = 1.0
-        return claimed
+        claimed.flags.writeable = False
+        self._cumulative = claimed
 
     def current_mask(self, task: int, scale: Optional[float]) -> Tensor:
         """The live (differentiable) mask for a task at a given scale.
@@ -194,10 +214,13 @@ class HATMasker(PayloadModule):
         A training gate notes (task, scale, mask, embedding snapshot) on its
         tape. On that tape, for the same task and scale, this is a one-parent
         ``mask`` node over the gate's sigmoid, whose gradient is compensated
-        and railed on its own; otherwise plain ``attention``.
+        and railed on its own; otherwise plain ``attention``. A completed
+        task's mask is its stored one, a constant with no embedding parent.
         """
         task = self._check_task(task)
         s = self.resolve_scale(scale)
+        if task in self.stored_task_masks:
+            return Tensor(self.mask_values(task))
         row = self.embedding_rows[task]
         tape = Tape.current()
         live = None if tape is None else tape.notes.get(self)
@@ -212,10 +235,11 @@ class HATMasker(PayloadModule):
 
     def mask_values(self, task: int, scale: Optional[float] = None) -> np.ndarray:
         """Mask as plain numbers, no tape; a completed task's stored one."""
-        stored = self.stored_task_masks.get(self._check_task(task))
+        task, s = self._check_task(task), self.resolve_scale(scale)
+        stored = self.stored_task_masks.get(task)
         if stored is not None:
             return stored.astype(np.float64)
-        return sigmoid_values(self.resolve_scale(scale) * self.embedding_rows[task].data)
+        return sigmoid_values(s * self.embedding_rows[task].data)
 
     def apply(self, payload: HATPayload) -> Tensor:
         """The payload's data with this masker's mask for its task applied.
@@ -235,8 +259,6 @@ class HATMasker(PayloadModule):
             raise ShapeError(f"masker '{self.layer_tag}' covers {self.n_features} "
                              f"features but data has {feature_extent}")
         s = self.resolve_scale(payload.scale)
-        if s <= 0:
-            raise UsageError(f"mask scale must be positive, got {s}")
         if task in self.stored_task_masks:  # no gradient to its embedding
             return ops.mul(data, Tensor(self.mask_values(task)))
         row = self.embedding_rows[task]
@@ -283,6 +305,7 @@ class HATMasker(PayloadModule):
         """Store a finished task's mask at s_max, binarized at THETA_BIN."""
         task = self.check_finalizable(task)
         self.stored_task_masks[task] = self.mask_values(task) > THETA_BIN
+        self._rebuild_cumulative()
 
     def reset_task(self, task: int, init: str,
                    rng: Optional[np.random.Generator] = None) -> None:
@@ -296,11 +319,13 @@ class HATMasker(PayloadModule):
         row = self.embedding_rows[task]
         row.data[...] = 1.0 if init == "ones" else rng.standard_normal(row.shape)
         row.grad = None
-        self.stored_task_masks.pop(task, None)
+        if self.stored_task_masks.pop(task, None) is not None:
+            self._rebuild_cumulative()
 
     def restore_stored_masks(self, masks: dict) -> None:
         """Take ``{task: mask of 0s and 1s}`` as the completed tasks' records."""
         self.stored_task_masks = {t: np.asarray(m, dtype=bool) for t, m in masks.items()}
+        self._rebuild_cumulative()
 
     def clamp_embeddings(self, task: int) -> None:
         """Post-optimizer-step value clamp on a task's row: |e| <= E_MAX."""
@@ -386,6 +411,9 @@ class _GatedWeightedLayer(PayloadModule):
         # alone, a layer is a first layer; every Sequential holding it
         # rebinds this from the model's structure (see walk)
         self.input_side = InputSide()
+        # (output-side cumulative mask, input-side one, the nullify hooks'
+        # inputs) for the masker records last seen; see _nullify_inputs
+        self._nullify = None
 
     def local_parameters(self):
         return [self.weight, self.bias]
@@ -395,26 +423,35 @@ class _GatedWeightedLayer(PayloadModule):
 
     def forward(self, p: HATPayload) -> HATPayload:
         h = self._weighted(p.data)
-        # nothing to protect until a completed task claims an output unit:
-        # with a zero output-side mask every factor 1 - min(out, in) is 1
         tape = Tape.current()
-        if (tape is not None and p.task is not None and self not in tape.notes
-                and self.output_masker.cumulative_mask.any()):
-            self._register_nullify_hooks(tape)
+        if tape is not None and p.task is not None and self not in tape.notes:
+            args = self._nullify_inputs()
+            if args is not None:
+                a_out, a_in = args
+                self.weight.register_hook(lambda g: grad_nullify(g, a_out, a_in))
+                self.bias.register_hook(lambda g: grad_nullify(g, a_out))
+                tape.notes[self] = True  # hooks are on this tape
         return self.output_masker.forward(p.with_data(h))
 
-    def _register_nullify_hooks(self, tape: Tape) -> None:
-        # the cumulative masks change only at finalization, never inside a task
-        a_out = self.output_masker.cumulative_mask
-        # A first layer (no masker below) protects by output side alone: its
-        # inputs are task-free, so a weight is frozen exactly when its output
-        # unit is claimed. Equivalent to an all-ones input-side mask.
-        side = self.input_side
-        a_in = (None if side.masker is None
-                else side.expand(side.masker.cumulative_mask))
-        self.weight.register_hook(lambda g: grad_nullify(g, a_out, a_in))
-        self.bias.register_hook(lambda g: grad_nullify(g, a_out))
-        tape.notes[self] = True  # hooks are on this tape
+    def _nullify_inputs(self):
+        """``(a_out, a_in)`` for the nullify hooks, or None while no completed
+        task claims an output unit: with a zero output-side mask every factor
+        1 - min(out, in) is 1. Worked out again only when either masker's
+        records change, and so its cumulative mask object, or when the input
+        side is rebound to another masker."""
+        out_cum, side = self.output_masker.cumulative_mask, self.input_side
+        in_cum = None if side.masker is None else side.masker.cumulative_mask
+        cached = self._nullify
+        if cached is None or cached[0] is not out_cum or cached[1] is not in_cum:
+            # A first layer (no masker below) protects by output side alone:
+            # its inputs are task-free, so a weight is frozen exactly when its
+            # output unit is claimed. Equivalent to an all-ones input mask.
+            a_in = None if in_cum is None else side.expand(in_cum)
+            if a_in is not None:
+                a_in.flags.writeable = False
+            args = (out_cum, a_in) if out_cum.any() else None
+            self._nullify = cached = (out_cum, in_cum, args)
+        return cached[2]
 
 
 class HATLinear(_GatedWeightedLayer):

@@ -622,24 +622,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization of [B,F] with learnable gain and shift."""
+    """Per-row normalization of [B,F] with learnable gain and shift.
+
+    Centres each row once and reuses it for the variance (over F, not F-1)
+    and for x-hat. Every row mean is a sum, then a division by F: the bits
+    of ``np.mean``/``np.var``, without their second centring or wrappers.
+    """
     if x.ndim != 2 or gain.shape != (x.shape[1],) or shift.shape != (x.shape[1],):
         raise ShapeError(f"layer_norm needs [B,F] with [F] gain/shift, got "
                          f"{x.shape}, {gain.shape}, {shift.shape}")
     nfeat = x.shape[1]
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+
+    def row_mean(v):
+        return np.add.reduce(v, axis=1, keepdims=True) / nfeat
+
+    d = x.data - row_mean(x.data)
+    inv = 1.0 / np.sqrt(row_mean(d * d) + eps)
+    xhat = d * inv
     out = gain.data * xhat + shift.data
 
     def backward_fn(g):
         dxhat = g * gain.data
-        dx = inv * (dxhat
-                    - dxhat.mean(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-        # exact: mean over F, not F-1, must match the forward var; numpy
-        # default ddof=0 does.
+        dx = inv * (dxhat - row_mean(dxhat) - xhat * row_mean(dxhat * xhat))
         return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
     return _record("layer_norm", (x, gain, shift), out, backward_fn)
@@ -674,20 +678,19 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.min() < 0 or labels.max() >= ncls:
         raise UsageError(f"labels must lie in [0, {ncls}), got range "
                          f"[{labels.min()}, {labels.max()}]")
-    labels = labels.astype(np.int64)
+    picked = (np.arange(bsz), labels.astype(np.int64, copy=False))
 
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
     ez = np.exp(z - zmax)
     sez = ez.sum(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(sez[:, 0])
-    picked = z[np.arange(bsz), labels]
-    loss = np.asarray((lse - picked).mean(), dtype=z.dtype)
+    loss = np.asarray((lse - z[picked]).mean(), dtype=z.dtype)
     softmax = ez / sez
 
     def backward_fn(g):
         grad = softmax.copy()
-        grad[np.arange(bsz), labels] -= 1.0
+        grad[picked] -= 1.0
         return (grad * (g / bsz),)
 
     return _record("softmax_cross_entropy", (logits,), loss, backward_fn)

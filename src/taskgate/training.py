@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as ops
-from .layers import EMBEDDING_INITS, Sequential, check_embedding_init
+from .layers import EMBEDDING_INITS, Sequential, check_embedding_init, check_scale
 from .payload import HATPayload
 from .tensor import ShapeError, StateError, Tape, Tensor, UsageError
 
@@ -155,8 +155,7 @@ class TrainerConfig:
             raise UsageError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
         if self.batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.s_max) and self.s_max > 0):
-            raise UsageError(f"s_max must be finite and > 0, got {self.s_max}")
+        check_scale(self.s_max, "s_max")
 
 
 @dataclass

@@ -15,6 +15,9 @@ from taskgate import (
     grad_nullify,
     grad_rail,
 )
+from taskgate import layers as layers_module
+from taskgate.checkpoint import load_model_state, model_state
+from taskgate.forgetting import forget_task
 from taskgate.layers import COSH_CLAMP, E_MAX, InputSide, Linear, ReLU, walk
 
 from gated_models import claim_binary, flat_model, logits, set_binary_row, sgd_steps
@@ -214,6 +217,21 @@ class TestMaskerLifecycle:
         assert m.embedding_rows[0].grad is None
         np.testing.assert_array_equal(m.mask_values(0, 2.0), [1.0, 0.0])
 
+    def test_current_mask_of_a_completed_task_is_its_stored_mask(self):
+        # a soft finalized (0.9, 0.3) runs on (1, 0); current_mask says so
+        # too, as a constant that gives the embedding row no gradient
+        m = HATMasker(2, 2, "m")
+        soft = np.array([0.9, 0.3])
+        m.embedding_rows[0].data[...] = np.log(soft / (1.0 - soft)) / 400.0
+        m.finalize_task(0)
+        with Tape() as tape:
+            mask = m.current_mask(0, 2.0)
+            recorded = len(tape.nodes)
+        np.testing.assert_array_equal(mask.data, [1.0, 0.0])
+        assert mask.node_id is None and not mask.requires_grad
+        assert recorded == 0
+        np.testing.assert_array_equal(m.current_mask(0, None).data, m.mask_values(0))
+
     def test_stored_mask_binarized_at_half(self):
         m = HATMasker(2, 2, "m")
         m.embedding_rows[0].data[...] = [1.0, -1.0]
@@ -299,6 +317,184 @@ class TestMaskerLifecycle:
 
 def _payload(x, task, scale, training=True):
     return HATPayload(Tensor(x), task=task, scale=scale, training=training)
+
+
+BAD_SCALES = [0.0, -1.0, -5.0, float("nan"), float("inf"), -float("inf"), True,
+              "2.0", np.float64("nan")]
+
+
+class TestScaleChecks:
+    @pytest.mark.parametrize("bad", BAD_SCALES + [None], ids=repr)
+    def test_bad_s_max_refused_when_built(self, bad):
+        rng = np.random.default_rng(0)
+        for build in (lambda: HATMasker(3, 2, "m", s_max=bad),
+                      lambda: HATLinear(3, 2, 2, "l", rng, s_max=bad),
+                      lambda: HATConv2d(2, 3, 3, 2, "c", rng, s_max=bad)):
+            with pytest.raises(tg.UsageError, match="s_max") as err:
+                build()
+            assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("completed", [False, True])
+    @pytest.mark.parametrize("bad", BAD_SCALES, ids=repr)
+    def test_bad_scale_refused_everywhere(self, bad, completed):
+        m = HATMasker(3, 2, "m")
+        if completed:
+            set_binary_row(m, 0, [1])
+            m.finalize_task(0)
+        calls = [lambda: m.resolve_scale(bad), lambda: m.mask_values(0, bad),
+                 lambda: m.current_mask(0, bad),
+                 lambda: m.apply(_payload(np.ones((2, 3)), 0, bad)),
+                 lambda: attention(m.embedding_rows[0], bad)]
+        for call in calls:
+            with pytest.raises(tg.UsageError, match="mask scale") as err:
+                call()
+            assert "\n" not in str(err.value)
+
+    def test_numpy_and_integer_scales_are_accepted(self):
+        m = HATMasker(3, 2, "m", s_max=np.float32(8.0))
+        assert type(m.s_max) is float and m.s_max == 8.0
+        m.embedding_rows[0].data[...] = [0.5, -0.25, 1.0]
+        for s in (np.float64(2.0), np.int64(2), 2):
+            assert m.resolve_scale(s) == 2.0
+            np.testing.assert_array_equal(m.mask_values(0, s), m.mask_values(0, 2.0))
+
+
+class TestCumulativeMaskRecord:
+    def test_same_read_only_object_until_the_records_change(self):
+        m = HATMasker(3, 3, "m")
+        first = m.cumulative_mask
+        assert m.cumulative_mask is first and not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        with pytest.raises(ValueError):
+            first += 1.0
+        # training, reading and resetting a slot with no stored mask
+        # leave the records, and so the object, as they are
+        with Tape():
+            m.apply(_payload(np.ones((2, 3)), 0, 2.0))
+            m.current_mask(0, 2.0)
+        m.mask_values(0, 2.0)
+        m.clamp_embeddings(0)
+        m.reset_task(1, "ones")
+        assert m.cumulative_mask is first
+
+        set_binary_row(m, 0, [1])
+        m.finalize_task(0)
+        second = m.cumulative_mask
+        assert second is not first and not second.flags.writeable
+        np.testing.assert_array_equal(second, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(first, [0.0, 0.0, 0.0])  # never written
+        m.reset_task(0, "ones")
+        third = m.cumulative_mask
+        assert third is not second and not third.flags.writeable
+        np.testing.assert_array_equal(third, [0.0, 0.0, 0.0])
+        m.restore_stored_masks({2: np.array([1, 0, 1])})
+        assert m.cumulative_mask is not third and not m.cumulative_mask.flags.writeable
+        np.testing.assert_array_equal(m.cumulative_mask, [1.0, 0.0, 1.0])
+
+    def test_refreshed_by_forget_and_checkpoint_load(self):
+        model = flat_model(np.random.default_rng(44), 3)
+        for masker in model.maskers():
+            set_binary_row(masker, 0, [0])
+            masker.finalize_task(0)
+            set_binary_row(masker, 1, [1, 2])
+            masker.finalize_task(1)
+        both = {m: m.cumulative_mask for m in model.maskers()}
+        state = model_state(model)
+        forget_task(model, 1)
+        for masker, before in both.items():
+            after = masker.cumulative_mask
+            assert after is not before and not after.flags.writeable
+            np.testing.assert_array_equal(after, masker.mask_values(0))
+        load_model_state(model, state)
+        for masker, before in both.items():
+            assert masker.cumulative_mask is not before
+            assert masker.cumulative_mask.tobytes() == before.tobytes()
+
+
+class TestNullifyInputs:
+    """A gated layer works out its hooks' inputs once per records change,
+    and its hooks always read the maskers' records as they are now."""
+
+    @staticmethod
+    def hook_inputs(model, task, monkeypatch):
+        """(layer tag, a_out, a_in) of every weight hook run by one taped step."""
+        seen = []
+
+        def recording(g, a_out_cum, a_in_cum=None):
+            if g.ndim > 1:
+                seen.append((a_out_cum.copy(),
+                             None if a_in_cum is None else a_in_cum.copy()))
+            return grad_nullify(g, a_out_cum, a_in_cum)
+
+        rng = np.random.default_rng(45)
+        with monkeypatch.context() as patch:
+            patch.setattr(layers_module, "grad_nullify", recording)
+            sgd_steps(model, rng.standard_normal((6, 4)), rng.integers(0, 2, 6),
+                      task, steps=1)
+        return seen
+
+    @staticmethod
+    def expected_inputs(model):
+        out = []
+        for _, layer, side in walk(model):
+            if side is None or not layer.output_masker.cumulative_mask.any():
+                continue
+            a_in = (None if side.masker is None
+                    else side.expand(side.masker.cumulative_mask))
+            out.append((layer.output_masker.cumulative_mask, a_in))
+        return out[::-1]  # hooks run in backward order
+
+    def assert_hooks_read_the_records(self, model, task, monkeypatch):
+        seen = self.hook_inputs(model, task, monkeypatch)
+        want = self.expected_inputs(model)
+        assert len(seen) == len(want) > 0
+        for (a_out, a_in), (w_out, w_in) in zip(seen, want):
+            np.testing.assert_array_equal(a_out, w_out)
+            if w_in is None:
+                assert a_in is None
+            else:
+                np.testing.assert_array_equal(a_in, w_in)
+        return seen
+
+    def test_forget_and_retrain_refresh_the_hooks(self, monkeypatch):
+        model = flat_model(np.random.default_rng(46), 3)
+        for task, units in ((0, [0]), (1, [1, 2])):
+            for masker in model.maskers():
+                set_binary_row(masker, task, units)
+                masker.finalize_task(task)
+        both = self.assert_hooks_read_the_records(model, 2, monkeypatch)
+        forget_task(model, 1)
+        forgotten = self.assert_hooks_read_the_records(model, 2, monkeypatch)
+        for masker in model.maskers():  # retrain slot 1 on other units
+            set_binary_row(masker, 1, [3, 4])
+            masker.finalize_task(1)
+        retrained = self.assert_hooks_read_the_records(model, 2, monkeypatch)
+        np.testing.assert_array_equal(both[-1][0], [1, 1, 1, 0, 0, 0])
+        np.testing.assert_array_equal(forgotten[-1][0], [1, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(retrained[-1][0], [1, 0, 0, 1, 1, 0])
+        np.testing.assert_array_equal(retrained[0][1], [1, 0, 0, 1, 1, 0])
+
+    def test_rewrapping_in_a_new_sequential_refreshes_the_hooks(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        first, second = HATMasker(4, 3, "first"), HATMasker(4, 3, "second")
+        layer = HATLinear(4, 3, 3, "l", rng)
+        for masker, units in ((first, [0]), (second, [1, 3]),
+                              (layer.output_masker, [0, 2])):
+            set_binary_row(masker, 0, units)
+            masker.finalize_task(0)
+        (a_in,) = [w for _, w in self.assert_hooks_read_the_records(
+            Sequential(first, layer), 1, monkeypatch)]
+        np.testing.assert_array_equal(a_in, [1, 0, 0, 0])
+        model = Sequential(second, layer)
+        (a_in,) = [w for _, w in self.assert_hooks_read_the_records(
+            model, 1, monkeypatch)]
+        np.testing.assert_array_equal(a_in, [0, 1, 0, 1])
+        set_binary_row(second, 1, [2])  # only the input side's records change
+        second.finalize_task(1)
+        (a_in,) = [w for _, w in self.assert_hooks_read_the_records(
+            model, 2, monkeypatch)]
+        np.testing.assert_array_equal(a_in, [0, 1, 1, 1])
 
 
 class TestGatedForward:

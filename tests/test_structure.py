@@ -198,7 +198,7 @@ class TestCheckpoint:
         assert "l2/weight" in entries and "l2.mask/embeddings" in entries
 
 
-RECORDS = {"cumulative_mask", "stored_task_masks"}
+RECORDS = {"cumulative_mask", "_cumulative", "stored_task_masks"}
 MUTATORS = {"pop", "popitem", "clear", "update", "setdefault"}
 
 

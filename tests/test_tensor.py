@@ -502,6 +502,106 @@ class TestReductionsAndLoss:
             tg.softmax_cross_entropy(logits, np.array([-1, 0]))
 
 
+def generic_cross_entropy(z, labels, g):
+    """Cross-entropy's value and logit gradient for upstream ``g``, as
+    computed before the row index was built once; the reference it must
+    match bit for bit."""
+    labels = np.asarray(labels).astype(np.int64)
+    bsz = z.shape[0]
+    zmax = z.max(axis=1, keepdims=True)
+    ez = np.exp(z - zmax)
+    sez = ez.sum(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(sez[:, 0])
+    loss = np.asarray((lse - z[np.arange(bsz), labels]).mean(), dtype=z.dtype)
+    grad = ez / sez
+    grad[np.arange(bsz), labels] -= 1.0
+    return loss, grad * (g / bsz)
+
+
+class TestCrossEntropyReference:
+    @pytest.mark.parametrize("label_type", [np.int64, np.int32, np.uint8, list])
+    def test_bit_identical_to_the_reference(self, label_type):
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            bsz, ncls = int(rng.integers(1, 70)), int(rng.integers(1, 6))
+            z = rng.standard_normal((bsz, ncls)) * rng.choice([1.0, 30.0])
+            labels = rng.integers(0, ncls, size=bsz)
+            labels = (labels.tolist() if label_type is list
+                      else labels.astype(label_type))
+            g = float(rng.standard_normal())
+            logits = Tensor(z, requires_grad=True)
+            with Tape() as tape:
+                loss = tg.softmax_cross_entropy(logits, labels)
+                scaled = tg.scale(loss, g)  # the loss's gradient is g
+            tape.backward(scaled)
+            value, grad = generic_cross_entropy(z, labels, g)
+            assert loss.data.tobytes() == value.tobytes()
+            assert logits.grad.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_labels_are_left_as_given(self, dtype):
+        # int64 labels are used without a copy; neither pass writes them
+        labels = np.array([1, 0, 1], dtype=dtype)
+        logits = Tensor(np.zeros((3, 2)), requires_grad=True)
+        with Tape() as tape:
+            loss = tg.softmax_cross_entropy(logits, labels)
+        tape.backward(loss)
+        assert labels.dtype == dtype and labels.tolist() == [1, 0, 1]
+
+
+def generic_layer_norm(x, gain, shift, g, eps=1e-5):
+    """layer_norm's value and its (x, gain, shift) gradients for upstream
+    ``g``, composed from ``np.mean`` and ``np.var`` as computed before the
+    one-pass kernel; the reference it must match bit for bit."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    dxhat = g * gain
+    dx = inv * (dxhat
+                - dxhat.mean(axis=1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+    return gain * xhat + shift, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def layer_norm_and_grads(x, gain, shift, g):
+    leaves = [Tensor(v, requires_grad=True) for v in (x, gain, shift)]
+    with Tape() as tape:
+        out = tg.layer_norm(*leaves)
+        loss = tg.reduce_sum(tg.mul(out, Tensor(g)))  # out's gradient is g
+    tape.backward(loss)
+    return (out.data,) + tuple(leaf.grad for leaf in leaves)
+
+
+class TestLayerNormReference:
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(15)
+        for _ in range(200):  # random shapes, scales and offsets
+            b, f = int(rng.integers(1, 70)), int(rng.integers(1, 70))
+            x = rng.standard_normal((b, f)) * rng.choice([1e-3, 1.0, 1e3])
+            yield x + rng.choice([0.0, 5.0, -1e6, 1e8]), rng, (b, f)
+        x = rng.standard_normal((6, 9))
+        x[[1, 4]] = 3.25  # constant rows: variance exactly 0
+        yield x, rng, x.shape
+        yield np.full((4, 7), -2.5e9), rng, (4, 7)
+        yield rng.standard_normal((1, 1)), rng, (1, 1)
+
+    def test_bit_identical_to_the_mean_and_var_composition(self):
+        shapes = set()
+        for x, rng, shape in self.cases():
+            f = shape[1]
+            gain, shift = rng.standard_normal(f), rng.standard_normal(f)
+            g = rng.standard_normal(shape)
+            got = layer_norm_and_grads(x, gain, shift, g)
+            want = generic_layer_norm(x, gain, shift, g)
+            for a, b in zip(got, want):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes(), shape
+            shapes.add(shape)
+        assert any(b == 1 for b, _ in shapes) and any(f == 1 for _, f in shapes)
+
+
 class TestShapeOps:
     def test_reshape_grad(self):
         x = Tensor(np.arange(6.0), requires_grad=True)
