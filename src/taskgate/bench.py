@@ -24,9 +24,10 @@ from .checkpoint import config_text, load_model_state, model_state, read_entries
 from .data import TOY_USEFUL, TOY_USELESS, continual_tasks, toy_dataset
 from .forgetting import forget_task
 from .layers import EMBEDDING_INITS, HATLinear, HATMasker, Linear, ReLU, Sequential
-from .layers import check_scale, task_indexed_layer_norm, task_indexed_linear
+from .layers import _real, _width, check_scale, task_indexed_layer_norm, task_indexed_linear
 from .tensor import UsageError
-from .training import TrainerConfig, evaluate, init_embeddings, train_task
+from .training import (TrainerConfig, check_trainer_numbers, evaluate, init_embeddings,
+                       train_task)
 
 __all__ = [
     "AccuracyMatrix",
@@ -95,20 +96,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in ("toy-init", "continual", "forget"):
             raise UsageError(f"unknown experiment '{self.experiment}'")
-        if self.repeats < 1:
-            raise UsageError(f"repeats must be >= 1, got {self.repeats}")
-        if self.tasks < 1:
-            raise UsageError(f"tasks must be >= 1, got {self.tasks}")
         if self.schedule not in ("", "linear", "cosine"):
             raise UsageError(f"unknown schedule '{self.schedule}'")
         if self.init not in ("",) + EMBEDDING_INITS:
             raise UsageError(f"unknown init '{self.init}'")
-        for name in ("batch_cap", "batch_size", "epochs", "toy_samples",
-                     "toy_hidden", "toy_batch_size", "dim", "train_n", "test_n",
-                     "trunk_width"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_trainer_numbers(self.lr, self.momentum, self.reg_lambda,
+                              tasks=self.tasks, epochs=self.epochs,
+                              batch_size=self.batch_size)
+        for name in ("repeats", "batch_cap", "toy_samples", "toy_hidden",
+                     "toy_batch_size", "dim", "train_n", "test_n", "trunk_width"):
+            _width(getattr(self, name), name)
         check_scale(self.s_max, "s_max")
+        lo, hi = self.theta_lo, self.theta_hi
+        if not (_real(lo) and _real(hi) and 0.0 <= lo < hi <= 1.0):
+            raise UsageError(f"theta_lo and theta_hi must satisfy 0 <= theta_lo "
+                             f"< theta_hi <= 1, got {lo!r} and {hi!r}")
 
 
 def config_to_text(cfg: ExperimentConfig, exclude: tuple = ()) -> str:

@@ -18,8 +18,8 @@ The pieces:
   With the payload's ``training`` flag its backward also rescales the
   embedding gradient to undo the vanishing sigmoid derivative at large mask
   scales, then clips it to a magnitude rail. The regularizer's live mask on
-  the same tape reuses the gate's sigmoid in a ``mask`` node that does the
-  same to its own gradient.
+  the same tape reuses the gate's sigmoid and does the same to its own
+  gradient, as a ``mask`` node or inside ``train_task``'s ``objective``.
 * Per-recording state (hooks registered, the gate's mask for reuse) is
   noted in ``Tape.notes`` and dropped with the tape; modules keep none.
 * ``TaskIndexed`` holds one isolated ``Linear`` or ``LayerNorm`` per task and
@@ -66,11 +66,17 @@ class PayloadModule(Module):
         return self.forward(p)
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number: an int or a float, numpy's
+    included, but not a bool or a string."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 def check_scale(value, name: str = "mask scale") -> float:
     """``value`` as a mask scale or ``s_max``: a real number, finite and > 0.
     Anything else (NaN, an infinity, a bool, a string) is refused."""
-    if (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and 0.0 < value < math.inf):
+    if _real(value) and 0.0 < value < math.inf:
         return float(value)
     raise UsageError(f"{name} must be finite and > 0, got {value!r}")
 
@@ -128,7 +134,8 @@ def grad_rail(q: np.ndarray, raw_abs_max: float,
 
 
 def _width(v, name: str) -> int:
-    """``v`` as a layer width, an int >= 1; anything else is refused."""
+    """``v`` as a layer width or a count, an int >= 1; anything else (a
+    bool, a float) is refused."""
     if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
         raise UsageError(f"{name} must be an int >= 1, got {v!r}")
     return int(v)
@@ -221,17 +228,27 @@ class HATMasker(PayloadModule):
         s = self.resolve_scale(scale)
         if task in self.stored_task_masks:
             return Tensor(self.mask_values(task))
+        source, mask, to_source = self._live_mask(task, s)
+        if to_source is None:
+            return source
+        return ops._record("mask", (source,), mask, lambda g: (to_source(g),))
+
+    def _live_mask(self, task: int, s: float):
+        """A training task's live mask at scale ``s`` as ``(source, mask,
+        to_source)``: the tensor the mask's gradient flows into, the mask's
+        values and the map that takes the gradient there. Where a training
+        gate noted this task and scale on the active tape, the source is
+        the embedding row and the map the gate's chain rule, compensated
+        and railed on its own; elsewhere the source is a plain
+        ``attention`` tensor and the map is None, the identity."""
         row = self.embedding_rows[task]
         tape = Tape.current()
         live = None if tape is None else tape.notes.get(self)
         if live is None or live[:2] != (task, s):
-            return attention(row, s)
+            source = attention(row, s)
+            return source, source.data, None
         mask, e, s_max = live[2], live[3], self.s_max
-
-        def backward_fn(g):
-            return (_embedding_grad(g, mask, e, s, s_max, True),)
-
-        return ops._record("mask", (row,), mask, backward_fn)
+        return row, mask, lambda q: _embedding_grad(q, mask, e, s, s_max, True)
 
     def mask_values(self, task: int, scale: Optional[float] = None) -> np.ndarray:
         """Mask as plain numbers, no tape; a completed task's stored one."""

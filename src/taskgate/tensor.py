@@ -20,7 +20,10 @@ with the generic ops' arithmetic in their float order. The fused nodes are:
 * ``gate`` (``layers``): data times a task's sigmoid mask over the
   embedding row;
 * ``mask`` (``layers``): the live mask, reusing a gate's sigmoid;
-* ``penalty`` (``training``): the capacity regularizer over the live masks.
+* ``penalty`` (``training``): the capacity regularizer over the live masks;
+* ``objective`` (``training``): ``train_task``'s cross-entropy plus the
+  weighted penalty, over the loss and the embedding rows, in place of the
+  ``mask``, ``penalty``, ``scale`` and ``add`` nodes.
 
 Other modules record theirs through the same recorder, ``_record``.
 
@@ -668,13 +671,20 @@ def reduce_mean(x: Tensor) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of [B,C] logits against integer labels in [0,C)."""
+    """Mean cross-entropy of [B,C] logits against integer labels in [0,C).
+
+    An empty batch, and labels of any other dtype (bool and float
+    included), are refused with ``UsageError``."""
     if logits.ndim != 2:
         raise ShapeError(f"cross-entropy needs [B,C] logits, got {logits.shape}")
     labels = np.asarray(labels)
     bsz, ncls = logits.shape
     if labels.shape != (bsz,):
         raise UsageError(f"labels must have shape ({bsz},), got {labels.shape}")
+    if bsz == 0:
+        raise UsageError("cross-entropy needs at least one sample, got an empty batch")
+    if labels.dtype.kind not in "iu":  # a float label would be truncated
+        raise UsageError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= ncls:
         raise UsageError(f"labels must lie in [0, {ncls}), got range "
                          f"[{labels.min()}, {labels.max()}]")

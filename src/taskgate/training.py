@@ -5,7 +5,10 @@ sigmoid gates soft and trainable, the maximum scale makes them near-binary.
 Two schedules are provided — a linear ramp from ``1/s_max`` up to ``s_max``,
 and a cosine that starts and ends at ``s_max`` with a soft middle. Training
 a task also pays a penalty when its fresh mask usage exceeds a ``1/T``
-share of the capacity left over by earlier tasks.
+share of the capacity left over by earlier tasks. ``train_task`` works out
+each layer's free capacity once per task and records the cross-entropy
+plus the weighted penalty as one ``objective`` tape node, with the bits of
+the public composition ``add(loss, scale(regularizer(...), λ))``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as ops
-from .layers import EMBEDDING_INITS, Sequential, check_embedding_init, check_scale
+from .layers import (EMBEDDING_INITS, Sequential, _real, _width, check_embedding_init,
+                     check_scale)
 from .payload import HATPayload
 from .tensor import ShapeError, StateError, Tape, Tensor, UsageError
 
@@ -48,6 +52,38 @@ def scale_cosine(p: float, s_max: float, s_min: Optional[float] = None) -> float
     return max(s_min, (s_max / 2.0) * (1.0 + math.cos(2.0 * math.pi * p)))
 
 
+def _free_capacity(cum) -> Optional[tuple]:
+    """A layer's ``(free, c)``: ``free = 1 - cum`` and ``c = 1/sum(free)``;
+    None when no capacity is free."""
+    free = 1.0 - np.asarray(cum)
+    denom = float(free.sum())
+    return None if denom == 0.0 else (free, 1.0 / denom)
+
+
+def _penalty(masks: list, capacity: list, neg_quota):
+    """The capacity penalty of mask arrays over layers with free capacity
+    (``(free, c)`` each), and the map from its gradient to theirs.
+
+    In the float order of the generic ops it replaces: per layer
+    ``sum(mask * free) * c + neg_quota``, floored at 0 as ``relu`` does,
+    then summed over layers in order; a mask's gradient is
+    ``((g * over_quota) * c) * free``.
+    """
+    total, terms = None, []
+    for mask, (free, c) in zip(masks, capacity):
+        used = mask * free
+        excess = used.sum() * c + neg_quota
+        over = excess if excess > 0 else 0.0  # relu's fmax: 0 for -0.0 and NaN
+        total = over if total is None else total + over
+        terms.append((free, c, excess > 0, used.dtype.type))
+
+    def mask_grads(g):
+        # a scalar times free: the bits of np.full(free.shape, scalar) * free
+        return [cast((g * on) * c) * free for free, c, on, cast in terms]
+
+    return total, mask_grads
+
+
 def regularizer(current_masks: list, cumulative: list, task_count: int) -> Tensor:
     """Per-layer over-quota usage of leftover capacity, summed over layers.
 
@@ -57,41 +93,48 @@ def regularizer(current_masks: list, cumulative: list, task_count: int) -> Tenso
     the cumulative masks are plain numbers.
 
     Records one ``penalty`` node over the masks of layers with free
-    capacity, in the float order of the generic ops it replaces: per layer
-    ``sum(mask * free) * (1/sum(free)) + (-1/T)``, floored at 0 as ``relu``
-    does, then summed over layers in order; a mask's gradient is
-    ``((g * over_quota) * (1/sum(free))) * free``. With no free capacity
-    anywhere it returns a constant 0.
+    capacity, by the arithmetic of ``_penalty``, which ``train_task``'s
+    ``objective`` node shares. With no free capacity anywhere it returns a
+    constant 0.
     """
     if len(current_masks) != len(cumulative):
         raise UsageError(f"{len(current_masks)} masks vs {len(cumulative)} "
                          "cumulative vectors")
-    neg_quota = np.float64(-1.0 / task_count)
-    masks, terms = [], []
-    total = None
+    masks, capacity = [], []
     for mask, cum in zip(current_masks, cumulative):
-        free = 1.0 - np.asarray(cum)
-        denom = float(free.sum())
-        if denom == 0.0:
+        free = _free_capacity(cum)
+        if free is None:
             continue
-        if mask.shape != free.shape:
+        if mask.shape != free[0].shape:
             raise ShapeError(f"penalty: mask shape {mask.shape} vs cumulative "
-                             f"shape {free.shape}")
-        c = 1.0 / denom
-        used = mask.data * free
-        excess = used.sum() * c + neg_quota
-        over = excess if excess > 0 else 0.0  # relu's fmax: 0 for -0.0 and NaN
-        total = over if total is None else total + over
+                             f"shape {free[0].shape}")
         masks.append(mask)
-        terms.append((free, c, excess > 0, used.dtype.type))
+        capacity.append(free)
     if not masks:
         return Tensor(0.0)
+    total, mask_grads = _penalty([m.data for m in masks], capacity,
+                                 np.float64(-1.0 / task_count))
+    return ops._record("penalty", masks, total, mask_grads)
+
+
+def _objective(loss: Tensor, maskers: list, capacity: list, task: int, s: float,
+               reg_lambda: float, neg_quota) -> Tensor:
+    """``loss + penalty * reg_lambda`` as one ``objective`` node over the
+    loss and each masker's live-mask source (``HATMasker._live_mask``),
+    the penalty taken with the maskers' ``(free, c)`` in ``capacity``.
+    Value and gradients have the bits of
+    ``add(loss, scale(regularizer(current masks), reg_lambda))``."""
+    live = [m._live_mask(task, s) for m in maskers]
+    total, mask_grads = _penalty([mask for _, mask, _ in live], capacity, neg_quota)
+    lam = float(reg_lambda)
 
     def backward_fn(g):
-        # a scalar times free: the bits of np.full(free.shape, scalar) * free
-        return tuple(cast((g * on) * c) * free for free, c, on, cast in terms)
+        grads = mask_grads(g * lam)
+        return [g] + [q if to_source is None else to_source(q)
+                      for (_, _, to_source), q in zip(live, grads)]
 
-    return ops._record("penalty", masks, total, backward_fn)
+    return ops._record("objective", [loss] + [source for source, _, _ in live],
+                       loss.data + np.asarray(total) * lam, backward_fn)
 
 
 def init_embeddings(maskers: list, kind: str, rng: Optional[np.random.Generator] = None) -> None:
@@ -129,6 +172,21 @@ class SGD:
             p.grad = None
 
 
+def check_trainer_numbers(lr, momentum, reg_lambda, **counts) -> None:
+    """Refuse, each with a one-line ``UsageError`` naming the field: an
+    ``lr`` or ``reg_lambda`` that is not a finite real number >= 0 (a NaN
+    weight would turn the penalty off unseen), a ``momentum`` outside
+    [0, 1), and each of ``counts`` (task count, epochs, batch size) that is
+    not an int >= 1. Bools are refused throughout."""
+    for name, value in counts.items():
+        _width(value, name)
+    for name, value, hi, bounds in (("lr", lr, math.inf, "finite and >= 0"),
+                                    ("reg_lambda", reg_lambda, math.inf, "finite and >= 0"),
+                                    ("momentum", momentum, 1.0, "in [0, 1)")):
+        if not (_real(value) and 0.0 <= value < hi):
+            raise UsageError(f"{name} must be {bounds}, got {value!r}")
+
+
 @dataclass
 class TrainerConfig:
     task_count: int = 5
@@ -143,18 +201,13 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.task_count < 1:
-            raise UsageError(f"task_count must be >= 1, got {self.task_count}")
+        check_trainer_numbers(self.lr, self.momentum, self.reg_lambda,
+                              task_count=self.task_count, epochs=self.epochs,
+                              batch_size=self.batch_size)
         if self.schedule not in ("linear", "cosine"):
             raise UsageError(f"unknown schedule '{self.schedule}'")
         if self.init not in EMBEDDING_INITS:
             raise UsageError(f"unknown init '{self.init}'")
-        if self.epochs < 1:
-            raise UsageError(f"epochs must be >= 1, got {self.epochs}")
-        if self.reg_lambda < 0:
-            raise UsageError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if self.batch_size < 1:
-            raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
         check_scale(self.s_max, "s_max")
 
 
@@ -180,6 +233,18 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
+def _samples(dataset) -> tuple:
+    """``(x, y)`` of a dataset, refused with a one-line ``ShapeError`` when
+    its samples and labels differ in number and ``UsageError`` when it has
+    none."""
+    x, y = dataset
+    if len(x) != len(y):
+        raise ShapeError(f"dataset has {len(x)} samples but {len(y)} labels")
+    if len(x) == 0:
+        raise UsageError("dataset is empty")
+    return x, y
+
+
 def train_task(model: Sequential, dataset, task: Optional[int],
                cfg: TrainerConfig, on_batch_end=None) -> list:
     """Train one task end to end and finalize its masks.
@@ -201,20 +266,28 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     finite, is refused with ``StateError`` before training and again
     before any masker finalizes it. A batch whose loss is not finite is
     refused with ``StateError`` before its optimizer step, leaving no
-    gradient behind, so the task can be trained again on finite data.
+    gradient behind, so the task can be trained again on finite data. A
+    dataset with no samples, or with a label count that differs from its
+    sample count, is refused before anything is touched.
     """
-    x, y = dataset
+    x, y = _samples(dataset)
     maskers = model.maskers()
     if task is not None:  # refused up front as at finalization
         for masker in maskers:
             masker.check_finalizable(task)
 
     optimizer = SGD(model.task_parameters(task), cfg.lr, cfg.momentum)
-    # the regularizer skips a layer with no free capacity, so ask no live
-    # mask of one, and with none left add no penalty term at all; capacity
-    # only changes when a task is finalized
-    penalized = [m for m in maskers if not m.cumulative_mask.all()]
-    cum = [m.cumulative_mask for m in penalized]
+    # capacity only changes when a task is finalized, so each layer's free
+    # capacity is worked out once; a layer with none left pays no penalty
+    # and asks for no live mask, and with none anywhere there is no term
+    penalized, capacity = [], []
+    if task is not None and cfg.reg_lambda > 0.0:
+        for masker in maskers:
+            free = _free_capacity(masker.cumulative_mask)
+            if free is not None:
+                penalized.append(masker)
+                capacity.append(free)
+    neg_quota = np.float64(-1.0 / cfg.task_count)
     total_batches = math.ceil(len(x) / cfg.batch_size)
     metrics = []
     global_batch = 0
@@ -234,10 +307,9 @@ def train_task(model: Sequential, dataset, task: Optional[int],
                 logits = model.forward(payload).masked_data()
                 labels = y[idx]
                 loss = ops.softmax_cross_entropy(logits, labels)
-                if task is not None and cfg.reg_lambda > 0.0 and penalized:
-                    live = [m.current_mask(task, s) for m in penalized]
-                    penalty = regularizer(live, cum, cfg.task_count)
-                    loss = ops.add(loss, ops.scale(penalty, cfg.reg_lambda))
+                if penalized:
+                    loss = _objective(loss, penalized, capacity, task, s,
+                                      cfg.reg_lambda, neg_quota)
             batch_loss = loss.item()
             if not math.isfinite(batch_loss):
                 tape.release()
@@ -274,8 +346,8 @@ def train_task(model: Sequential, dataset, task: Optional[int],
 
 def evaluate(model: Sequential, dataset, task: Optional[int]) -> float:
     """Fraction of correct predictions at full mask hardness; no tape, no
-    hooks, no state changes."""
-    x, y = dataset
+    hooks, no state changes. A dataset is refused as in ``train_task``."""
+    x, y = _samples(dataset)
     payload = HATPayload(Tensor(x), task=task, scale=None, training=False)
     logits = model.forward(payload).masked_data().data
     return float(np.mean(np.argmax(logits, axis=1) == y))

@@ -141,6 +141,18 @@ class TestConfig:
         for s_max in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(tg.UsageError, match="s_max"):
                 bench.ExperimentConfig(s_max=s_max)
+        nan = float("nan")
+        for name, value in [("lr", nan), ("lr", -0.05), ("momentum", 1.0),
+                            ("momentum", -0.5), ("reg_lambda", nan),
+                            ("reg_lambda", float("inf")), ("reg_lambda", -1.0),
+                            ("epochs", 1.5), ("batch_size", True), ("tasks", 2.0),
+                            ("tasks", True), ("repeats", 1.5), ("theta_lo", -0.1),
+                            ("theta_lo", 0.9), ("theta_lo", nan), ("theta_lo", True),
+                            ("theta_hi", 1.5), ("theta_hi", 0.1), ("theta_hi", nan)]:
+            with pytest.raises(tg.UsageError, match=name) as err:
+                bench.ExperimentConfig(**{name: value})
+            assert "\n" not in str(err.value)
+        bench.ExperimentConfig(lr=0.0, theta_lo=0.0, theta_hi=1.0)
 
 
 class TestToyRunner:
@@ -264,7 +276,9 @@ class TestCli:
         assert err.startswith("taskgate: error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key, value", [(name, "0") for name in SIZE_FIELDS]
-                             + [("s_max", "0"), ("s_max", "nan"), ("s_max", "-inf")])
+                             + [("s_max", "0"), ("s_max", "nan"), ("s_max", "-inf"),
+                                ("reg_lambda", "nan"), ("lr", "nan"),
+                                ("momentum", "1"), ("theta_hi", "2")])
     def test_degenerate_config_is_one_line_error(self, tmp_path, capsys, key, value):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"{key}={value}\n")
@@ -298,6 +312,14 @@ class TestCli:
         code = cli.main(["continual", "--tasks", "0", "--print-config"])
         assert code == 1
         assert "tasks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_bad_lambda_flag_is_one_line_error(self, tmp_path, capsys, value):
+        code = cli.main(["continual", "--lambda", value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("taskgate: error: reg_lambda") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file_diagnostic(self, capsys):
         code = cli.main(["continual", "--config", "/nope/nothing.cfg"])

@@ -496,10 +496,14 @@ class TestReductionsAndLoss:
 
     def test_label_out_of_range(self):
         logits = Tensor(np.zeros((2, 3)))
-        with pytest.raises(tg.UsageError):
-            tg.softmax_cross_entropy(logits, np.array([0, 3]))
-        with pytest.raises(tg.UsageError):
-            tg.softmax_cross_entropy(logits, np.array([-1, 0]))
+        empty = Tensor(np.zeros((0, 3)))
+        for z, labels in [(logits, np.array([0, 3])), (logits, np.array([-1, 0])),
+                          (empty, np.array([], dtype=np.int64)), (empty, []),
+                          (logits, [0.5, 1.0]), (logits, np.array([0.0, 1.0])),
+                          (logits, [np.nan, 1.0]), (logits, [True, False])]:
+            with pytest.raises(tg.UsageError) as err:
+                tg.softmax_cross_entropy(z, labels)
+            assert "\n" not in str(err.value)
 
 
 def generic_cross_entropy(z, labels, g):

@@ -1,5 +1,6 @@
 import collections
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -9,6 +10,8 @@ import taskgate as tg
 from taskgate import HATLinear, HATMasker, HATPayload, Linear, ReLU, Sequential, Tensor, bench
 from taskgate.training import (
     SGD,
+    _free_capacity,
+    _objective,
     TrainerConfig,
     evaluate,
     init_embeddings,
@@ -225,6 +228,76 @@ class TestPenaltyNode:
     def test_mask_shape_must_match_its_cumulative_mask(self):
         with pytest.raises(tg.ShapeError, match="penalty"):
             regularizer([Tensor(np.zeros(3))], [np.zeros(4)], task_count=2)
+
+
+def objective_and_grads(fused, rows, cums, weight, gated, tasks=4, s=2.5):
+    """The training objective's value, the gradient of the logits under its
+    loss parent and each masker's embedding gradient. ``fused`` records
+    train_task's ``objective`` node, else the public composition
+    ``add(loss, scale(regularizer(current masks), weight))``; ``gated``
+    runs each masker's training gate into the loss first, so the rows also
+    take the gates' gradients and the live masks reuse their sigmoids."""
+    rng = np.random.default_rng(72)
+    maskers = [HATMasker(len(e), tasks, f"m{i}") for i, e in enumerate(rows)]
+    for m, e in zip(maskers, rows):
+        m.embedding_rows[0].data[...] = e
+    logits = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    with tg.Tape() as tape:
+        loss = tg.softmax_cross_entropy(logits, [0, 3, 1])
+        if gated:
+            for m in maskers:
+                x = Tensor(rng.standard_normal((3, m.n_features)))
+                gate = m.apply(HATPayload(x, task=0, scale=s, training=True))
+                loss = tg.add(loss, tg.reduce_sum(gate))
+        if fused:
+            capacity = [_free_capacity(c) for c in cums]
+            penalized = [m for m, k in zip(maskers, capacity) if k is not None]
+            out = _objective(loss, penalized, [k for k in capacity if k is not None],
+                             0, s, weight, np.float64(-1.0 / tasks))
+            node = tape.nodes[out.node_id]
+            assert node.op == "objective" and node.parents[0] == loss.node_id
+        else:
+            masks = [m.current_mask(0, s) for m in maskers]
+            out = tg.add(loss, tg.scale(regularizer(masks, cums, tasks), weight))
+    tape.backward(out)
+    grads = [m.embedding_rows[0].grad for m in maskers]
+    return (out.data, logits.grad.tobytes(),
+            [None if g is None else g.tobytes() for g in grads])
+
+
+class TestObjectiveNode:
+    rng = np.random.default_rng(73)
+    CASES = {
+        "one layer": ([rng.uniform(-1, 1, 5)], [np.zeros(5)]),
+        "two layers": ([rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 3)],
+                       [np.zeros(5), np.array([0.0, 1.0, 0.0])]),
+        "three layers": ([rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 6),
+                          np.full(3, -3.0)],
+                         [np.ones(4), np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0]),
+                          np.zeros(3)]),
+        "saturated layer": ([rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3)],
+                            [np.ones(4), np.zeros(3)]),
+        "under quota": ([np.full(5, -3.0)], [np.zeros(5)]),
+        "under quota beside over": ([np.full(4, -3.0), rng.uniform(-1, 1, 3)],
+                                    [np.zeros(4), np.zeros(3)]),
+        "partly claimed": ([rng.uniform(-1, 1, 6)],
+                           [np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0])]),
+    }
+
+    @pytest.mark.parametrize("gated", [True, False])
+    @pytest.mark.parametrize("weight", [0.075, -0.5])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bit_identical_to_public_composition(self, case, weight, gated):
+        rows, cums = self.CASES[case]
+        value, logit_grad, row_grads = objective_and_grads(True, rows, cums, weight, gated)
+        ref_value, ref_logit_grad, ref_row_grads = objective_and_grads(
+            False, rows, cums, weight, gated)
+        assert (value.dtype, value.shape) == (ref_value.dtype, ref_value.shape)
+        assert value.tobytes() == ref_value.tobytes()
+        assert logit_grad == ref_logit_grad
+        assert row_grads == ref_row_grads
+        if "saturated" in case or case == "three layers":  # no free capacity
+            assert (row_grads[0] is None) == (not gated)
 
 
 class TestInitEmbeddings:
@@ -560,28 +633,26 @@ class TestTapes:
                                                    test_n=16, epochs=2))
         assert len(batches) == 8
         for ops in batches:
-            assert not {"permute", "matmul", "sigmoid", "mul", "sum"} & set(ops), ops
+            assert not {"permute", "matmul", "sigmoid", "mul", "sum", "mask",
+                        "penalty", "scale", "add"} & set(ops), ops
             # one gate per masker, one linear per dense layer (head included),
             # one relu per ReLU module and none from the penalty
             assert (ops["gate"], ops["linear"], ops["relu"]) == (2, 3, 2)
-            # a penalized batch: a live mask per layer, one penalty node over
-            # them, one scale for its weight and one add into the loss
-            expected = (1, 1, 1) if ops["mask"] else (0, 0, 0)
-            assert (ops["penalty"], ops["scale"], ops["add"]) == expected
-        assert [ops["mask"] for ops in batches] == [2] * 4 + [0] * 4
+        # a penalized batch adds the capacity penalty and its weight to the
+        # cross-entropy in one objective node over both layers' rows
+        assert [ops["objective"] for ops in batches] == [1] * 4 + [0] * 4
 
-        # a toy batch: 5 leaves, gate, linear, relu, linear, cross-entropy,
-        # then mask, penalty, scale and add (18 nodes with the generic
-        # penalty ops: mask, mul, sum, scale, add, relu, scale, add)
+        # a toy batch: 5 leaves, gate, linear, relu, linear, cross-entropy
+        # and objective (14 nodes with mask, penalty, scale and add in place
+        # of the objective; 18 with the generic penalty ops)
         batches.clear()
         bench.run_toy(bench.ExperimentConfig(experiment="toy-init", repeats=1,
                                              batch_cap=6))
         assert len(batches) == 12  # 2 strategies x 6 batches
         for ops in batches:
             assert ops == {"leaf": 5, "gate": 1, "linear": 2, "relu": 1,
-                           "softmax_cross_entropy": 1, "mask": 1, "penalty": 1,
-                           "scale": 1, "add": 1}, ops
-            assert sum(ops.values()) == 14
+                           "softmax_cross_entropy": 1, "objective": 1}, ops
+            assert sum(ops.values()) == 11
 
     @pytest.mark.parametrize("stop_at", [None, 2])
     def test_no_tape_outlives_train_task(self, stop_at):
@@ -707,6 +778,38 @@ class TestIdentityReduction:
         assert out1.shape == (5, 2)
 
 
+class TestDatasetChecks:
+    BAD_DATASETS = [((8, 20), tg.ShapeError), ((20, 8), tg.ShapeError),
+                    ((0, 0), tg.UsageError)]
+
+    @pytest.mark.parametrize("sizes, error", BAD_DATASETS)
+    @pytest.mark.parametrize("task", [0, None])
+    def test_bad_dataset_refused_before_anything_moves(self, sizes, error, task):
+        rng = np.random.default_rng(62)
+        model = small_model(rng, 2)
+        params = model.task_parameters(0)
+        before = [p.data.copy() for p in params]
+        x, y = rng.standard_normal((sizes[0], 6)), rng.integers(0, 2, sizes[1])
+        with pytest.raises(error) as err:
+            train_task(model, (x, y), task, TrainerConfig(task_count=2, epochs=1))
+        assert "\n" not in str(err.value)
+        for p, data in zip(params, before):
+            np.testing.assert_array_equal(p.data, data)
+            assert p.grad is None and p.node_id is None
+        assert [m.completed_tasks() for m in model.maskers()] == [[], []]
+
+    @pytest.mark.parametrize("sizes, error", BAD_DATASETS)
+    def test_evaluate_refuses_bad_dataset(self, sizes, error):
+        rng = np.random.default_rng(63)
+        model = small_model(rng, 2)
+        x, y = rng.standard_normal((sizes[0], 6)), rng.integers(0, 2, sizes[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as err:
+                evaluate(model, (x, y), 0)
+        assert "\n" not in str(err.value)
+
+
 class TestEvaluate:
     def test_untrained_binary_classifier_near_chance(self):
         rng = np.random.default_rng(60)
@@ -729,14 +832,23 @@ class TestEvaluate:
             TrainerConfig(task_count=0)
         with pytest.raises(tg.UsageError):
             TrainerConfig(reg_lambda=-0.1)
+        nan, inf = float("nan"), float("inf")
         for name, value in [("batch_size", 0), ("batch_size", -3), ("s_max", 0.0),
-                            ("s_max", -1.0), ("s_max", float("inf")),
-                            ("s_max", float("nan")), ("epochs", 0), ("epochs", -1),
+                            ("s_max", -1.0), ("s_max", inf),
+                            ("s_max", nan), ("epochs", 0), ("epochs", -1),
                             ("schedule", "cosin"), ("schedule", "step"),
-                            ("schedule", ""), ("init", "zeros"), ("init", "")]:
+                            ("schedule", ""), ("init", "zeros"), ("init", ""),
+                            ("epochs", 1.5), ("epochs", True), ("batch_size", 8.0),
+                            ("batch_size", True), ("task_count", 2.0),
+                            ("task_count", True), ("lr", nan), ("lr", inf),
+                            ("lr", -0.1), ("lr", "0.1"), ("lr", True),
+                            ("momentum", 1.0), ("momentum", -0.1), ("momentum", nan),
+                            ("reg_lambda", nan), ("reg_lambda", inf),
+                            ("reg_lambda", -0.1), ("reg_lambda", False)]:
             with pytest.raises(tg.UsageError, match=name) as err:
-                TrainerConfig(task_count=1, **{name: value})
+                TrainerConfig(**{"task_count": 1, name: value})
             assert "\n" not in str(err.value)
+        TrainerConfig(task_count=1, lr=0.0, momentum=0.0, reg_lambda=0.0)
 
     def test_unknown_schedule_kind_rejected(self):
         with pytest.raises(tg.UsageError, match="schedule"):
