@@ -26,8 +26,8 @@ from .forgetting import forget_task
 from .layers import EMBEDDING_INITS, HATLinear, HATMasker, Linear, ReLU, Sequential
 from .layers import _real, _width, check_scale, task_indexed_layer_norm, task_indexed_linear
 from .tensor import UsageError
-from .training import (TrainerConfig, check_trainer_numbers, evaluate, init_embeddings,
-                       train_task)
+from .training import (SCHEDULES, TrainerConfig, check_trainer_numbers, evaluate,
+                       init_embeddings, train_task)
 
 __all__ = [
     "AccuracyMatrix",
@@ -71,8 +71,8 @@ class ExperimentConfig:
     repeats: int = 100
     tasks: int = 5
     s_max: float = 400.0
-    schedule: str = ""      # "linear" | "cosine" | "" (experiment default)
-    init: str = ""          # "ones" | "gaussian" | "" (experiment default)
+    schedule: str = ""      # one of SCHEDULES, or "" (experiment default)
+    init: str = ""          # one of EMBEDDING_INITS, or "" (experiment default)
     reg_lambda: float = 0.075
     lr: float = 0.05
     momentum: float = 0.5
@@ -96,7 +96,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in ("toy-init", "continual", "forget"):
             raise UsageError(f"unknown experiment '{self.experiment}'")
-        if self.schedule not in ("", "linear", "cosine"):
+        if self.schedule not in ("",) + SCHEDULES:
             raise UsageError(f"unknown schedule '{self.schedule}'")
         if self.init not in ("",) + EMBEDDING_INITS:
             raise UsageError(f"unknown init '{self.init}'")

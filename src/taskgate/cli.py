@@ -13,7 +13,9 @@ import sys
 from dataclasses import replace
 
 from . import bench
+from .layers import EMBEDDING_INITS
 from .tensor import ShapeError, StateError, UsageError
+from .training import SCHEDULES
 
 # flags that map straight onto ExperimentConfig fields
 _FLAG_FIELDS = ("seed", "repeats", "tasks", "s_max", "schedule", "init",
@@ -31,10 +33,10 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"number of tasks (default {defaults.tasks})")
     parser.add_argument("--s-max", dest="s_max", type=float,
                         help=f"mask hardness ceiling (default {defaults.s_max:g})")
-    parser.add_argument("--schedule", choices=["linear", "cosine"],
+    parser.add_argument("--schedule", choices=SCHEDULES,
                         help="per-epoch hardness schedule "
                              "(default: cosine; toy-init compares both)")
-    parser.add_argument("--init", choices=["ones", "gaussian"],
+    parser.add_argument("--init", choices=EMBEDDING_INITS,
                         help="embedding initialization "
                              "(default: ones; toy-init compares both)")
     parser.add_argument("--lambda", dest="reg_lambda", type=float,

@@ -17,9 +17,10 @@ The pieces:
 * Applying a training mask records one ``gate`` node, ``data * sigmoid(s * e)``.
   With the payload's ``training`` flag its backward also rescales the
   embedding gradient to undo the vanishing sigmoid derivative at large mask
-  scales, then clips it to a magnitude rail. The regularizer's live mask on
-  the same tape reuses the gate's sigmoid and does the same to its own
-  gradient, as a ``mask`` node or inside ``train_task``'s ``objective``.
+  scales, then clips it to a magnitude rail. A live mask is one ``mask``
+  node over the embedding row, or part of ``train_task``'s ``objective``;
+  on the same tape as a training gate it reuses the gate's sigmoid and
+  compensates and rails its own gradient.
 * Per-recording state (hooks registered, the gate's mask for reuse) is
   noted in ``Tape.notes`` and dropped with the tape; modules keep none.
 * ``TaskIndexed`` holds one isolated ``Linear`` or ``LayerNorm`` per task and
@@ -218,36 +219,32 @@ class HATMasker(PayloadModule):
     def current_mask(self, task: int, scale: Optional[float]) -> Tensor:
         """The live (differentiable) mask for a task at a given scale.
 
-        A training gate notes (task, scale, mask, embedding snapshot) on its
-        tape. On that tape, for the same task and scale, this is a one-parent
-        ``mask`` node over the gate's sigmoid, whose gradient is compensated
-        and railed on its own; otherwise plain ``attention``. A completed
-        task's mask is its stored one, a constant with no embedding parent.
+        One ``mask`` node over the task's embedding row (``_live_mask``).
+        A completed task's mask is its stored one, a constant with no
+        embedding parent.
         """
         task = self._check_task(task)
         s = self.resolve_scale(scale)
         if task in self.stored_task_masks:
             return Tensor(self.mask_values(task))
-        source, mask, to_source = self._live_mask(task, s)
-        if to_source is None:
-            return source
-        return ops._record("mask", (source,), mask, lambda g: (to_source(g),))
+        row, mask, to_row = self._live_mask(task, s)
+        return ops._record("mask", (row,), mask, lambda g: (to_row(g),))
 
     def _live_mask(self, task: int, s: float):
-        """A training task's live mask at scale ``s`` as ``(source, mask,
-        to_source)``: the tensor the mask's gradient flows into, the mask's
-        values and the map that takes the gradient there. Where a training
-        gate noted this task and scale on the active tape, the source is
-        the embedding row and the map the gate's chain rule, compensated
-        and railed on its own; elsewhere the source is a plain
-        ``attention`` tensor and the map is None, the identity."""
-        row = self.embedding_rows[task]
+        """A training task's live mask at scale ``s`` as ``(row, mask,
+        to_row)``: its embedding row, the mask's values and the map from
+        the mask's gradient to the row's. A training gate notes (task,
+        scale, mask, embedding snapshot) on its tape; on that tape, for the
+        same task and scale, the mask is the gate's sigmoid and the map the
+        gate's chain rule, compensated and railed on its own. Elsewhere
+        they have the bits of ``attention``'s sigmoid and scale nodes."""
+        row, s_max = self.embedding_rows[task], self.s_max
         tape = Tape.current()
         live = None if tape is None else tape.notes.get(self)
         if live is None or live[:2] != (task, s):
-            source = attention(row, s)
-            return source, source.data, None
-        mask, e, s_max = live[2], live[3], self.s_max
+            mask = sigmoid_values(row.data * s)
+            return row, mask, lambda q: _embedding_grad(q, mask, None, s, s_max, False)
+        mask, e = live[2], live[3]
         return row, mask, lambda q: _embedding_grad(q, mask, e, s, s_max, True)
 
     def mask_values(self, task: int, scale: Optional[float] = None) -> np.ndarray:
@@ -529,9 +526,6 @@ class TaskIndexed(PayloadModule):
         if not kinds or not all(isinstance(s, (Linear, LayerNorm)) for s in self.submodules):
             raise UsageError(f"task-indexed module '{layer_tag}' needs one Linear or "
                              f"LayerNorm per task, got [{', '.join(kinds)}]")
-
-    def local_parameters(self):
-        return []  # parameters live on the submodules, one task's at a time
 
     def submodule(self, task: Optional[int]):
         """The submodule serving ``task``; a missing or out-of-range id is refused."""

@@ -19,11 +19,12 @@ with the generic ops' arithmetic in their float order. The fused nodes are:
 * ``linear`` (here): ``add(matmul(x, permute(w)), b)``;
 * ``gate`` (``layers``): data times a task's sigmoid mask over the
   embedding row;
-* ``mask`` (``layers``): the live mask, reusing a gate's sigmoid;
-* ``penalty`` (``training``): the capacity regularizer over the live masks;
+* ``mask`` (``layers``): a live mask, ``sigmoid(s * e)`` over the
+  embedding row, reusing a training gate's sigmoid on its tape;
 * ``objective`` (``training``): ``train_task``'s cross-entropy plus the
-  weighted penalty, over the loss and the embedding rows, in place of the
-  ``mask``, ``penalty``, ``scale`` and ``add`` nodes.
+  weighted capacity penalty, over the loss and the embedding rows, in place
+  of the ``mask`` nodes and the generic ops of ``regularizer``, ``scale``
+  and ``add``.
 
 Other modules record theirs through the same recorder, ``_record``.
 
@@ -471,11 +472,8 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, z / d)
 
 
-_sigmoid = sigmoid_values
-
-
 def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.data)
+    y = sigmoid_values(x.data)
 
     def backward_fn(g):
         return (g * y * (1.0 - y),)
@@ -670,6 +668,13 @@ def reduce_mean(x: Tensor) -> Tensor:
     return _record("mean", (x,), np.asarray(x.data.mean(), dtype=x.data.dtype), backward_fn)
 
 
+def check_integer_labels(labels: np.ndarray) -> None:
+    """Refuse labels whose dtype is not an integer one (bool and float
+    included), which indexing would truncate, with ``UsageError``."""
+    if labels.dtype.kind not in "iu":
+        raise UsageError(f"labels must be integers, got dtype {labels.dtype}")
+
+
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean cross-entropy of [B,C] logits against integer labels in [0,C).
 
@@ -683,8 +688,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise UsageError(f"labels must have shape ({bsz},), got {labels.shape}")
     if bsz == 0:
         raise UsageError("cross-entropy needs at least one sample, got an empty batch")
-    if labels.dtype.kind not in "iu":  # a float label would be truncated
-        raise UsageError(f"labels must be integers, got dtype {labels.dtype}")
+    check_integer_labels(labels)
     if labels.min() < 0 or labels.max() >= ncls:
         raise UsageError(f"labels must lie in [0, {ncls}), got range "
                          f"[{labels.min()}, {labels.max()}]")

@@ -8,7 +8,8 @@ a task also pays a penalty when its fresh mask usage exceeds a ``1/T``
 share of the capacity left over by earlier tasks. ``train_task`` works out
 each layer's free capacity once per task and records the cross-entropy
 plus the weighted penalty as one ``objective`` tape node, with the bits of
-the public composition ``add(loss, scale(regularizer(...), λ))``.
+the public composition ``add(loss, scale(regularizer(...), λ))``;
+``regularizer`` records the penalty with generic tape ops alone.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ from .layers import (EMBEDDING_INITS, Sequential, _real, _width, check_embedding
 from .payload import HATPayload
 from .tensor import ShapeError, StateError, Tape, Tensor, UsageError
 
+SCHEDULES = ("linear", "cosine")  # how the mask scale moves within an epoch
+
 
 def scale_linear(b: int, B: int, s_max: float) -> float:
     """Within-epoch linear ramp: batch 1 maps to 1/s_max, batch B to s_max."""
+    s_max = check_scale(s_max, "s_max")
     if b < 1 or (B >= 1 and b > B):
         raise UsageError(f"batch index {b} outside [1, {B}]")
     if B < 2:
@@ -35,7 +39,7 @@ def scale_linear(b: int, B: int, s_max: float) -> float:
     if b == 1:
         return 1.0 / s_max
     if b == B:
-        return float(s_max)
+        return s_max
     return 1.0 / s_max + (s_max - 1.0 / s_max) * (b - 1) / (B - 1)
 
 
@@ -47,8 +51,8 @@ def scale_cosine(p: float, s_max: float, s_min: Optional[float] = None) -> float
     """
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"progress must lie in [0,1], got {p}")
-    if s_min is None:
-        s_min = 1.0 / s_max
+    s_max = check_scale(s_max, "s_max")
+    s_min = 1.0 / s_max if s_min is None else check_scale(s_min, "s_min")
     return max(s_min, (s_max / 2.0) * (1.0 + math.cos(2.0 * math.pi * p)))
 
 
@@ -60,30 +64,6 @@ def _free_capacity(cum) -> Optional[tuple]:
     return None if denom == 0.0 else (free, 1.0 / denom)
 
 
-def _penalty(masks: list, capacity: list, neg_quota):
-    """The capacity penalty of mask arrays over layers with free capacity
-    (``(free, c)`` each), and the map from its gradient to theirs.
-
-    In the float order of the generic ops it replaces: per layer
-    ``sum(mask * free) * c + neg_quota``, floored at 0 as ``relu`` does,
-    then summed over layers in order; a mask's gradient is
-    ``((g * over_quota) * c) * free``.
-    """
-    total, terms = None, []
-    for mask, (free, c) in zip(masks, capacity):
-        used = mask * free
-        excess = used.sum() * c + neg_quota
-        over = excess if excess > 0 else 0.0  # relu's fmax: 0 for -0.0 and NaN
-        total = over if total is None else total + over
-        terms.append((free, c, excess > 0, used.dtype.type))
-
-    def mask_grads(g):
-        # a scalar times free: the bits of np.full(free.shape, scalar) * free
-        return [cast((g * on) * c) * free for free, c, on, cast in terms]
-
-    return total, mask_grads
-
-
 def regularizer(current_masks: list, cumulative: list, task_count: int) -> Tensor:
     """Per-layer over-quota usage of leftover capacity, summed over layers.
 
@@ -92,48 +72,56 @@ def regularizer(current_masks: list, cumulative: list, task_count: int) -> Tenso
     free capacity contribute nothing. Differentiable in the live masks;
     the cumulative masks are plain numbers.
 
-    Records one ``penalty`` node over the masks of layers with free
-    capacity, by the arithmetic of ``_penalty``, which ``train_task``'s
-    ``objective`` node shares. With no free capacity anywhere it returns a
-    constant 0.
+    Recorded with generic tape ops only, per layer
+    ``relu(add(scale(reduce_sum(mul(mask, free)), c), -1/T))`` and an
+    ``add`` across layers; ``train_task``'s ``objective`` node has the same
+    bits. With no free capacity anywhere it returns a constant 0.
     """
     if len(current_masks) != len(cumulative):
         raise UsageError(f"{len(current_masks)} masks vs {len(cumulative)} "
                          "cumulative vectors")
-    masks, capacity = [], []
+    neg_quota = -1.0 / _width(task_count, "task_count")
+    total = None
     for mask, cum in zip(current_masks, cumulative):
-        free = _free_capacity(cum)
-        if free is None:
+        capacity = _free_capacity(cum)
+        if capacity is None:
             continue
-        if mask.shape != free[0].shape:
+        free, c = capacity
+        if mask.shape != free.shape:
             raise ShapeError(f"penalty: mask shape {mask.shape} vs cumulative "
-                             f"shape {free[0].shape}")
-        masks.append(mask)
-        capacity.append(free)
-    if not masks:
-        return Tensor(0.0)
-    total, mask_grads = _penalty([m.data for m in masks], capacity,
-                                 np.float64(-1.0 / task_count))
-    return ops._record("penalty", masks, total, mask_grads)
+                             f"shape {free.shape}")
+        used = ops.reduce_sum(ops.mul(mask, Tensor(free)))
+        over = ops.relu(ops.add(ops.scale(used, c), Tensor(neg_quota)))
+        total = over if total is None else ops.add(total, over)
+    return total if total is not None else Tensor(0.0)
 
 
 def _objective(loss: Tensor, maskers: list, capacity: list, task: int, s: float,
                reg_lambda: float, neg_quota) -> Tensor:
     """``loss + penalty * reg_lambda`` as one ``objective`` node over the
-    loss and each masker's live-mask source (``HATMasker._live_mask``),
-    the penalty taken with the maskers' ``(free, c)`` in ``capacity``.
-    Value and gradients have the bits of
-    ``add(loss, scale(regularizer(current masks), reg_lambda))``."""
+    loss and each masker's embedding row, the penalty taken over the live
+    masks (``HATMasker._live_mask``) with the ``(free, c)`` in ``capacity``.
+    In the float order of ``add(loss, scale(regularizer(current masks),
+    reg_lambda))``: per layer ``sum(mask * free) * c + neg_quota``, floored
+    at 0 as ``relu`` does, summed in order; a mask's gradient is
+    ``((g * λ * over_quota) * c) * free``, then its map to the row."""
     live = [m._live_mask(task, s) for m in maskers]
-    total, mask_grads = _penalty([mask for _, mask, _ in live], capacity, neg_quota)
+    total, terms = None, []
+    for (_, mask, to_row), (free, c) in zip(live, capacity):
+        used = mask * free
+        excess = used.sum() * c + neg_quota
+        over = excess if excess > 0 else 0.0  # relu's fmax: 0 for -0.0 and NaN
+        total = over if total is None else total + over
+        terms.append((free, c, excess > 0, used.dtype.type, to_row))
     lam = float(reg_lambda)
 
     def backward_fn(g):
-        grads = mask_grads(g * lam)
-        return [g] + [q if to_source is None else to_source(q)
-                      for (_, _, to_source), q in zip(live, grads)]
+        gl = g * lam
+        # a scalar times free: the bits of np.full(free.shape, scalar) * free
+        return [g] + [to_row(cast((gl * on) * c) * free)
+                      for free, c, on, cast, to_row in terms]
 
-    return ops._record("objective", [loss] + [source for source, _, _ in live],
+    return ops._record("objective", [loss] + [row for row, _, _ in live],
                        loss.data + np.asarray(total) * lam, backward_fn)
 
 
@@ -191,8 +179,8 @@ def check_trainer_numbers(lr, momentum, reg_lambda, **counts) -> None:
 class TrainerConfig:
     task_count: int = 5
     s_max: float = 400.0
-    schedule: str = "cosine"  # "linear" | "cosine"
-    init: str = "ones"        # "ones" | "gaussian"
+    schedule: str = "cosine"  # one of SCHEDULES
+    init: str = "ones"        # one of EMBEDDING_INITS
     lr: float = 0.05
     momentum: float = 0.9
     reg_lambda: float = 0.1
@@ -204,7 +192,7 @@ class TrainerConfig:
         check_trainer_numbers(self.lr, self.momentum, self.reg_lambda,
                               task_count=self.task_count, epochs=self.epochs,
                               batch_size=self.batch_size)
-        if self.schedule not in ("linear", "cosine"):
+        if self.schedule not in SCHEDULES:
             raise UsageError(f"unknown schedule '{self.schedule}'")
         if self.init not in EMBEDDING_INITS:
             raise UsageError(f"unknown init '{self.init}'")
@@ -234,14 +222,16 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _samples(dataset) -> tuple:
-    """``(x, y)`` of a dataset, refused with a one-line ``ShapeError`` when
-    its samples and labels differ in number and ``UsageError`` when it has
-    none."""
+    """``(x, y)`` of a dataset, the labels as an array, refused with a
+    one-line ``ShapeError`` when its samples and labels differ in number
+    and ``UsageError`` when it has none or its labels are not integers."""
     x, y = dataset
     if len(x) != len(y):
         raise ShapeError(f"dataset has {len(x)} samples but {len(y)} labels")
     if len(x) == 0:
         raise UsageError("dataset is empty")
+    y = np.asarray(y)
+    ops.check_integer_labels(y)
     return x, y
 
 
@@ -267,8 +257,9 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     before any masker finalizes it. A batch whose loss is not finite is
     refused with ``StateError`` before its optimizer step, leaving no
     gradient behind, so the task can be trained again on finite data. A
-    dataset with no samples, or with a label count that differs from its
-    sample count, is refused before anything is touched.
+    dataset with no samples, with a label count that differs from its
+    sample count, or with labels that are not integers, is refused before
+    anything is touched.
     """
     x, y = _samples(dataset)
     maskers = model.maskers()

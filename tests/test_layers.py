@@ -232,6 +232,41 @@ class TestMaskerLifecycle:
         assert recorded == 0
         np.testing.assert_array_equal(m.current_mask(0, None).data, m.mask_values(0))
 
+    @pytest.mark.parametrize("gate", [None, "eval", "other scale"])
+    @pytest.mark.parametrize("s", [1.0 / 400.0, 2.5, 400.0])
+    def test_live_mask_without_its_training_gate_has_attentions_bits(self, s, gate):
+        # with no training gate noted for this task and scale, current_mask
+        # is one mask node whose value and row gradient are attention's
+        rng = np.random.default_rng(44)
+        e = np.concatenate([rng.uniform(-1, 1, 5), [0.0, -0.0, 3.0, -3.0]])
+        w = rng.standard_normal(len(e))
+        x = rng.standard_normal((2, len(e)))
+
+        def mask_and_grad(live):
+            m = HATMasker(len(e), 2, "m")
+            row = m.embedding_rows[0]
+            row.data[...] = e
+            with Tape() as tape:
+                terms = []
+                if gate is not None:  # an eval gate notes nothing; a training
+                    # gate at another scale notes a mask that cannot be reused
+                    training = gate == "other scale"
+                    p = m(HATPayload(Tensor(x), task=0, scale=2.0 * s if training else s,
+                                     training=training))
+                    terms.append(tg.reduce_sum(p.masked_data()))
+                recorded = len(tape.nodes)
+                mask = m.current_mask(0, s) if live else attention(row, s)
+                ops = [n.op for n in tape.nodes[recorded:] if n.op != "leaf"]
+                terms.append(tg.reduce_sum(tg.mul(mask, Tensor(w))))
+                loss = terms[0] if len(terms) == 1 else tg.add(*terms)
+            tape.backward(loss)
+            if live:
+                assert ops == ["mask"]
+                assert tape.nodes[mask.node_id].parents == (row.node_id,)
+            return mask.data.tobytes(), row.grad.tobytes()
+
+        assert mask_and_grad(live=True) == mask_and_grad(live=False)
+
     def test_stored_mask_binarized_at_half(self):
         m = HATMasker(2, 2, "m")
         m.embedding_rows[0].data[...] = [1.0, -1.0]
@@ -618,7 +653,7 @@ class TestGatedForward:
                     terms.append(tg.regularizer([live], [cum], tasks))
                 loss = terms[0] if len(terms) == 1 else tg.add(*terms)
             if gate and penalty:
-                assert tape.nodes[live.node_id].op == ("mask" if training else "sigmoid")
+                assert tape.nodes[live.node_id].op == "mask"
             tape.backward(loss)
             return row.grad.copy()
 

@@ -274,3 +274,41 @@ class TestOwnership:
     ])
     def test_the_search_ignores_reads(self, source):
         assert list(record_writes(ast.parse(source))) == []
+
+
+def recorded_ops(tree):
+    """Every op name passed as a string literal to ``_record``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            f, op = node.func, node.args[0]
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name == "_record" and isinstance(op, ast.Constant):
+                yield op.value
+
+
+def listed_fused_nodes(docstring):
+    """``{op: module}`` from the fused-node bullets of tensor.py's
+    docstring, ``* ``op`` (``module``)`` or ``* ``op`` (here)``."""
+    listed = {}
+    for line in docstring.splitlines():
+        if line.startswith("* ``"):
+            op, rest = line[4:].split("``", 1)
+            where = rest.strip().split(")", 1)[0].lstrip("(").strip("`")
+            listed[op] = "tensor" if where == "here" else where
+    return listed
+
+
+class TestFusedNodes:
+    def test_the_docstring_lists_every_fused_node_recorded(self):
+        # the generic ops all live in tensor.py, so a node recorded in any
+        # other module is a fused one; the list must name each of them, and
+        # each kind it names must still be recorded where it says
+        recorded = set()
+        for path in sorted(pathlib.Path(tg.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            recorded |= {(path.stem, op) for op in recorded_ops(tree)}
+        listed = set(listed_fused_nodes(tg.tensor.__doc__).items())
+        outside = {(module, op) for module, op in recorded if module != "tensor"}
+        assert outside and listed  # the searches see something
+        assert outside <= {(module, op) for op, module in listed}
+        assert {(module, op) for op, module in listed} <= recorded

@@ -216,18 +216,43 @@ class TestPenaltyNode:
         if "saturated" in case:  # no free capacity: not even a zero gradient
             assert fused_grads[0] is None
 
-    def test_one_node_over_the_masks_with_free_capacity(self):
+    def test_generic_ops_over_the_masks_with_free_capacity(self):
         rows, cums = self.CASES["saturated layer"]
         with tg.Tape() as tape:
             masks = [tg.attention(Tensor(e, requires_grad=True), 2.5) for e in rows]
             recorded = len(tape.nodes)
-            penalty = regularizer(masks, cums, 4)
-        assert [n.op for n in tape.nodes[recorded:]] == ["penalty"]
-        assert tape.nodes[penalty.node_id].parents == (masks[1].node_id,)
+            regularizer(masks, cums, 4)
+        nodes = tape.nodes[recorded:]
+        assert [n.op for n in nodes] == ["mul", "sum", "scale", "add", "relu"]
+        readers = [n.op for n in nodes for p in n.parents if p == masks[1].node_id]
+        assert readers == ["mul"]
+        assert all(masks[0].node_id not in n.parents for n in nodes)
 
     def test_mask_shape_must_match_its_cumulative_mask(self):
         with pytest.raises(tg.ShapeError, match="penalty"):
             regularizer([Tensor(np.zeros(3))], [np.zeros(4)], task_count=2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: regularizer([Tensor(np.zeros(3))], [np.zeros(3)], task_count=0), "task_count"),
+    (lambda: regularizer([Tensor(np.zeros(3))], [np.ones(3)], task_count=0), "task_count"),
+    (lambda: regularizer([], [], task_count=2.0), "task_count"),
+    (lambda: scale_cosine(0.5, 0), "s_max"),
+    (lambda: scale_cosine(0.5, float("nan")), "s_max"),
+    (lambda: scale_cosine(0.5, 400.0, s_min=0.0), "s_min"),
+    (lambda: scale_cosine(0.5, 400.0, s_min=float("nan")), "s_min"),
+    (lambda: scale_linear(1, 4, 0), "s_max"),
+    (lambda: scale_linear(2, 4, float("nan")), "s_max"),
+    (lambda: scale_linear(1, 1, float("inf")), "s_max"),
+], ids=["regularizer", "regularizer saturated", "regularizer float", "cosine zero",
+        "cosine nan", "cosine s_min zero", "cosine s_min nan", "linear zero",
+        "linear nan", "linear inf"])
+def test_degenerate_penalty_and_schedule_arguments_refused(call, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tg.UsageError, match=name) as err:
+            call()
+    assert "\n" not in str(err.value)
 
 
 def objective_and_grads(fused, rows, cums, weight, gated, tasks=4, s=2.5):
@@ -778,9 +803,15 @@ class TestIdentityReduction:
         assert out1.shape == (5, 2)
 
 
+def bad_dataset(rng, samples, labels, dtype=np.int64):
+    return rng.standard_normal((samples, 6)), rng.integers(0, 2, labels).astype(dtype)
+
+
 class TestDatasetChecks:
+    # (samples, labels[, label dtype]): mismatched, empty, labels not integers
     BAD_DATASETS = [((8, 20), tg.ShapeError), ((20, 8), tg.ShapeError),
-                    ((0, 0), tg.UsageError)]
+                    ((0, 0), tg.UsageError), ((20, 20, float), tg.UsageError),
+                    ((20, 20, bool), tg.UsageError)]
 
     @pytest.mark.parametrize("sizes, error", BAD_DATASETS)
     @pytest.mark.parametrize("task", [0, None])
@@ -789,7 +820,7 @@ class TestDatasetChecks:
         model = small_model(rng, 2)
         params = model.task_parameters(0)
         before = [p.data.copy() for p in params]
-        x, y = rng.standard_normal((sizes[0], 6)), rng.integers(0, 2, sizes[1])
+        x, y = bad_dataset(rng, *sizes)
         with pytest.raises(error) as err:
             train_task(model, (x, y), task, TrainerConfig(task_count=2, epochs=1))
         assert "\n" not in str(err.value)
@@ -802,7 +833,7 @@ class TestDatasetChecks:
     def test_evaluate_refuses_bad_dataset(self, sizes, error):
         rng = np.random.default_rng(63)
         model = small_model(rng, 2)
-        x, y = rng.standard_normal((sizes[0], 6)), rng.integers(0, 2, sizes[1])
+        x, y = bad_dataset(rng, *sizes)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error) as err:
