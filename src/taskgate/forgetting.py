@@ -24,6 +24,7 @@ import numpy as np
 
 from .layers import (HATMasker, InputSide, Linear, Sequential, TaskIndexed,
                      check_embedding_init, walk)
+from .payload import check_task_id
 from .tensor import StateError
 
 __all__ = ["ForgetReport", "attribution", "forget_task"]
@@ -85,6 +86,7 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
     resets the task's slot (``HATMasker.reset_task``) so it can be retrained.
     A refused call changes nothing.
     """
+    task = check_task_id(task)
     check_embedding_init(embedding_init, rng)
     maskers = model.maskers()
     if not maskers:

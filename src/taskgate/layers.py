@@ -15,13 +15,12 @@ The pieces:
   The hooks' inputs are worked out once per change to the maskers' records
   or to the layer's input side, not once per tape.
 * Applying a training mask records one ``gate`` node, ``data * sigmoid(s * e)``.
-  With the payload's ``training`` flag its backward also rescales the
-  embedding gradient to undo the vanishing sigmoid derivative at large mask
-  scales, then clips it to a magnitude rail. A live mask is one ``mask``
-  node over the embedding row, or part of ``train_task``'s ``objective``;
-  on the same tape as a training gate it reuses the gate's sigmoid and
-  compensates and rails its own gradient.
-* Per-recording state (hooks registered, the gate's mask for reuse) is
+  With the payload's ``training`` flag it also hooks the task's embedding
+  row (once per tape): each gradient reaching the row is rescaled to undo
+  the vanishing sigmoid derivative at large mask scales, then clipped to a
+  magnitude rail. A live mask is ``attention``, or part of ``train_task``'s
+  ``objective``; on a training tape the row's hook takes its gradient too.
+* Per-recording state (hooks registered, the gate's scale and mask) is
   noted in ``Tape.notes`` and dropped with the tape; modules keep none.
 * ``TaskIndexed`` holds one isolated ``Linear`` or ``LayerNorm`` per task and
   dispatches on the payload's task id.
@@ -40,7 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import tensor as ops
-from .payload import HATPayload
+from .payload import HATPayload, check_task_id
 from .tensor import ShapeError, StateError, Tape, Tensor, UsageError, sigmoid_values
 
 E_MAX = 6.0           # post-step bound on embedding values
@@ -122,10 +121,16 @@ def grad_compensate(q: np.ndarray, e: np.ndarray, s: float, s_max: float) -> np.
     with both cosh arguments clamped to [-COSH_CLAMP, COSH_CLAMP] so the
     ratio stays representable. At s = s_max and e = 0 the factor is exactly 1.
     """
+    num, den = _compensation(e, s, s_max)
+    return q * num / den
+
+
+def _compensation(e: np.ndarray, s: float, s_max: float) -> tuple:
+    """``grad_compensate``'s factor as the pair ``(s_max * num, s * den)``."""
     e = np.asarray(e, dtype=np.float64)
     num = np.cosh(_clip(s * e, COSH_CLAMP)) + 1.0
     den = np.cosh(_clip(e, COSH_CLAMP)) + 1.0
-    return q * (s_max * num) / (s * den)
+    return s_max * num, s * den
 
 
 def grad_rail(q: np.ndarray, raw_abs_max: float,
@@ -150,17 +155,21 @@ def check_embedding_init(kind: str, rng: Optional[np.random.Generator]) -> None:
         raise UsageError("gaussian embedding init needs an rng")
 
 
-def _embedding_grad(q: np.ndarray, mask: np.ndarray, e: np.ndarray, s: float,
-                    s_max: float, protect: bool) -> np.ndarray:
-    """Gradient of the embedding behind ``mask = sigmoid(s * e)`` given the
-    mask's gradient ``q``, in the float order of the generic sigmoid and
-    scale nodes. ``protect`` (training) then compensates and rails it, the
-    rail bound to this one contribution's raw maximum."""
-    q = q * mask * (1.0 - mask) * s
-    if not protect:
-        return q
-    raw_abs_max = float(np.abs(q).max()) if q.size else 0.0
-    return grad_rail(grad_compensate(q, e, s, s_max), raw_abs_max)
+def _embedding_grad(q: np.ndarray, mask: np.ndarray, s: float) -> np.ndarray:
+    """The chain rule from ``q``, the gradient of ``mask = sigmoid(s * e)``,
+    to ``e``, in the float order of the generic sigmoid and scale nodes."""
+    return q * mask * (1.0 - mask) * s
+
+
+def _task_index(task, count: int, kind: str, tag: str) -> int:
+    """``task`` as an index into ``count`` task slots; a missing, non-int
+    or out-of-range id is refused, naming the ``kind`` of module and its tag."""
+    if task is None:
+        raise UsageError(f"{kind} '{tag}' needs a task id")
+    task = check_task_id(task)
+    if not 0 <= task < count:
+        raise UsageError(f"task id {task} out of range [0, {count}) at {kind} '{tag}'")
+    return task
 
 
 class HATMasker(PayloadModule):
@@ -176,26 +185,16 @@ class HATMasker(PayloadModule):
 
     def __init__(self, n_features: int, task_count: int, layer_tag: str,
                  s_max: float = 400.0):
-        if task_count < 1:
-            raise UsageError(f"task_count must be >= 1, got {task_count}")
         self.n_features = n_features = _width(n_features, "n_features")
-        self.task_count = task_count
+        self.task_count = task_count = _width(task_count, "task_count")
         self.layer_tag = layer_tag
         self.s_max = check_scale(s_max, "s_max")
         self.embedding_rows = [Tensor(np.ones(n_features), requires_grad=True)
                                for _ in range(task_count)]
         self.restore_stored_masks({})
 
-    def local_parameters(self):
-        return list(self.embedding_rows)
-
     def _check_task(self, task: int) -> int:
-        if task is None:
-            raise UsageError(f"masker '{self.layer_tag}' needs a task id")
-        if not 0 <= task < self.task_count:
-            raise UsageError(f"task id {task} out of range [0, {self.task_count}) "
-                             f"at masker '{self.layer_tag}'")
-        return task
+        return _task_index(task, self.task_count, "masker", self.layer_tag)
 
     def resolve_scale(self, scale: Optional[float]) -> float:
         return self.s_max if scale is None else check_scale(scale)
@@ -219,33 +218,14 @@ class HATMasker(PayloadModule):
     def current_mask(self, task: int, scale: Optional[float]) -> Tensor:
         """The live (differentiable) mask for a task at a given scale.
 
-        One ``mask`` node over the task's embedding row (``_live_mask``).
-        A completed task's mask is its stored one, a constant with no
-        embedding parent.
+        ``attention`` over the task's embedding row; on a training tape the
+        row's hook compensates its gradient (see ``apply``). A completed
+        task's mask is its stored one, a constant with no embedding parent.
         """
-        task = self._check_task(task)
-        s = self.resolve_scale(scale)
+        task, s = self._check_task(task), self.resolve_scale(scale)
         if task in self.stored_task_masks:
             return Tensor(self.mask_values(task))
-        row, mask, to_row = self._live_mask(task, s)
-        return ops._record("mask", (row,), mask, lambda g: (to_row(g),))
-
-    def _live_mask(self, task: int, s: float):
-        """A training task's live mask at scale ``s`` as ``(row, mask,
-        to_row)``: its embedding row, the mask's values and the map from
-        the mask's gradient to the row's. A training gate notes (task,
-        scale, mask, embedding snapshot) on its tape; on that tape, for the
-        same task and scale, the mask is the gate's sigmoid and the map the
-        gate's chain rule, compensated and railed on its own. Elsewhere
-        they have the bits of ``attention``'s sigmoid and scale nodes."""
-        row, s_max = self.embedding_rows[task], self.s_max
-        tape = Tape.current()
-        live = None if tape is None else tape.notes.get(self)
-        if live is None or live[:2] != (task, s):
-            mask = sigmoid_values(row.data * s)
-            return row, mask, lambda q: _embedding_grad(q, mask, None, s, s_max, False)
-        mask, e = live[2], live[3]
-        return row, mask, lambda q: _embedding_grad(q, mask, e, s, s_max, True)
+        return attention(self.embedding_rows[task], s)
 
     def mask_values(self, task: int, scale: Optional[float] = None) -> np.ndarray:
         """Mask as plain numbers, no tape; a completed task's stored one."""
@@ -260,9 +240,11 @@ class HATMasker(PayloadModule):
 
         Records one ``gate`` node over (data, embedding row). Its backward
         takes the chain rule through the product, the sigmoid and the scale
-        in the float order of those generic ops; in training it then
-        compensates the embedding gradient and clips it to the rail. A
-        completed task's data is a plain ``mul`` by its stored mask.
+        in the float order of those generic ops. In training the row gets
+        one hook per tape that compensates each contribution reaching it at
+        this scale and rails it to that contribution's own raw maximum; a
+        training gate for the task at another scale on that tape is refused.
+        A completed task's data is a plain ``mul`` by its stored mask.
         """
         data = payload.data
         if payload.task is None:
@@ -276,6 +258,11 @@ class HATMasker(PayloadModule):
         if task in self.stored_task_masks:  # no gradient to its embedding
             return ops.mul(data, Tensor(self.mask_values(task)))
         row = self.embedding_rows[task]
+        tape = Tape.current() if payload.training else None
+        note = None if tape is None else tape.notes.get(row)
+        if note is not None and note[0] != s:
+            raise UsageError(f"task {task} trains at masker '{self.layer_tag}' "
+                             f"at scale {note[0]!r} on this tape, not {s!r}")
         mask = sigmoid_values(row.data * s)
         # the mask along axis 1 (elementwise for a vector)
         shaped = mask if data.ndim == 1 else mask.reshape(
@@ -283,21 +270,19 @@ class HATMasker(PayloadModule):
         x = data.data
         axes = (0,) + tuple(range(2, x.ndim))
         need_gx = data.requires_grad  # decided when recorded, as the parent ids are
-        protect = payload.training
-        e = row.data.copy() if protect else None
-        s_max = self.s_max
 
         def backward_fn(g):
             gx = g * shaped if need_gx else None
             q = g * x
             if x.ndim > 1:
                 q = q.sum(axis=axes)
-            return gx, _embedding_grad(q, mask, e, s, s_max, protect)
+            return gx, _embedding_grad(q, mask, s)
 
         out = ops._record("gate", (data, row), x * shaped, backward_fn)
-        tape = Tape.current()
-        if protect and tape is not None:
-            tape.notes[self] = (task, s, mask, e)
+        if tape is not None and note is None:
+            num, den = _compensation(row.data, s, self.s_max)
+            row.register_hook(lambda q: grad_rail(q * num / den, float(np.abs(q).max())))
+            tape.notes[row] = (s, mask)  # the hook is on; the objective reuses the mask
         return out
 
     def forward(self, p: HATPayload) -> HATPayload:
@@ -528,13 +513,9 @@ class TaskIndexed(PayloadModule):
                              f"LayerNorm per task, got [{', '.join(kinds)}]")
 
     def submodule(self, task: Optional[int]):
-        """The submodule serving ``task``; a missing or out-of-range id is refused."""
-        if task is None:
-            raise UsageError(f"task-indexed module '{self.layer_tag}' needs a task id")
-        if not 0 <= task < len(self.submodules):
-            raise UsageError(f"task id {task} out of range [0, "
-                             f"{len(self.submodules)}) at '{self.layer_tag}'")
-        return self.submodules[task]
+        """The submodule serving ``task`` (see ``_task_index``)."""
+        return self.submodules[_task_index(task, len(self.submodules),
+                                           "task-indexed module", self.layer_tag)]
 
     def forward(self, p: HATPayload) -> HATPayload:
         return p.with_data(self.submodule(p.task)(p.data))
@@ -544,13 +525,15 @@ class TaskIndexed(PayloadModule):
 
 
 def task_indexed_layer_norm(n_features: int, task_count: int, layer_tag: str) -> TaskIndexed:
-    return TaskIndexed([LayerNorm(n_features) for _ in range(task_count)], layer_tag)
+    return TaskIndexed([LayerNorm(n_features)
+                        for _ in range(_width(task_count, "task_count"))], layer_tag)
 
 
 def task_indexed_linear(in_features: int, out_features: int, task_count: int,
                         layer_tag: str, rng: np.random.Generator) -> TaskIndexed:
     # identical initialization across tasks: fresh submodules are
     # indistinguishable until their task trains them apart
+    task_count = _width(task_count, "task_count")
     first = Linear(in_features, out_features, rng)
     rest = []
     for _ in range(task_count - 1):
@@ -589,7 +572,7 @@ class Sequential(PayloadModule):
         for _, m, _ in walk(self):
             if isinstance(m, HATMasker):
                 if task is not None:
-                    params.append(m.embedding_rows[task])
+                    params.append(m.embedding_rows[m._check_task(task)])
             elif isinstance(m, TaskIndexed):
                 if task is not None:
                     params.extend(m.task_parameters(task))

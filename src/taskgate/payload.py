@@ -1,20 +1,29 @@
 """Tensor-plus-task-metadata value that flows through gated networks.
 
 A payload carries the tensor, the task id (absent = plain/unmasked mode), the
-current mask scale and the ``training`` flag, which compensates and rails
-the mask-embedding gradients (``train_task`` sets it). Protection of
-completed tasks does not depend on the flag: it applies to any forward with
-a task id recorded on a tape. Maskers apply their mask as soon as they run,
-so a payload's data is always fully masked; which masker feeds which gated
-layer is resolved once, from the model's structure, when a ``Sequential`` is
-built.
+current mask scale and the ``training`` flag, under which each gate hooks
+its task's embedding row to compensate and rail its gradients
+(``train_task`` sets it). Protection of completed tasks does not depend on
+the flag: it applies to any forward with a task id recorded on a tape.
+Maskers apply their mask as soon as they run, so a payload's data is always
+fully masked; which masker feeds which gated layer is resolved once, from
+the model's structure, when a ``Sequential`` is built.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
+import numpy as np
+
 from .tensor import Tensor, UsageError
+
+
+def check_task_id(task) -> int:
+    """``task`` as an ``int``; a float, a bool or a string is refused."""
+    if isinstance(task, bool) or not isinstance(task, (int, np.integer)):
+        raise UsageError(f"task id must be an int, got {task!r}")
+    return int(task)
 
 
 class HATPayload:
@@ -24,7 +33,7 @@ class HATPayload:
 
     def __init__(self, data: Tensor, task: Optional[int] = None,
                  scale: Optional[float] = None, training: bool = False):
-        if task is not None and task < 0:
+        if task is not None and check_task_id(task) < 0:
             raise UsageError(f"task id must be nonnegative, got {task}")
         self.data = data
         self.task = task

@@ -10,7 +10,7 @@ Gradient hooks attach to individual nodes. Each hook transforms an incoming
 gradient before it is accumulated into the node's gradient slot; hooks on one
 node fire in registration order, so registering ``f`` then ``g`` stores
 ``g(f(upstream))``. What a module must remember about one recording (hooks
-it has registered, a mask a later op reuses) goes in the tape's ``notes``
+it has registered, a mask a later op may reuse) goes in the tape's ``notes``
 dict, so it lives and dies with the tape instead of on the module.
 
 Hot compositions get one node where the generic ops would record several,
@@ -19,12 +19,10 @@ with the generic ops' arithmetic in their float order. The fused nodes are:
 * ``linear`` (here): ``add(matmul(x, permute(w)), b)``;
 * ``gate`` (``layers``): data times a task's sigmoid mask over the
   embedding row;
-* ``mask`` (``layers``): a live mask, ``sigmoid(s * e)`` over the
-  embedding row, reusing a training gate's sigmoid on its tape;
 * ``objective`` (``training``): ``train_task``'s cross-entropy plus the
   weighted capacity penalty, over the loss and the embedding rows, in place
-  of the ``mask`` nodes and the generic ops of ``regularizer``, ``scale``
-  and ``add``.
+  of the live masks' ``scale`` and ``sigmoid`` nodes and the generic ops of
+  ``regularizer``, ``scale`` and ``add``.
 
 Other modules record theirs through the same recorder, ``_record``.
 
@@ -91,8 +89,8 @@ class Tape:
     to clear gradient slots and run backward again over the same graph.
     Tapes are single-threaded; the active tape is tracked per thread.
 
-    ``notes`` maps a module to what it noted about this recording; nothing
-    else reads it, and it is dropped with the tape.
+    ``notes`` maps a module or a parameter to what was noted about it in
+    this recording; it is dropped with the tape.
     """
 
     _tls = threading.local()
@@ -131,7 +129,7 @@ class Tape:
         keeps its last tape alive until it joins another. Afterwards only the
         caller's own references hold the tape; the tensors keep their values
         and gradients, but none of them can seed a backward pass here.
-        ``train_task`` releases every batch's tape once its backward ends.
+        ``train_task`` releases each batch's tape after its backward or refusal.
         """
         for node in self.nodes:
             t = node.tensor

@@ -21,25 +21,24 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as ops
-from .layers import (EMBEDDING_INITS, Sequential, _real, _width, check_embedding_init,
-                     check_scale)
+from .layers import (EMBEDDING_INITS, Sequential, _embedding_grad, _real, _width,
+                     check_embedding_init, check_scale)
 from .payload import HATPayload
-from .tensor import ShapeError, StateError, Tape, Tensor, UsageError
+from .tensor import ShapeError, StateError, Tape, Tensor, UsageError, sigmoid_values
 
 SCHEDULES = ("linear", "cosine")  # how the mask scale moves within an epoch
 
 
 def scale_linear(b: int, B: int, s_max: float) -> float:
-    """Within-epoch linear ramp: batch 1 maps to 1/s_max, batch B to s_max."""
+    """Within-epoch linear ramp: batch 1 maps to 1/s_max, batch B >= 1 to s_max."""
     s_max = check_scale(s_max, "s_max")
-    if b < 1 or (B >= 1 and b > B):
+    B = _width(B, "batches per epoch")
+    if b < 1 or b > B:
         raise UsageError(f"batch index {b} outside [1, {B}]")
-    if B < 2:
-        return s_max  # degenerate single-batch epoch: use the terminal value
+    if b == B:  # a single-batch epoch included: the terminal value
+        return s_max
     if b == 1:
         return 1.0 / s_max
-    if b == B:
-        return s_max
     return 1.0 / s_max + (s_max - 1.0 / s_max) * (b - 1) / (B - 1)
 
 
@@ -100,28 +99,33 @@ def _objective(loss: Tensor, maskers: list, capacity: list, task: int, s: float,
                reg_lambda: float, neg_quota) -> Tensor:
     """``loss + penalty * reg_lambda`` as one ``objective`` node over the
     loss and each masker's embedding row, the penalty taken over the live
-    masks (``HATMasker._live_mask``) with the ``(free, c)`` in ``capacity``.
+    masks at scale ``s`` (the sigmoid a training gate noted on the active
+    tape, else the same bits afresh) with the ``(free, c)`` in ``capacity``.
     In the float order of ``add(loss, scale(regularizer(current masks),
     reg_lambda))``: per layer ``sum(mask * free) * c + neg_quota``, floored
     at 0 as ``relu`` does, summed in order; a mask's gradient is
-    ``((g * λ * over_quota) * c) * free``, then its map to the row."""
-    live = [m._live_mask(task, s) for m in maskers]
+    ``((g * λ * over_quota) * c) * free``, then the chain rule to the row,
+    whose hook compensates it on a training tape."""
+    notes = Tape.current().notes
+    rows = [m.embedding_rows[task] for m in maskers]
     total, terms = None, []
-    for (_, mask, to_row), (free, c) in zip(live, capacity):
+    for row, (free, c) in zip(rows, capacity):
+        note = notes.get(row)
+        mask = note[1] if note is not None and note[0] == s else sigmoid_values(row.data * s)
         used = mask * free
         excess = used.sum() * c + neg_quota
         over = excess if excess > 0 else 0.0  # relu's fmax: 0 for -0.0 and NaN
         total = over if total is None else total + over
-        terms.append((free, c, excess > 0, used.dtype.type, to_row))
+        terms.append((free, c, excess > 0, used.dtype.type, mask))
     lam = float(reg_lambda)
 
     def backward_fn(g):
         gl = g * lam
         # a scalar times free: the bits of np.full(free.shape, scalar) * free
-        return [g] + [to_row(cast((gl * on) * c) * free)
-                      for free, c, on, cast, to_row in terms]
+        return [g] + [_embedding_grad(cast((gl * on) * c) * free, mask, s)
+                      for free, c, on, cast, mask in terms]
 
-    return ops._record("objective", [loss] + [row for row, _, _ in live],
+    return ops._record("objective", [loss] + rows,
                        loss.data + np.asarray(total) * lam, backward_fn)
 
 
@@ -250,8 +254,8 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     Each batch runs the model forward exactly once: an epoch's loss and
     accuracy come from the logits its batches trained on (see
     EpochMetrics), with no separate pass over the data. Each batch's tape
-    is released as soon as its backward ends, so reference counting frees
-    the batch's graph and buffers without waiting for the cycle collector.
+    is released as soon as its backward ends or the batch is refused, so
+    reference counting frees its graph without the cycle collector.
     A task already finalized, or whose embedding row at some masker is not
     finite, is refused with ``StateError`` before training and again
     before any masker finalizes it. A batch whose loss is not finite is
@@ -294,21 +298,23 @@ def train_task(model: Sequential, dataset, task: Optional[int],
             s = (scale_linear(b, total_batches, cfg.s_max) if cfg.schedule == "linear"
                  else scale_cosine((b - 1) / total_batches, cfg.s_max))
             payload = HATPayload(Tensor(x[idx]), task=task, scale=s, training=True)
-            with Tape() as tape:
-                logits = model.forward(payload).masked_data()
-                labels = y[idx]
-                loss = ops.softmax_cross_entropy(logits, labels)
-                if penalized:
-                    loss = _objective(loss, penalized, capacity, task, s,
-                                      cfg.reg_lambda, neg_quota)
-            batch_loss = loss.item()
-            if not math.isfinite(batch_loss):
-                tape.release()
-                optimizer.zero_grad()
-                raise StateError(f"loss of epoch {epoch} batch {b} is not finite; "
-                                 f"refused before its optimizer step")
-            tape.backward(loss)
-            tape.release()  # no cycle left: rebinding frees this graph
+            tape = Tape()
+            try:
+                with tape:
+                    logits = model.forward(payload).masked_data()
+                    labels = y[idx]
+                    loss = ops.softmax_cross_entropy(logits, labels)
+                    if penalized:
+                        loss = _objective(loss, penalized, capacity, task, s,
+                                          cfg.reg_lambda, neg_quota)
+                batch_loss = loss.item()
+                if not math.isfinite(batch_loss):
+                    optimizer.zero_grad()
+                    raise StateError(f"loss of epoch {epoch} batch {b} is not finite; "
+                                     f"refused before its optimizer step")
+                tape.backward(loss)
+            finally:
+                tape.release()  # no cycle left: rebinding frees this graph
             optimizer.step()
             optimizer.zero_grad()
             if task is not None:  # only the training task's rows moved

@@ -234,9 +234,10 @@ class TestMaskerLifecycle:
 
     @pytest.mark.parametrize("gate", [None, "eval", "other scale"])
     @pytest.mark.parametrize("s", [1.0 / 400.0, 2.5, 400.0])
-    def test_live_mask_without_its_training_gate_has_attentions_bits(self, s, gate):
-        # with no training gate noted for this task and scale, current_mask
-        # is one mask node whose value and row gradient are attention's
+    def test_live_mask_is_attention(self, s, gate):
+        # current_mask records attention's scale and sigmoid nodes, with its
+        # value and row gradient; after a training gate at another scale the
+        # row's hook compensates both at the gate's scale
         rng = np.random.default_rng(44)
         e = np.concatenate([rng.uniform(-1, 1, 5), [0.0, -0.0, 3.0, -3.0]])
         w = rng.standard_normal(len(e))
@@ -248,8 +249,8 @@ class TestMaskerLifecycle:
             row.data[...] = e
             with Tape() as tape:
                 terms = []
-                if gate is not None:  # an eval gate notes nothing; a training
-                    # gate at another scale notes a mask that cannot be reused
+                if gate is not None:  # an eval gate hooks nothing; a training
+                    # gate at another scale hooks the row
                     training = gate == "other scale"
                     p = m(HATPayload(Tensor(x), task=0, scale=2.0 * s if training else s,
                                      training=training))
@@ -261,8 +262,9 @@ class TestMaskerLifecycle:
                 loss = terms[0] if len(terms) == 1 else tg.add(*terms)
             tape.backward(loss)
             if live:
-                assert ops == ["mask"]
-                assert tape.nodes[mask.node_id].parents == (row.node_id,)
+                assert ops == ["scale", "sigmoid"]
+                scaled = tape.nodes[mask.node_id].parents[0]
+                assert tape.nodes[scaled].parents == (row.node_id,)
             return mask.data.tobytes(), row.grad.tobytes()
 
         assert mask_and_grad(live=True) == mask_and_grad(live=False)
@@ -653,7 +655,7 @@ class TestGatedForward:
                     terms.append(tg.regularizer([live], [cum], tasks))
                 loss = terms[0] if len(terms) == 1 else tg.add(*terms)
             if gate and penalty:
-                assert tape.nodes[live.node_id].op == "mask"
+                assert tape.nodes[live.node_id].op == "sigmoid"
             tape.backward(loss)
             return row.grad.copy()
 
@@ -671,6 +673,97 @@ class TestGatedForward:
         # without training nothing is compensated: the plain sum of the two
         np.testing.assert_array_equal(embedding_grad(training=False),
                                       raw_gate + raw_penalty)
+
+    def test_attention_on_a_training_tape_is_compensated(self):
+        # the training gate's hook on the row compensates and rails every
+        # contribution that reaches it, attention's included, each on its own
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal((6, 3))
+        e = rng.uniform(-0.5, 0.5, 3)
+        w = rng.standard_normal(3)
+        s = 2.5
+
+        def embedding_grad(training, gate=True, attend=True):
+            m = HATMasker(3, 2, "m", s_max=400.0)
+            row = m.embedding_rows[0]
+            row.data[...] = e
+            with Tape() as tape:
+                terms = []
+                if gate:
+                    p = m(HATPayload(Tensor(x), task=0, scale=s, training=training))
+                    terms.append(tg.reduce_sum(p.masked_data()))
+                if attend:
+                    terms.append(tg.reduce_sum(tg.mul(attention(row, s), Tensor(w))))
+                loss = terms[0] if len(terms) == 1 else tg.add(*terms)
+            tape.backward(loss)
+            return row.grad.copy()
+
+        def protect(raw):
+            return grad_rail(grad_compensate(raw, e, s, 400.0),
+                             float(np.max(np.abs(raw))))
+
+        raw_gate = embedding_grad(training=False, attend=False)
+        raw_attention = embedding_grad(training=False, gate=False)
+        assert np.all(protect(raw_attention) != raw_attention)
+        np.testing.assert_array_equal(embedding_grad(training=True),
+                                      protect(raw_gate) + protect(raw_attention))
+
+    def test_a_second_training_scale_for_a_task_on_one_tape_is_refused(self):
+        # one hook on the row cannot tell two scales' contributions apart
+        m = HATMasker(3, 2, "m")
+
+        def gate(task, scale, training=True):
+            m(HATPayload(Tensor(np.ones((2, 3))), task=task, scale=scale,
+                         training=training))
+
+        with Tape():
+            gate(0, 2.0)
+            gate(0, 2.0)                  # the same scale again
+            gate(0, 4.0, training=False)  # an eval gate hooks nothing
+            gate(1, 4.0)                  # another task's row
+            with pytest.raises(tg.UsageError, match="scale 2.0") as err:
+                gate(0, 4.0)
+        assert "\n" not in str(err.value)
+
+    def test_two_forwards_of_one_task_hook_each_parameter_once(self):
+        # a second forward on the tape adds no second compensation and no
+        # second nullification
+        layer = HATLinear(3, 2, task_count=2, layer_tag="l",
+                          rng=np.random.default_rng(46))
+        set_binary_row(layer.output_masker, 0, [0])
+        layer.output_masker.finalize_task(0)
+        with Tape() as tape:
+            for _ in range(2):
+                layer.forward(_payload(np.ones((2, 3)), task=1, scale=2.0))
+        row = layer.output_masker.embedding_rows[1]
+        hooked = [len(tape.nodes[t.node_id].hooks)
+                  for t in (row, layer.weight, layer.bias)]
+        assert hooked == [1, 1, 1]
+
+    def test_two_tasks_on_one_tape_are_each_compensated_at_their_scale(self):
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((6, 3))
+        rows = rng.uniform(-0.5, 0.5, (2, 3))
+        scales = (2.5, 40.0)
+
+        def embedding_grads(training, tasks):
+            m = HATMasker(3, 2, "m", s_max=400.0)
+            for t in (0, 1):
+                m.embedding_rows[t].data[...] = rows[t]
+            with Tape() as tape:
+                terms = [tg.reduce_sum(m(HATPayload(
+                    Tensor(x), task=t, scale=scales[t], training=training)).masked_data())
+                    for t in tasks]
+                loss = terms[0] if len(terms) == 1 else tg.add(*terms)
+            tape.backward(loss)
+            return [m.embedding_rows[t].grad for t in (0, 1)]
+
+        both = embedding_grads(True, (0, 1))
+        for t in (0, 1):
+            raw = embedding_grads(False, (t,))[t]
+            expected = grad_rail(grad_compensate(raw, rows[t], scales[t], 400.0),
+                                 float(np.max(np.abs(raw))))
+            np.testing.assert_array_equal(both[t], expected)
 
     def test_conv_layer_masks_channels_and_freezes(self):
         rng = np.random.default_rng(40)
@@ -795,6 +888,21 @@ class TestTaskIndexed:
                                                 "LayerNorm per task") as info:
             tg.TaskIndexed(submodules(np.random.default_rng(44)), "head")
         assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda c, r: HATMasker(3, c, "m"),
+    lambda c, r: HATLinear(3, 2, c, "l", r),
+    lambda c, r: HATConv2d(2, 3, 3, c, "c", r),
+    lambda c, r: tg.task_indexed_linear(3, 2, c, "head", r),
+    lambda c, r: tg.task_indexed_layer_norm(3, c, "norm"),
+], ids=["HATMasker", "HATLinear", "HATConv2d", "task_indexed_linear",
+        "task_indexed_layer_norm"])
+@pytest.mark.parametrize("count", [2.0, True, np.float64(2.0)], ids=repr)
+def test_task_counts_must_be_ints(build, count):
+    with pytest.raises(tg.UsageError, match="task_count") as err:
+        build(count, np.random.default_rng(0))
+    assert "\n" not in str(err.value)
 
 
 class _Rescale(tg.layers.Module):

@@ -31,6 +31,37 @@ class TestPlainMode:
             HATPayload(Tensor([1.0]), task=-1)
 
 
+def _finalized_model():
+    model = tg.Sequential(tg.HATLinear(3, 4, 2, "l1", np.random.default_rng(5)),
+                          tg.ReLU(),
+                          tg.task_indexed_linear(4, 2, 2, "head", np.random.default_rng(6)))
+    for m in model.maskers():
+        m.finalize_task(1)
+    return model
+
+
+class TestTaskIds:
+    USES = {
+        "payload": lambda model, t: HATPayload(Tensor(np.ones((1, 3))), task=t, scale=1.0),
+        "mask_values": lambda model, t: model.maskers()[0].mask_values(t),
+        "current_mask": lambda model, t: model.maskers()[0].current_mask(t, 2.0),
+        "submodule": lambda model, t: model.steps[2].submodule(t),
+        "forget_task": lambda model, t: tg.forget_task(model, t),
+        "task_parameters": lambda model, t: model.task_parameters(t),
+    }
+
+    @pytest.mark.parametrize("task", [1.5, 1.0, True, np.float64(1.0), "1"], ids=repr)
+    @pytest.mark.parametrize("use", list(USES))
+    def test_a_task_id_that_is_not_an_int_is_refused(self, use, task):
+        model = _finalized_model()
+        before = [p.data.copy() for p in model.task_parameters(1)]
+        with pytest.raises(tg.UsageError, match="task id") as err:
+            self.USES[use](model, task)
+        assert "\n" not in str(err.value)
+        for p, data in zip(model.task_parameters(1), before):
+            np.testing.assert_array_equal(p.data, data)
+
+
 class TestMasking:
     def test_zero_embedding_halves_data(self, masker):
         set_row(masker, 0, 0.0)

@@ -244,9 +244,11 @@ class TestPenaltyNode:
     (lambda: scale_linear(1, 4, 0), "s_max"),
     (lambda: scale_linear(2, 4, float("nan")), "s_max"),
     (lambda: scale_linear(1, 1, float("inf")), "s_max"),
+    (lambda: scale_linear(5, 0, 400.0), "batches per epoch"),
+    (lambda: scale_linear(3, -2, 400.0), "batches per epoch"),
 ], ids=["regularizer", "regularizer saturated", "regularizer float", "cosine zero",
         "cosine nan", "cosine s_min zero", "cosine s_min nan", "linear zero",
-        "linear nan", "linear inf"])
+        "linear nan", "linear inf", "linear no batches", "linear negative batches"])
 def test_degenerate_penalty_and_schedule_arguments_refused(call, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -733,7 +735,7 @@ class TestTapeNotes:
     def test_modules_hold_no_tape_after_a_step(self):
         # task 1 trains under the nullify hooks and the live masks; what the
         # layers note about each recording stays on the tape (task 2 for the
-        # hand-written step: a completed task's gate notes no live mask)
+        # hand-written step: a completed task's gate hooks no row)
         rng = np.random.default_rng(68)
         model = small_model(rng, 3)
         data = two_cluster_task(rng)
@@ -751,7 +753,8 @@ class TestTapeNotes:
         tape.backward(loss)
         assert tape_references(model) == []
         layers = [m for _, m, side in walk(model) if side is not None]
-        assert set(tape.notes) == set(layers) | set(model.maskers())
+        rows = {m.embedding_rows[2] for m in model.maskers()}
+        assert set(tape.notes) == set(layers) | rows
 
 
 class TestIdentityReduction:
@@ -828,6 +831,20 @@ class TestDatasetChecks:
             np.testing.assert_array_equal(p.data, data)
             assert p.grad is None and p.node_id is None
         assert [m.completed_tasks() for m in model.maskers()] == [[], []]
+
+    def test_a_batch_refused_after_recording_releases_its_tape(self):
+        # a label outside [0, C) is refused by the cross-entropy, after the
+        # forward has recorded; no leaf may stay attached to that tape
+        rng = np.random.default_rng(64)
+        model = small_model(rng, 2)
+        x, y = two_cluster_task(rng)
+        y[3] = 5
+        with pytest.raises(tg.UsageError, match="label") as err:
+            train_task(model, (x, y), 0, TrainerConfig(task_count=2, epochs=1))
+        assert "\n" not in str(err.value)
+        params = model.task_parameters(0)
+        assert len(params) == 8
+        assert [p.node_id for p in params] == [None] * 8
 
     @pytest.mark.parametrize("sizes, error", BAD_DATASETS)
     def test_evaluate_refuses_bad_dataset(self, sizes, error):
