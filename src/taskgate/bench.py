@@ -24,7 +24,8 @@ from .checkpoint import config_text, load_model_state, model_state, read_entries
 from .data import TOY_USEFUL, TOY_USELESS, continual_tasks, toy_dataset
 from .forgetting import forget_task
 from .layers import EMBEDDING_INITS, HATLinear, HATMasker, Linear, ReLU, Sequential
-from .layers import _real, _width, check_scale, task_indexed_layer_norm, task_indexed_linear
+from .layers import (_real, _width, check_scale, stack_members, task_indexed_layer_norm,
+                     task_indexed_linear)
 from .tensor import UsageError
 from .training import (SCHEDULES, TrainerConfig, check_trainer_numbers, evaluate,
                        init_embeddings, train_task)
@@ -215,11 +216,13 @@ _USEFUL = np.array(TOY_USEFUL)
 _USELESS = np.array(TOY_USELESS)
 
 
-def mask_locked(masker: HATMasker, cfg: ExperimentConfig) -> bool:
-    """Full-hardness input mask is on for useful features, off for noise."""
+def mask_locked(masker: HATMasker, cfg: ExperimentConfig):
+    """Full-hardness input mask is on for useful features, off for noise:
+    a bool, or for a member masker an [M] array of them."""
     mask = masker.mask_values(0)
-    return (bool((mask[_USEFUL] > cfg.theta_hi).all())
-            and bool((mask[_USELESS] < cfg.theta_lo).all()))
+    locked = ((mask[..., _USEFUL] > cfg.theta_hi).all(axis=-1)
+              & (mask[..., _USELESS] < cfg.theta_lo).all(axis=-1))
+    return bool(locked) if masker.members is None else locked
 
 
 def toy_strategies(cfg: ExperimentConfig) -> dict:
@@ -231,37 +234,50 @@ def toy_strategies(cfg: ExperimentConfig) -> dict:
 
 
 def run_toy(cfg: ExperimentConfig) -> list:
-    """Batch counts until mask lock-in, per repeat and strategy."""
-    outcomes = []
+    """Batch counts until mask lock-in, per repeat and strategy.
+
+    Each run is built and configured as if it trained alone (seed = base
+    seed + repeat index), and every repeat of every strategy then trains
+    at once as one member model (``train_task`` on
+    ``layers.stack_members``), with the bits each run would get alone. A
+    run stops at its first batch with the mask locked in, or at the cap.
+    """
     batches_per_epoch = math.ceil(cfg.toy_samples / cfg.toy_batch_size)
     epochs = math.ceil(cfg.batch_cap / batches_per_epoch)
+    runs, models, xs, ys, trainers = [], [], [], [], []
     for repeat in range(cfg.repeats):
         # each repeat is fully independent: seed = base seed + repeat index
         repeat_seed = cfg.seed + repeat
-        data = toy_dataset(cfg.toy_samples, np.random.default_rng([repeat_seed, 0]))
+        x, y = toy_dataset(cfg.toy_samples, np.random.default_rng([repeat_seed, 0]))
         for label, (init_kind, schedule) in toy_strategies(cfg).items():
             model = build_toy_model(np.random.default_rng([repeat_seed, 1]), cfg)
-            gate = model.maskers()[0]
-            init_embeddings([gate], init_kind,
+            init_embeddings(model.maskers(), init_kind,
                             np.random.default_rng([repeat_seed, 2]))
-            trainer = TrainerConfig(
+            runs.append((repeat, label))
+            models.append(model)
+            xs.append(x)
+            ys.append(y)
+            trainers.append(TrainerConfig(
                 task_count=cfg.tasks, s_max=cfg.s_max, schedule=schedule,
                 init=init_kind, lr=cfg.lr, momentum=cfg.momentum,
                 reg_lambda=cfg.reg_lambda, epochs=epochs,
-                batch_size=cfg.toy_batch_size, seed=repeat_seed)
-            tally = {"batches": cfg.batch_cap, "completed": False}
+                batch_size=cfg.toy_batch_size, seed=repeat_seed))
+    group = stack_members(models)
+    gate = group.maskers()[0]
+    batches = np.full(len(runs), cfg.batch_cap)
+    completed = np.zeros(len(runs), dtype=bool)
+    stopped = np.zeros(len(runs), dtype=bool)
 
-            def on_batch(index, _model):
-                if mask_locked(gate, cfg):
-                    tally["batches"] = index
-                    tally["completed"] = True
-                    return True
-                return index >= cfg.batch_cap
+    def on_batch(index, _model):
+        locked = mask_locked(gate, cfg) & ~stopped
+        batches[locked] = index
+        completed[locked] = True
+        stopped[:] |= locked | (index >= cfg.batch_cap)
+        return stopped
 
-            train_task(model, data, 0, trainer, on_batch_end=on_batch)
-            outcomes.append(ToyOutcome(repeat, label,
-                                       tally["batches"], tally["completed"]))
-    return outcomes
+    train_task(group, (np.stack(xs), np.stack(ys)), 0, trainers, on_batch_end=on_batch)
+    return [ToyOutcome(repeat, label, int(n), bool(done))
+            for (repeat, label), n, done in zip(runs, batches, completed)]
 
 
 def toy_summary(outcomes: list) -> dict:

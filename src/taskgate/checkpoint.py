@@ -34,6 +34,7 @@ from .layers import (
     Sequential,
     TaskIndexed,
     _GatedWeightedLayer,
+    refuse_members,
     walk,
 )
 from .tensor import ShapeError, UsageError
@@ -153,7 +154,9 @@ def _named_params(name: str, module) -> list:
 
 
 def model_state(model: Sequential, config: str = None) -> dict:
-    """Collect every array a bit-exact restore needs."""
+    """Collect every array a bit-exact restore needs. A member model is
+    refused (see ``refuse_members``)."""
+    refuse_members(model, "a checkpoint")
     entries = {}
 
     def put(name, arr):
@@ -181,8 +184,10 @@ def load_model_state(model: Sequential, entries: dict) -> None:
     Every non-meta entry must be consumed and every expected entry present,
     so loading into a mismatched architecture fails loudly. Every stored
     mask must hold only 0s and 1s, and every masker must record the same
-    completed tasks. A refused checkpoint leaves the model as it was.
+    completed tasks. A refused checkpoint leaves the model as it was, and
+    a member model is refused (see ``refuse_members``).
     """
+    refuse_members(model, "a checkpoint")
     remaining = dict(entries)
     writes = []  # (tensor, value), made once every check has passed
     records = []  # (masker, {task: stored mask}) in walk order

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .layers import (HATMasker, InputSide, Linear, Sequential, TaskIndexed,
-                     check_embedding_init, walk)
+                     check_embedding_init, refuse_members, walk)
 from .payload import check_task_id
 from .tensor import StateError
 
@@ -84,8 +84,10 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
     its pixels). Bias i is zeroed on output-side exclusivity alone. The
     task's task-indexed submodules are zeroed or reset, and every masker
     resets the task's slot (``HATMasker.reset_task``) so it can be retrained.
-    A refused call changes nothing.
+    A refused call changes nothing; a member model is refused (see
+    ``refuse_members``).
     """
+    refuse_members(model, "forget_task")
     task = check_task_id(task)
     check_embedding_init(embedding_init, rng)
     maskers = model.maskers()

@@ -24,6 +24,14 @@ The pieces:
   noted in ``Tape.notes`` and dropped with the tape; modules keep none.
 * ``TaskIndexed`` holds one isolated ``Linear`` or ``LayerNorm`` per task and
   dispatches on the payload's task id.
+* ``stack_members`` turns M models of one structure into one member model:
+  each parameter gains a leading member axis, and ``train_task`` trains
+  the members in lockstep. Maskers (per-member rows, gate, compensation
+  hook and rail), ``Linear``, ``HATLinear`` and ``ReLU`` serve members.
+  Everything else refuses them with a one-line error: ``HATConv2d``,
+  ``LayerNorm`` and ``TaskIndexed`` when stacked, nullification once a
+  completed task claims a gated layer's units, and checkpoints and
+  ``forget_task`` (``refuse_members``).
 
 Plain modules and functions (``Linear``, ``ReLU``, a flatten) operate on
 bare tensors inside a ``Sequential``, which may nest. ``walk`` is the one
@@ -33,6 +41,7 @@ layer's input features and how those features map onto its units.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import NamedTuple, Optional
 
@@ -50,7 +59,13 @@ EMBEDDING_INITS = ("ones", "gaussian")  # how a task slot's embedding row starts
 
 
 class Module:
-    """Minimal parameter container; models are traversed by ``walk``."""
+    """Minimal parameter container; models are traversed by ``walk``.
+
+    ``members`` is None for an ordinary module and M for one that
+    ``stack_members`` built, whose parameters carry a leading member axis.
+    """
+
+    members: Optional[int] = None
 
     def local_parameters(self) -> list:
         return []
@@ -79,6 +94,24 @@ def check_scale(value, name: str = "mask scale") -> float:
     if _real(value) and 0.0 < value < math.inf:
         return float(value)
     raise UsageError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _check_member_scale(value, members: int):
+    """``value`` as a member masker's mask scale: one real number for every
+    member (as ``check_scale``), or an [M,1] float64 column with one for
+    each, finite and > 0. Anything else is refused."""
+    if _real(value):
+        return check_scale(value)
+    if (isinstance(value, np.ndarray) and value.dtype == np.float64
+            and value.shape == (members, 1) and bool(np.all((value > 0.0) & (value < math.inf)))):
+        return value
+    raise UsageError(f"mask scale must be finite and > 0 for each of {members} "
+                     f"members, got {value!r}")
+
+
+def _same_scale(a, b) -> bool:
+    """Whether two resolved mask scales (floats, or member columns) agree."""
+    return a is b or bool(np.array_equal(a, b))
 
 
 def attention(e: Tensor, s: float) -> Tensor:
@@ -133,9 +166,10 @@ def _compensation(e: np.ndarray, s: float, s_max: float) -> tuple:
     return s_max * num, s * den
 
 
-def grad_rail(q: np.ndarray, raw_abs_max: float,
+def grad_rail(q: np.ndarray, raw_abs_max,
               factor: float = RAIL_FACTOR) -> np.ndarray:
-    """Clip a rescaled gradient to +/- factor times the raw gradient's max."""
+    """Clip a rescaled gradient to +/- factor times the raw gradient's max
+    (a float, or per member an [M,1] column of them)."""
     return _clip(q, factor * raw_abs_max)
 
 
@@ -181,6 +215,11 @@ class HATMasker(PayloadModule):
     completed task by its binary ``stored_task_masks`` entry, the one
     record of that task; ``cumulative_mask`` is derived from those. Only
     this class writes either of them.
+
+    A member masker (``stack_members``) holds an [M,F] row per task, one
+    row per member, and gates [M,B,F] data along its last axis; its mask
+    scale is one float or an [M,1] column (``_check_member_scale``), and its
+    stored masks and cumulative mask are [M,F] too.
     """
 
     def __init__(self, n_features: int, task_count: int, layer_tag: str,
@@ -196,8 +235,12 @@ class HATMasker(PayloadModule):
     def _check_task(self, task: int) -> int:
         return _task_index(task, self.task_count, "masker", self.layer_tag)
 
-    def resolve_scale(self, scale: Optional[float]) -> float:
-        return self.s_max if scale is None else check_scale(scale)
+    def resolve_scale(self, scale):
+        if scale is None:
+            return self.s_max
+        if self.members is None:
+            return check_scale(scale)
+        return _check_member_scale(scale, self.members)
 
     @property
     def cumulative_mask(self) -> np.ndarray:
@@ -209,7 +252,7 @@ class HATMasker(PayloadModule):
         return self._cumulative
 
     def _rebuild_cumulative(self) -> None:
-        claimed = np.zeros(self.n_features)
+        claimed = np.zeros(self.embedding_rows[0].shape)
         for mask in self.stored_task_masks.values():
             claimed[mask] = 1.0
         claimed.flags.writeable = False
@@ -222,6 +265,9 @@ class HATMasker(PayloadModule):
         row's hook compensates its gradient (see ``apply``). A completed
         task's mask is its stored one, a constant with no embedding parent.
         """
+        if self.members is not None:
+            raise UsageError(f"masker '{self.layer_tag}' has {self.members} members; "
+                             f"current_mask serves unstacked maskers only")
         task, s = self._check_task(task), self.resolve_scale(scale)
         if task in self.stored_task_masks:
             return Tensor(self.mask_values(task))
@@ -242,33 +288,44 @@ class HATMasker(PayloadModule):
         takes the chain rule through the product, the sigmoid and the scale
         in the float order of those generic ops. In training the row gets
         one hook per tape that compensates each contribution reaching it at
-        this scale and rails it to that contribution's own raw maximum; a
-        training gate for the task at another scale on that tape is refused.
-        A completed task's data is a plain ``mul`` by its stored mask.
+        this scale and rails it to that contribution's own raw maximum (per
+        member for a member masker); a training gate for the task at
+        another scale on that tape is refused. A completed task's data is a
+        plain ``mul`` by its stored mask.
         """
         data = payload.data
         if payload.task is None:
             return data
         task = self._check_task(payload.task)
-        feature_extent = data.shape[0] if data.ndim == 1 else data.shape[1]
-        if feature_extent != self.n_features:
+        members, x = self.members, data.data
+        if members is None:
+            feature_axis = 0 if x.ndim == 1 else 1
+        elif x.ndim == 3 and x.shape[0] == members:
+            feature_axis = 2
+        else:
+            raise ShapeError(f"masker '{self.layer_tag}' has {members} members and "
+                             f"needs [{members},B,F] data, got {x.shape}")
+        if x.shape[feature_axis] != self.n_features:
             raise ShapeError(f"masker '{self.layer_tag}' covers {self.n_features} "
-                             f"features but data has {feature_extent}")
+                             f"features but data has {x.shape[feature_axis]}")
         s = self.resolve_scale(payload.scale)
         if task in self.stored_task_masks:  # no gradient to its embedding
-            return ops.mul(data, Tensor(self.mask_values(task)))
+            mask = self.mask_values(task)
+            if members is not None:  # mul broadcasts vectors over axis 1 alone
+                mask = np.broadcast_to(mask[:, None, :], x.shape)
+            return ops.mul(data, Tensor(mask))
         row = self.embedding_rows[task]
         tape = Tape.current() if payload.training else None
         note = None if tape is None else tape.notes.get(row)
-        if note is not None and note[0] != s:
+        if note is not None and not _same_scale(note[0], s):
             raise UsageError(f"task {task} trains at masker '{self.layer_tag}' "
                              f"at scale {note[0]!r} on this tape, not {s!r}")
         mask = sigmoid_values(row.data * s)
-        # the mask along axis 1 (elementwise for a vector)
-        shaped = mask if data.ndim == 1 else mask.reshape(
-            (1, -1) + (1,) * (data.ndim - 2))
-        x = data.data
-        axes = (0,) + tuple(range(2, x.ndim))
+        if members is None:  # the mask along axis 1 (elementwise for a vector)
+            shaped = mask if x.ndim == 1 else mask.reshape((1, -1) + (1,) * (x.ndim - 2))
+            axes = (0,) + tuple(range(2, x.ndim))
+        else:  # member m's mask along the last axis of its [B,F] slice
+            shaped, axes = mask[:, None, :], (1,)
         need_gx = data.requires_grad  # decided when recorded, as the parent ids are
 
         def backward_fn(g):
@@ -281,7 +338,9 @@ class HATMasker(PayloadModule):
         out = ops._record("gate", (data, row), x * shaped, backward_fn)
         if tape is not None and note is None:
             num, den = _compensation(row.data, s, self.s_max)
-            row.register_hook(lambda q: grad_rail(q * num / den, float(np.abs(q).max())))
+            column = members is not None  # each member's maximum, else one
+            row.register_hook(lambda q: grad_rail(
+                q * num / den, np.abs(q).max(axis=-1, keepdims=column)))
             tape.notes[row] = (s, mask)  # the hook is on; the objective reuses the mask
         return out
 
@@ -336,9 +395,11 @@ class HATMasker(PayloadModule):
 
 
 def _dense(x: Tensor, weight: Tensor, bias: Tensor, who: str) -> Tensor:
-    """y = x Wᵀ + b for a [B, in] batch; `who` names the layer in errors."""
-    if x.ndim != 2 or x.shape[1] != weight.shape[1]:
-        raise ShapeError(f"{who} expects [B,{weight.shape[1]}], got {x.shape}")
+    """y = x Wᵀ + b for a [B, in] batch ([M, B, in] for M members); `who`
+    names the layer in errors."""
+    if x.ndim != weight.ndim or x.shape[-1] != weight.shape[-1]:
+        lead = "B" if weight.ndim == 2 else f"{weight.shape[0]},B"
+        raise ShapeError(f"{who} expects [{lead},{weight.shape[-1]}], got {x.shape}")
     return ops.linear(x, weight, bias)
 
 
@@ -426,6 +487,10 @@ class _GatedWeightedLayer(PayloadModule):
         if tape is not None and p.task is not None and self not in tape.notes:
             args = self._nullify_inputs()
             if args is not None:
+                if self.members is not None:
+                    raise UsageError(f"'{self.layer_tag}' cannot protect completed "
+                                     f"tasks: nullification serves unstacked "
+                                     f"layers, not {self.members} members")
                 a_out, a_in = args
                 self.weight.register_hook(lambda g: grad_nullify(g, a_out, a_in))
                 self.bias.register_hook(lambda g: grad_nullify(g, a_out))
@@ -548,14 +613,24 @@ class Sequential(PayloadModule):
     """Payload pipeline: gated modules run natively, plain ones via forward_by.
 
     Building a pipeline binds each gated layer's input side from ``walk``,
-    so a model whose widths cannot be protected is refused right here.
+    so a model whose widths cannot be protected is refused right here, as
+    is one that mixes member modules with others or member counts.
+    ``members`` is the member count of its modules (None for none).
     """
 
     def __init__(self, *modules):
         self.steps = list(modules)
+        counts = set()
         for _, module, side in walk(self):
             if side is not None:
                 module.input_side = side
+            if isinstance(module, Module):
+                counts.add(module.members)
+        if len(counts) > 1:
+            raise ShapeError("a model's modules must all be unstacked or all have "
+                             "one member count, got "
+                             + ", ".join(sorted(map(str, counts))))
+        self.members = counts.pop() if counts else None
 
     def forward(self, p: HATPayload) -> HATPayload:
         for m in self.steps:
@@ -581,6 +656,79 @@ class Sequential(PayloadModule):
         return params
 
 
+def refuse_members(model: Sequential, what: str) -> None:
+    """Refuse a member model with a one-line ``UsageError``: checkpoints
+    and ``forget_task`` hold and erase one model's tasks, not M members'."""
+    if model.members is not None:
+        raise UsageError(f"{what} serves unstacked models, not a model of "
+                         f"{model.members} members")
+
+
+def stack_members(models) -> Sequential:
+    """One member model from M unstacked models of one structure.
+
+    Each parameter becomes the models' copies stacked, in the order given,
+    along a new leading member axis, so member m computes on [M,B,...]
+    data exactly what ``models[m]`` computes on [B,...] data (see
+    ``tensor.linear``); the models themselves are left as they were. Only
+    ``HATMasker``, ``Linear``, ``HATLinear``, ``ReLU`` and nested
+    ``Sequential`` have a member form; anything else, member models, and
+    models that differ in structure, widths, task count, mask scale bound or
+    completed tasks, are refused.
+    """
+    models = list(models)
+    if not models or not all(isinstance(m, Sequential) and m.members is None
+                             for m in models):
+        raise UsageError("stack_members needs a nonempty list of unstacked "
+                         "Sequential models")
+    return _stack(models, len(models))
+
+
+def _stack(modules: list, members: int):
+    first = modules[0]
+    if any(type(m) is not type(first) for m in modules):
+        raise ShapeError(f"members differ in structure: "
+                         f"{sorted({type(m).__name__ for m in modules})}")
+    if isinstance(first, Sequential):
+        if len({len(m.steps) for m in modules}) != 1:
+            raise ShapeError("members differ in structure: pipelines of "
+                             f"{sorted({len(m.steps) for m in modules})} steps")
+        return Sequential(*[_stack([m.steps[i] for m in modules], members)
+                            for i in range(len(first.steps))])
+    if isinstance(first, ReLU):
+        return first
+    if not isinstance(first, (HATMasker, Linear, HATLinear)):
+        raise UsageError(f"a {type(first).__name__} has no member form; only "
+                         f"HATMasker, Linear, HATLinear, ReLU and Sequential stack")
+    stacked = copy.copy(first)
+    stacked.members = members
+    if isinstance(first, HATMasker):
+        for name in ("n_features", "task_count", "s_max"):
+            if len({getattr(m, name) for m in modules}) != 1:
+                raise ShapeError(f"members of masker '{first.layer_tag}' differ in {name}")
+        if len({tuple(m.completed_tasks()) for m in modules}) != 1:
+            raise ShapeError(f"members of masker '{first.layer_tag}' differ in "
+                             f"completed tasks")
+        stacked.embedding_rows = [_stack_leaves([m.embedding_rows[t] for m in modules])
+                                  for t in range(first.task_count)]
+        stacked.restore_stored_masks({t: np.stack([m.stored_task_masks[t] for m in modules])
+                                      for t in first.completed_tasks()})
+        return stacked
+    stacked.weight = _stack_leaves([m.weight for m in modules])
+    stacked.bias = _stack_leaves([m.bias for m in modules])
+    if isinstance(first, HATLinear):
+        stacked.output_masker = _stack([m.output_masker for m in modules], members)
+        stacked._nullify = None
+    return stacked
+
+
+def _stack_leaves(leaves: list) -> Tensor:
+    if len({t.shape for t in leaves}) != 1:
+        raise ShapeError(f"members differ in parameter shape: "
+                         f"{sorted({t.shape for t in leaves})}")
+    return Tensor(np.stack([t.data for t in leaves]), requires_grad=True)
+
+
 def _input_side(layer: _GatedWeightedLayer, masker: Optional[HATMasker],
                 owner, between: Optional[Module]) -> InputSide:
     """How `layer`'s input features map onto the units of `masker`, the most
@@ -588,7 +736,8 @@ def _input_side(layer: _GatedWeightedLayer, masker: Optional[HATMasker],
     the first weighted module run between them, if any)."""
     if masker is None:
         return InputSide()
-    width = layer.weight.shape[1]  # input features, or a conv's input channels
+    # input features, or a conv's input channels
+    width = layer.in_features if isinstance(layer, HATLinear) else layer.in_channels
     units = masker.n_features
     if width == units:
         side = InputSide(masker)

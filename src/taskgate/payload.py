@@ -1,7 +1,8 @@
 """Tensor-plus-task-metadata value that flows through gated networks.
 
 A payload carries the tensor, the task id (absent = plain/unmasked mode), the
-current mask scale and the ``training`` flag, under which each gate hooks
+current mask scale (for a member model, one float or an [M,1] column with
+a scale per member) and the ``training`` flag, under which each gate hooks
 its task's embedding row to compensate and rail its gradients
 (``train_task`` sets it). Protection of completed tasks does not depend on
 the flag: it applies to any forward with a task id recorded on a tape.

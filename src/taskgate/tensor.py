@@ -26,6 +26,17 @@ with the generic ops' arithmetic in their float order. The fused nodes are:
 
 Other modules record theirs through the same recorder, ``_record``.
 
+A leading member axis lets M independent models run as one (see
+``layers.stack_members``). ``linear`` takes [M,B,in] data with [M,out,in]
+weights and an [M,out] bias, and ``softmax_cross_entropy`` takes [M,B,C]
+logits and gives the [M] member losses, each through the one code path
+it shares with the unstacked form. Their products are ``np.matmul``'s
+stacks of per-member products and their reductions run along the class or
+the batch axis alone, so member m gets the bits of the unstacked call on
+its slices. The elementwise ops serve members as they are; ``matmul``,
+``layer_norm`` and ``conv2d`` refuse a member axis through their shape
+checks.
+
 Everything defaults to double precision. Single precision is available by
 constructing tensors with ``dtype=np.float32``.
 """
@@ -371,26 +382,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Dense layer ``x Wᵀ + b`` of a [B,in] batch with [out,in] weights.
+    """Dense layer ``x Wᵀ + b`` of a [B,in] batch with [out,in] weights, or
+    of M members at once: a [M,B,in] batch, [M,out,in] weights, [M,out] bias.
 
     One node with the arithmetic of ``add(matmul(x, permute(weight)), bias)``:
     a contiguous copy of Wᵀ, the product, then the bias. Backward gives
-    ``g @ Wᵀ.T``, ``(xᵀ @ g)ᵀ`` and ``g.sum(0)``; when ``x`` does not require
-    a gradient, its product is skipped.
+    ``g @ Wᵀ.T``, ``(xᵀ @ g)ᵀ`` and ``g`` summed over the batch; when ``x``
+    does not require a gradient, its product is skipped. Over a member axis
+    every product is ``np.matmul``'s stack of per-member products, so member
+    m's bits are those of the unstacked call on its slices.
     """
-    if (x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]
-            or bias.shape != (weight.shape[0],)):
+    xs, ws = x.data.shape, weight.data.shape
+    if (len(xs) != len(ws) or len(xs) not in (2, 3) or xs[:-2] != ws[:-2]
+            or xs[-1] != ws[-1] or bias.data.shape != ws[:-1]):
         raise ShapeError(f"linear needs [B,in] input, [out,in] weight and [out] "
-                         f"bias, got {x.shape}, {weight.shape}, {bias.shape}")
+                         f"bias, each with one leading member axis or none, "
+                         f"got {xs}, {ws}, {bias.shape}")
     x_data = x.data
-    wt = np.ascontiguousarray(weight.data.T)
+    wt = np.ascontiguousarray(weight.data.swapaxes(-1, -2))
     need_gx = x.requires_grad  # decided when recorded, as the tape's parent ids are
 
     def backward_fn(g):
-        gx = g @ wt.T if need_gx else None
-        return gx, (x_data.T @ g).T, g.sum(axis=0)
+        gx = g @ wt.swapaxes(-1, -2) if need_gx else None
+        return gx, (x_data.swapaxes(-1, -2) @ g).swapaxes(-1, -2), g.sum(axis=-2)
 
-    return _record("linear", (x, weight, bias), x_data @ wt + bias.data, backward_fn)
+    return _record("linear", (x, weight, bias),
+                   x_data @ wt + bias.data[..., None, :], backward_fn)
 
 
 def _feature_axes(full_shape: tuple) -> tuple:
@@ -676,34 +693,40 @@ def check_integer_labels(labels: np.ndarray) -> None:
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean cross-entropy of [B,C] logits against integer labels in [0,C).
 
-    An empty batch, and labels of any other dtype (bool and float
-    included), are refused with ``UsageError``."""
-    if logits.ndim != 2:
-        raise ShapeError(f"cross-entropy needs [B,C] logits, got {logits.shape}")
+    Over a member axis, [M,B,C] logits and [M,B] labels give the [M] vector
+    of each member's mean, with the bits of the unstacked call on its slice:
+    every reduction runs along the class or the batch axis alone. An empty
+    batch, and labels of any other dtype (bool and float included), are
+    refused with ``UsageError``."""
+    z = logits.data
+    shape = z.shape
+    if len(shape) not in (2, 3):
+        raise ShapeError(f"cross-entropy needs [B,C] or [M,B,C] logits, got {shape}")
     labels = np.asarray(labels)
-    bsz, ncls = logits.shape
-    if labels.shape != (bsz,):
-        raise UsageError(f"labels must have shape ({bsz},), got {labels.shape}")
+    bsz, ncls = shape[-2:]
+    if labels.shape != shape[:-1]:
+        raise UsageError(f"labels must have shape {shape[:-1]}, got {labels.shape}")
     if bsz == 0:
         raise UsageError("cross-entropy needs at least one sample, got an empty batch")
     check_integer_labels(labels)
     if labels.min() < 0 or labels.max() >= ncls:
         raise UsageError(f"labels must lie in [0, {ncls}), got range "
                          f"[{labels.min()}, {labels.max()}]")
-    picked = (np.arange(bsz), labels.astype(np.int64, copy=False))
+    rows = labels.size  # every (member, sample) as one row of C classes
+    picked = (np.arange(rows), labels.reshape(rows).astype(np.int64, copy=False))
 
-    z = logits.data
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     ez = np.exp(z - zmax)
-    sez = ez.sum(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(sez[:, 0])
-    loss = np.asarray((lse - z[picked]).mean(), dtype=z.dtype)
+    sez = ez.sum(axis=-1, keepdims=True)
+    lse = zmax[..., 0] + np.log(sez[..., 0])
+    true = z.reshape(rows, ncls)[picked].reshape(lse.shape)
+    loss = np.asarray((lse - true).mean(axis=-1), dtype=z.dtype)
     softmax = ez / sez
 
     def backward_fn(g):
         grad = softmax.copy()
-        grad[picked] -= 1.0
-        return (grad * (g / bsz),)
+        grad.reshape(rows, ncls)[picked] -= 1.0
+        return (grad * (g / bsz)[..., None, None],)
 
     return _record("softmax_cross_entropy", (logits,), loss, backward_fn)
 

@@ -15,14 +15,14 @@ the public composition ``add(loss, scale(regularizer(...), λ))``;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as ops
-from .layers import (EMBEDDING_INITS, Sequential, _embedding_grad, _real, _width,
-                     check_embedding_init, check_scale)
+from .layers import (EMBEDDING_INITS, Sequential, _embedding_grad, _real, _same_scale,
+                     _width, check_embedding_init, check_scale)
 from .payload import HATPayload
 from .tensor import ShapeError, StateError, Tape, Tensor, UsageError, sigmoid_values
 
@@ -30,11 +30,13 @@ SCHEDULES = ("linear", "cosine")  # how the mask scale moves within an epoch
 
 
 def scale_linear(b: int, B: int, s_max: float) -> float:
-    """Within-epoch linear ramp: batch 1 maps to 1/s_max, batch B >= 1 to s_max."""
+    """Within-epoch linear ramp: batch 1 maps to 1/s_max, batch B >= 1 to s_max.
+    The batch index ``b`` must be an int in [1, B] (a numpy int included;
+    a float or a bool is refused)."""
     s_max = check_scale(s_max, "s_max")
     B = _width(B, "batches per epoch")
-    if b < 1 or b > B:
-        raise UsageError(f"batch index {b} outside [1, {B}]")
+    if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or not 1 <= b <= B:
+        raise UsageError(f"batch index must be an int in [1, {B}], got {b!r}")
     if b == B:  # a single-batch epoch included: the terminal value
         return s_max
     if b == 1:
@@ -56,11 +58,17 @@ def scale_cosine(p: float, s_max: float, s_min: Optional[float] = None) -> float
 
 
 def _free_capacity(cum) -> Optional[tuple]:
-    """A layer's ``(free, c)``: ``free = 1 - cum`` and ``c = 1/sum(free)``;
-    None when no capacity is free."""
+    """A layer's ``(free, c)``: ``free = 1 - cum`` and ``c = 1/sum(free)``
+    over the units; None when no capacity is free. For a member masker's
+    [M,F] ``cum``, ``c`` holds one value per member, 0 where a member has
+    none free."""
     free = 1.0 - np.asarray(cum)
-    denom = float(free.sum())
-    return None if denom == 0.0 else (free, 1.0 / denom)
+    denom = free.sum(axis=-1)
+    if not denom.any():
+        return None
+    if free.ndim == 1:  # a numpy scalar, which the objective multiplies fastest
+        return free, 1.0 / denom
+    return free, np.divide(1.0, denom, out=np.zeros_like(denom), where=denom != 0.0)
 
 
 def regularizer(current_masks: list, cumulative: list, task_count: int) -> Tensor:
@@ -74,7 +82,8 @@ def regularizer(current_masks: list, cumulative: list, task_count: int) -> Tenso
     Recorded with generic tape ops only, per layer
     ``relu(add(scale(reduce_sum(mul(mask, free)), c), -1/T))`` and an
     ``add`` across layers; ``train_task``'s ``objective`` node has the same
-    bits. With no free capacity anywhere it returns a constant 0.
+    bits. With no free capacity anywhere it returns a constant 0. It
+    serves unstacked masks alone.
     """
     if len(current_masks) != len(cumulative):
         raise UsageError(f"{len(current_masks)} masks vs {len(cumulative)} "
@@ -82,6 +91,9 @@ def regularizer(current_masks: list, cumulative: list, task_count: int) -> Tenso
     neg_quota = -1.0 / _width(task_count, "task_count")
     total = None
     for mask, cum in zip(current_masks, cumulative):
+        if np.ndim(cum) != 1:
+            raise ShapeError(f"penalty: cumulative masks must be vectors, got "
+                             f"shape {np.shape(cum)}")
         capacity = _free_capacity(cum)
         if capacity is None:
             continue
@@ -95,7 +107,7 @@ def regularizer(current_masks: list, cumulative: list, task_count: int) -> Tenso
     return total if total is not None else Tensor(0.0)
 
 
-def _objective(loss: Tensor, maskers: list, capacity: list, task: int, s: float,
+def _objective(loss: Tensor, maskers: list, capacity: list, task: int, s,
                reg_lambda: float, neg_quota) -> Tensor:
     """``loss + penalty * reg_lambda`` as one ``objective`` node over the
     loss and each masker's embedding row, the penalty taken over the live
@@ -105,28 +117,31 @@ def _objective(loss: Tensor, maskers: list, capacity: list, task: int, s: float,
     reg_lambda))``: per layer ``sum(mask * free) * c + neg_quota``, floored
     at 0 as ``relu`` does, summed in order; a mask's gradient is
     ``((g * λ * over_quota) * c) * free``, then the chain rule to the row,
-    whose hook compensates it on a training tape."""
+    whose hook compensates it on a training tape. For member maskers the
+    loss, the scale column and each ``c`` are per member, and every sum runs
+    over one member's units alone."""
     notes = Tape.current().notes
     rows = [m.embedding_rows[task] for m in maskers]
     total, terms = None, []
     for row, (free, c) in zip(rows, capacity):
         note = notes.get(row)
-        mask = note[1] if note is not None and note[0] == s else sigmoid_values(row.data * s)
-        used = mask * free
-        excess = used.sum() * c + neg_quota
-        over = excess if excess > 0 else 0.0  # relu's fmax: 0 for -0.0 and NaN
+        mask = (note[1] if note is not None and _same_scale(note[0], s)
+                else sigmoid_values(row.data * s))
+        excess = (mask * free).sum(axis=-1) * c + neg_quota
+        on = excess > 0
+        # relu's 0 for -0.0 and NaN; one masker's excess is a numpy scalar
+        over = np.where(on, excess, 0.0) if excess.ndim else (excess if on else 0.0)
         total = over if total is None else total + over
-        terms.append((free, c, excess > 0, used.dtype.type, mask))
+        terms.append((free, c, on, mask))
     lam = float(reg_lambda)
 
     def backward_fn(g):
         gl = g * lam
-        # a scalar times free: the bits of np.full(free.shape, scalar) * free
-        return [g] + [_embedding_grad(cast((gl * on) * c) * free, mask, s)
-                      for free, c, on, cast, mask in terms]
+        # a value per member times free: the bits of np.full(...) * free
+        return [g] + [_embedding_grad(((gl * on) * c)[..., None] * free, mask, s)
+                      for free, c, on, mask in terms]
 
-    return ops._record("objective", [loss] + rows,
-                       loss.data + np.asarray(total) * lam, backward_fn)
+    return ops._record("objective", [loss] + rows, loss.data + total * lam, backward_fn)
 
 
 def init_embeddings(maskers: list, kind: str, rng: Optional[np.random.Generator] = None) -> None:
@@ -151,13 +166,20 @@ class SGD:
         self.momentum = momentum
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self) -> None:
+    def step(self, live: Optional[np.ndarray] = None) -> None:
+        """One step of every parameter with a gradient. For a member model,
+        ``live`` (a boolean [M] array) picks the members that move; the
+        others keep their values and velocity."""
         for p, v in zip(self.params, self.velocity):
             if p.grad is None:
                 continue
-            v *= self.momentum
-            v += p.grad
-            p.data -= self.lr * v
+            if live is None:
+                v *= self.momentum
+                v += p.grad
+                p.data -= self.lr * v
+            else:
+                v[live] = v[live] * self.momentum + p.grad[live]
+                p.data[live] -= self.lr * v[live]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -219,28 +241,75 @@ class EpochMetrics:
     accuracy: float
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+MEMBER_FIELDS = ("seed", "schedule", "init")  # the TrainerConfig fields members may differ in
 
 
-def _samples(dataset) -> tuple:
+def _member_configs(cfg, members: Optional[int]) -> list:
+    """Each member's ``TrainerConfig``: ``[cfg]`` for an unstacked model;
+    for a member model a sequence of M configs that agree on every field
+    but ``MEMBER_FIELDS``. Anything else is refused with ``UsageError``."""
+    if members is None:
+        if not isinstance(cfg, TrainerConfig):
+            raise UsageError(f"an unstacked model trains under one TrainerConfig, "
+                             f"got {type(cfg).__name__}")
+        return [cfg]
+    cfgs = list(cfg) if isinstance(cfg, (list, tuple)) else None
+    if (cfgs is None or len(cfgs) != members
+            or not all(isinstance(c, TrainerConfig) for c in cfgs)):
+        raise UsageError(f"a model of {members} members trains under a list of "
+                         f"{members} TrainerConfigs, one per member")
+    for f in fields(TrainerConfig):
+        if f.name not in MEMBER_FIELDS:
+            values = {getattr(c, f.name) for c in cfgs}
+            if len(values) > 1:
+                raise UsageError(f"members differ in {f.name} ({sorted(values)}); "
+                                 f"they may differ only in {', '.join(MEMBER_FIELDS)}")
+    return cfgs
+
+
+def _samples(dataset, members: Optional[int] = None) -> tuple:
     """``(x, y)`` of a dataset, the labels as an array, refused with a
     one-line ``ShapeError`` when its samples and labels differ in number
-    and ``UsageError`` when it has none or its labels are not integers."""
+    and ``UsageError`` when it has none or its labels are not integers.
+    For M members the dataset is stacked per member: [M,N,...] samples and
+    [M,N] labels."""
     x, y = dataset
-    if len(x) != len(y):
-        raise ShapeError(f"dataset has {len(x)} samples but {len(y)} labels")
-    if len(x) == 0:
+    if members is None:
+        n, n_labels = len(x), len(y)
+    else:
+        x, y = np.asarray(x), np.asarray(y)
+        if x.ndim < 2 or y.ndim != 2 or len(x) != members or len(y) != members:
+            raise ShapeError(f"a model of {members} members needs [{members},N,...] "
+                             f"samples and [{members},N] labels, got shapes "
+                             f"{x.shape} and {y.shape}")
+        n, n_labels = x.shape[1], y.shape[1]
+    if n != n_labels:
+        raise ShapeError(f"dataset has {n} samples but {n_labels} labels")
+    if n == 0:
         raise UsageError("dataset is empty")
     y = np.asarray(y)
     ops.check_integer_labels(y)
     return x, y
 
 
+def _mask_scale(linear, b: int, batches: int, s_max: float):
+    """Batch b's mask scale: ``linear`` True or False picks the schedule;
+    a boolean [M,1] column picks it per member and gives a column."""
+    if linear is True:
+        return scale_linear(b, batches, s_max)
+    cosine = scale_cosine((b - 1) / batches, s_max)
+    if linear is False:
+        return cosine
+    return np.where(linear, scale_linear(b, batches, s_max), cosine)
+
+
+def _epoch_metrics(epoch: int, loss, correct, seen: int, b: int) -> EpochMetrics:
+    return EpochMetrics(epoch=epoch, loss=float(loss) / max(b, 1),
+                        accuracy=int(correct) / max(seen, 1))
+
+
 def train_task(model: Sequential, dataset, task: Optional[int],
-               cfg: TrainerConfig, on_batch_end=None) -> list:
+               cfg, on_batch_end=None) -> list:
     """Train one task end to end and finalize its masks.
 
     dataset is (x, y) numpy arrays. task=None trains in plain mode: no
@@ -263,10 +332,32 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     gradient behind, so the task can be trained again on finite data. A
     dataset with no samples, with a label count that differs from its
     sample count, or with labels that are not integers, is refused before
-    anything is touched.
+    anything is touched, as is a ``cfg.task_count`` other than some
+    masker's task count.
+
+    A member model (``layers.stack_members``) trains its M independent runs
+    in lockstep along the leading member axis: one tape, one backward and
+    one optimizer step per batch for all of them. ``cfg`` is then a list of
+    M configs, each the one member m would get alone, differing only in
+    ``seed``, ``schedule`` and ``init``; the dataset is stacked per member.
+    Member m draws its own shuffle order and mask scale, pays its own
+    capacity penalty and, bit for bit, ends where training ``models[m]``
+    alone would. on_batch_end may return a bool for every member or an [M]
+    array of them; a member stops at its first True and takes no further
+    optimizer step, and training ends once every member has stopped. A
+    member's non-finite loss refuses the whole group's batch as above,
+    naming the member. Returns one list of EpochMetrics per member.
     """
-    x, y = _samples(dataset)
+    members = model.members
+    cfgs = _member_configs(cfg, members)
+    cfg = cfgs[0]  # what the members share
+    x, y = _samples(dataset, members)
+    n = y.shape[-1]
     maskers = model.maskers()
+    for masker in maskers:
+        if masker.task_count != cfg.task_count:
+            raise UsageError(f"cfg.task_count is {cfg.task_count} but masker "
+                             f"'{masker.layer_tag}' has {masker.task_count} tasks")
     if task is not None:  # refused up front as at finalization
         for masker in maskers:
             masker.check_finalizable(task)
@@ -283,53 +374,78 @@ def train_task(model: Sequential, dataset, task: Optional[int],
                 penalized.append(masker)
                 capacity.append(free)
     neg_quota = np.float64(-1.0 / cfg.task_count)
-    total_batches = math.ceil(len(x) / cfg.batch_size)
-    metrics = []
+    total_batches = math.ceil(n / cfg.batch_size)
+    if members is None:
+        lanes, linear, active = None, cfg.schedule == "linear", None
+    else:  # member m reads row m of every stacked array
+        lanes = np.arange(members)[:, None]
+        linear = np.array([[c.schedule == "linear"] for c in cfgs])
+        active = np.ones(members, dtype=bool)
+    metrics = [[] for _ in cfgs]
     global_batch = 0
     stopped = False
 
     for epoch in range(cfg.epochs):
-        shuffle_rng = np.random.default_rng(
-            [cfg.seed, 0 if task is None else task + 1, epoch])
+        orders = [np.random.default_rng([c.seed, 0 if task is None else task + 1, epoch])
+                  .permutation(n) for c in cfgs]
+        order = orders[0] if lanes is None else np.stack(orders)
         epoch_loss = 0.0
         correct = seen = 0
         b = 0
-        for b, idx in enumerate(_batches(len(x), cfg.batch_size, shuffle_rng), start=1):
-            s = (scale_linear(b, total_batches, cfg.s_max) if cfg.schedule == "linear"
-                 else scale_cosine((b - 1) / total_batches, cfg.s_max))
-            payload = HATPayload(Tensor(x[idx]), task=task, scale=s, training=True)
+        for b, start in enumerate(range(0, n, cfg.batch_size), start=1):
+            idx = order[..., start:start + cfg.batch_size]
+            key = idx if lanes is None else (lanes, idx)
+            s = _mask_scale(linear, b, total_batches, cfg.s_max)
+            payload = HATPayload(Tensor(x[key]), task=task, scale=s, training=True)
             tape = Tape()
             try:
                 with tape:
                     logits = model.forward(payload).masked_data()
-                    labels = y[idx]
+                    labels = y[key]
                     loss = ops.softmax_cross_entropy(logits, labels)
                     if penalized:
                         loss = _objective(loss, penalized, capacity, task, s,
                                           cfg.reg_lambda, neg_quota)
-                batch_loss = loss.item()
-                if not math.isfinite(batch_loss):
+                    total = loss if lanes is None else ops.reduce_sum(loss)
+                batch_loss = loss.item() if lanes is None else loss.data
+                refused = _non_finite(batch_loss, active)
+                if refused is not None:
                     optimizer.zero_grad()
-                    raise StateError(f"loss of epoch {epoch} batch {b} is not finite; "
-                                     f"refused before its optimizer step")
-                tape.backward(loss)
+                    raise StateError(f"{refused}loss of epoch {epoch} batch {b} is not "
+                                     f"finite; refused before its optimizer step")
+                tape.backward(total)
             finally:
                 tape.release()  # no cycle left: rebinding frees this graph
-            optimizer.step()
+            optimizer.step(None if active is None or active.all() else active)
             optimizer.zero_grad()
             if task is not None:  # only the training task's rows moved
                 for masker in maskers:
                     masker.clamp_embeddings(task)
             epoch_loss += batch_loss
-            correct += int(np.count_nonzero(logits.data.argmax(axis=1) == labels))
-            seen += len(idx)
+            hits = logits.data.argmax(axis=-1) == labels
+            correct += (int(np.count_nonzero(hits)) if lanes is None
+                        else np.count_nonzero(hits, axis=-1))
+            seen += idx.shape[-1]
             global_batch += 1
-            if on_batch_end is not None and on_batch_end(global_batch, model):
-                stopped = True
+            if on_batch_end is None:
+                continue
+            stop = on_batch_end(global_batch, model)
+            if lanes is None:
+                stopped = bool(stop)
+            else:
+                ended = active & _member_flags(stop, members)
+                for m in np.flatnonzero(ended):
+                    metrics[m].append(_epoch_metrics(epoch, epoch_loss[m], correct[m],
+                                                     seen, b))
+                active &= ~ended
+                stopped = not active.any()
+            if stopped:
                 break
-        metrics.append(EpochMetrics(epoch=epoch,
-                                    loss=epoch_loss / max(b, 1),
-                                    accuracy=correct / max(seen, 1)))
+        if lanes is None:
+            metrics[0].append(_epoch_metrics(epoch, epoch_loss, correct, seen, b))
+        else:
+            for m in np.flatnonzero(active):
+                metrics[m].append(_epoch_metrics(epoch, epoch_loss[m], correct[m], seen, b))
         if stopped:
             break
 
@@ -338,13 +454,34 @@ def train_task(model: Sequential, dataset, task: Optional[int],
             masker.check_finalizable(task)
         for masker in maskers:
             masker.finalize_task(task)
-    return metrics
+    return metrics[0] if lanes is None else metrics
 
 
-def evaluate(model: Sequential, dataset, task: Optional[int]) -> float:
+def _non_finite(loss, active: Optional[np.ndarray]) -> Optional[str]:
+    """None when the batch loss of every member still training is finite;
+    else how a refusal names the loss: "" unstacked, else its first member."""
+    if active is None:
+        return None if math.isfinite(loss) else ""
+    bad = np.flatnonzero(active & ~np.isfinite(loss))
+    return f"member {bad[0]}'s " if len(bad) else None
+
+
+def _member_flags(stop, members: int) -> np.ndarray:
+    """What ``on_batch_end`` returned for a member model, as [M] booleans."""
+    flags = np.asarray(stop, dtype=bool)  # None reads as False
+    if flags.shape not in ((), (members,)):
+        raise UsageError(f"on_batch_end must return a bool or {members} of them, "
+                         f"got shape {flags.shape}")
+    return flags
+
+
+def evaluate(model: Sequential, dataset, task: Optional[int]):
     """Fraction of correct predictions at full mask hardness; no tape, no
-    hooks, no state changes. A dataset is refused as in ``train_task``."""
-    x, y = _samples(dataset)
+    hooks, no state changes. A dataset is refused as in ``train_task``.
+    A member model reads a dataset stacked per member and returns an [M]
+    array, member m's fraction at m."""
+    x, y = _samples(dataset, model.members)
     payload = HATPayload(Tensor(x), task=task, scale=None, training=False)
     logits = model.forward(payload).masked_data().data
-    return float(np.mean(np.argmax(logits, axis=1) == y))
+    hits = np.argmax(logits, axis=-1) == y
+    return float(np.mean(hits)) if model.members is None else np.mean(hits, axis=-1)

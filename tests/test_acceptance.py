@@ -241,7 +241,6 @@ def test_4_completed_tasks_unharmed_by_later_training(capsys, continual_run):
     assert elapsed < 300.0
 
 
-@pytest.mark.slow  # deselecting it also skips its toy_run fixture
 def test_5_anneal_strategy_ordering(capsys, toy_run):
     summary = toy_run["summary"]
     slow_mean = summary["gaussian_linear"][0]

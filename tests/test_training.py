@@ -53,6 +53,15 @@ class TestLinearSchedule:
         with pytest.raises(tg.UsageError):
             scale_linear(11, 10, 400.0)
 
+    @pytest.mark.parametrize("b", [1.5, 2.0, True, "2", None])
+    def test_batch_index_must_be_an_int(self, b):
+        # 1.5 of 4 used to give 66.67, a scale no batch of the ramp has
+        with pytest.raises(tg.UsageError, match="batch index must be an int"):
+            scale_linear(b, 4, 400.0)
+
+    def test_numpy_int_batch_index_accepted(self):
+        assert scale_linear(np.int64(2), 4, 400.0) == scale_linear(2, 4, 400.0)
+
 
 class TestCosineSchedule:
     def test_endpoints_exact(self):
@@ -420,6 +429,21 @@ class TestTrainTask:
         for masker in model.maskers():
             assert 0 in masker.stored_task_masks
 
+    @pytest.mark.parametrize("task", [0, 1, None])
+    def test_task_count_must_match_the_maskers(self, task):
+        # task_count=1 on a 2-task model made the quota 1/T = 1, so the
+        # capacity penalty never bound
+        rng = np.random.default_rng(57)
+        model = small_model(rng, 2)
+        before = [m.embedding_rows[0].data.copy() for m in model.maskers()]
+        cfg = TrainerConfig(task_count=1, epochs=1, batch_size=30, seed=1)
+        with pytest.raises(tg.UsageError, match="task_count is 1 but masker 'l1.mask' "
+                                                "has 2 tasks"):
+            train_task(model, two_cluster_task(rng), task, cfg)
+        assert all(np.array_equal(m.embedding_rows[0].data, b)
+                   for m, b in zip(model.maskers(), before))
+        assert all(not m.stored_task_masks for m in model.maskers())
+
     def test_retraining_finalized_task_rejected(self):
         rng = np.random.default_rng(53)
         model = small_model(rng, 2)
@@ -669,17 +693,18 @@ class TestTapes:
         # cross-entropy in one objective node over both layers' rows
         assert [ops["objective"] for ops in batches] == [1] * 4 + [0] * 4
 
-        # a toy batch: 5 leaves, gate, linear, relu, linear, cross-entropy
-        # and objective (14 nodes with mask, penalty, scale and add in place
-        # of the objective; 18 with the generic penalty ops)
+        # a toy step trains both strategies in lockstep on one tape: 5
+        # stacked leaves, gate, linear, relu, linear, cross-entropy and
+        # objective per member, and a sum of the member losses to seed
+        # backward (11 nodes per batch when each run had its own tape)
         batches.clear()
         bench.run_toy(bench.ExperimentConfig(experiment="toy-init", repeats=1,
                                              batch_cap=6))
-        assert len(batches) == 12  # 2 strategies x 6 batches
+        assert len(batches) == 6  # 6 lockstep steps of 2 members
         for ops in batches:
             assert ops == {"leaf": 5, "gate": 1, "linear": 2, "relu": 1,
-                           "softmax_cross_entropy": 1, "objective": 1}, ops
-            assert sum(ops.values()) == 11
+                           "softmax_cross_entropy": 1, "objective": 1, "sum": 1}, ops
+            assert sum(ops.values()) == 12
 
     @pytest.mark.parametrize("stop_at", [None, 2])
     def test_no_tape_outlives_train_task(self, stop_at):
