@@ -7,13 +7,13 @@ The pieces:
   mask. The cumulative mask, their OR, is rebuilt only where those records
   change; ``reset_task`` frees a slot.
 * ``HATLinear`` / ``HATConv2d`` wrap a weighted base layer and gate its
-  output through an output masker. Once a completed task has claimed any of
-  its output units, every forward with a task id recorded on a tape
-  registers a gradient hook on the weights (once per tape) that multiplies
-  each entry's gradient by ``1 - min(out_mask_i, in_mask_j)``, so
-  parameters claimed by earlier tasks stop moving in any training loop.
-  The hooks' inputs are worked out once per change to the maskers' records
-  or to the layer's input side, not once per tape.
+  output through an output masker. Any forward recorded on a tape, with a
+  task id or without, protects every completed task: once one claims any
+  of the layer's output units, the forward registers a gradient hook on
+  the weights (once per tape) that multiplies each entry's gradient by
+  ``1 - min(out_mask_i, in_mask_j)``, read from the maskers' records as
+  they are then, so parameters claimed by earlier tasks stop moving in any
+  training loop.
 * Applying a training mask records one ``gate`` node, ``data * sigmoid(s * e)``.
   With the payload's ``training`` flag it also hooks the task's embedding
   row (once per tape): each gradient reaching the row is rescaled to undo
@@ -247,7 +247,7 @@ class HATMasker(PayloadModule):
         """1.0 at each unit some completed task's stored mask claims, else 0.0.
 
         A read-only array, rebuilt only where the stored masks change; the
-        same object is returned until then, so it can key a cache.
+        same object is returned until then.
         """
         return self._cumulative
 
@@ -455,8 +455,9 @@ class InputSide(NamedTuple):
     taps: int = 1
 
     def expand(self, per_unit: np.ndarray) -> np.ndarray:
-        """A vector over the masker's units as a new one over input features."""
-        return np.repeat(per_unit, self.taps)
+        """A vector over the masker's units as one over input features: the
+        same array when each unit covers one feature, else a new one."""
+        return per_unit if self.taps == 1 else np.repeat(per_unit, self.taps)
 
 
 class _GatedWeightedLayer(PayloadModule):
@@ -471,9 +472,6 @@ class _GatedWeightedLayer(PayloadModule):
         # alone, a layer is a first layer; every Sequential holding it
         # rebinds this from the model's structure (see walk)
         self.input_side = InputSide()
-        # (output-side cumulative mask, input-side one, the nullify hooks'
-        # inputs) for the masker records last seen; see _nullify_inputs
-        self._nullify = None
 
     def local_parameters(self):
         return [self.weight, self.bias]
@@ -484,38 +482,23 @@ class _GatedWeightedLayer(PayloadModule):
     def forward(self, p: HATPayload) -> HATPayload:
         h = self._weighted(p.data)
         tape = Tape.current()
-        if tape is not None and p.task is not None and self not in tape.notes:
-            args = self._nullify_inputs()
-            if args is not None:
+        if tape is not None and self not in tape.notes:
+            # with no output unit claimed, every factor 1 - min(out, in) is 1
+            a_out, side = self.output_masker.cumulative_mask, self.input_side
+            if a_out.any():
                 if self.members is not None:
                     raise UsageError(f"'{self.layer_tag}' cannot protect completed "
                                      f"tasks: nullification serves unstacked "
                                      f"layers, not {self.members} members")
-                a_out, a_in = args
+                # A first layer (no masker below) protects by output side
+                # alone: its inputs are task-free, so a weight is frozen
+                # exactly when its output unit is claimed.
+                a_in = (None if side.masker is None
+                        else side.expand(side.masker.cumulative_mask))
                 self.weight.register_hook(lambda g: grad_nullify(g, a_out, a_in))
                 self.bias.register_hook(lambda g: grad_nullify(g, a_out))
                 tape.notes[self] = True  # hooks are on this tape
         return self.output_masker.forward(p.with_data(h))
-
-    def _nullify_inputs(self):
-        """``(a_out, a_in)`` for the nullify hooks, or None while no completed
-        task claims an output unit: with a zero output-side mask every factor
-        1 - min(out, in) is 1. Worked out again only when either masker's
-        records change, and so its cumulative mask object, or when the input
-        side is rebound to another masker."""
-        out_cum, side = self.output_masker.cumulative_mask, self.input_side
-        in_cum = None if side.masker is None else side.masker.cumulative_mask
-        cached = self._nullify
-        if cached is None or cached[0] is not out_cum or cached[1] is not in_cum:
-            # A first layer (no masker below) protects by output side alone:
-            # its inputs are task-free, so a weight is frozen exactly when its
-            # output unit is claimed. Equivalent to an all-ones input mask.
-            a_in = None if in_cum is None else side.expand(in_cum)
-            if a_in is not None:
-                a_in.flags.writeable = False
-            args = (out_cum, a_in) if out_cum.any() else None
-            self._nullify = cached = (out_cum, in_cum, args)
-        return cached[2]
 
 
 class HATLinear(_GatedWeightedLayer):
@@ -718,7 +701,6 @@ def _stack(modules: list, members: int):
     stacked.bias = _stack_leaves([m.bias for m in modules])
     if isinstance(first, HATLinear):
         stacked.output_masker = _stack([m.output_masker for m in modules], members)
-        stacked._nullify = None
     return stacked
 
 

@@ -4,8 +4,8 @@ A payload carries the tensor, the task id (absent = plain/unmasked mode), the
 current mask scale (for a member model, one float or an [M,1] column with
 a scale per member) and the ``training`` flag, under which each gate hooks
 its task's embedding row to compensate and rail its gradients
-(``train_task`` sets it). Protection of completed tasks does not depend on
-the flag: it applies to any forward with a task id recorded on a tape.
+(``train_task`` sets it). Protection of completed tasks depends on neither
+the flag nor the task id: it applies to any forward recorded on a tape.
 Maskers apply their mask as soon as they run, so a payload's data is always
 fully masked; which masker feeds which gated layer is resolved once, from
 the model's structure, when a ``Sequential`` is built.

@@ -48,10 +48,11 @@ def scale_cosine(p: float, s_max: float, s_min: Optional[float] = None) -> float
     """Cosine sweep over unit training time, floored at s_min.
 
     s(0) = s(1) = s_max; the raw curve touches zero at p = 0.5, where the
-    floor (default 1/s_max) takes over.
+    floor (default 1/s_max) takes over. The progress ``p`` must be a real
+    number in [0, 1] (a bool or a string is refused).
     """
-    if not 0.0 <= p <= 1.0:
-        raise UsageError(f"progress must lie in [0,1], got {p}")
+    if not (_real(p) and 0.0 <= p <= 1.0):
+        raise UsageError(f"progress must lie in [0,1], got {p!r}")
     s_max = check_scale(s_max, "s_max")
     s_min = 1.0 / s_max if s_min is None else check_scale(s_min, "s_min")
     return max(s_min, (s_max / 2.0) * (1.0 + math.cos(2.0 * math.pi * p)))
@@ -268,16 +269,16 @@ def _member_configs(cfg, members: Optional[int]) -> list:
 
 
 def _samples(dataset, members: Optional[int] = None) -> tuple:
-    """``(x, y)`` of a dataset, the labels as an array, refused with a
-    one-line ``ShapeError`` when its samples and labels differ in number
-    and ``UsageError`` when it has none or its labels are not integers.
-    For M members the dataset is stacked per member: [M,N,...] samples and
-    [M,N] labels."""
+    """``(x, y)`` of a dataset as arrays, refused with a one-line
+    ``ShapeError`` when its samples and labels differ in number and
+    ``UsageError`` when it has none, its samples are not real numbers or
+    hold NaN, or its labels are not integers. For M members the dataset is
+    stacked per member: [M,N,...] samples and [M,N] labels."""
     x, y = dataset
+    x, y = np.asarray(x), np.asarray(y)
     if members is None:
         n, n_labels = len(x), len(y)
     else:
-        x, y = np.asarray(x), np.asarray(y)
         if x.ndim < 2 or y.ndim != 2 or len(x) != members or len(y) != members:
             raise ShapeError(f"a model of {members} members needs [{members},N,...] "
                              f"samples and [{members},N] labels, got shapes "
@@ -287,7 +288,12 @@ def _samples(dataset, members: Optional[int] = None) -> tuple:
         raise ShapeError(f"dataset has {n} samples but {n_labels} labels")
     if n == 0:
         raise UsageError("dataset is empty")
-    y = np.asarray(y)
+    if x.dtype.kind not in "biuf":
+        raise UsageError(f"dataset samples must be real numbers, got dtype {x.dtype}")
+    # relu maps NaN to 0, so the loss stays finite while the gate's
+    # backward writes NaN into the task's embedding row
+    if np.isnan(x).any():
+        raise UsageError(f"dataset samples hold {int(np.isnan(x).sum())} NaN values")
     ops.check_integer_labels(y)
     return x, y
 
@@ -313,8 +319,9 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     """Train one task end to end and finalize its masks.
 
     dataset is (x, y) numpy arrays. task=None trains in plain mode: no
-    masking, no hooks, no regularizer pressure, no finalization — the code
-    path degenerates to ordinary network training.
+    masking, no compensation, no regularizer pressure, no finalization — the
+    code path degenerates to ordinary network training, except that the
+    weights completed tasks claim stay frozen, as on any tape.
 
     on_batch_end, if given, is called after every optimizer step with
     (global_batch_index, model); returning True stops training early (the
@@ -331,9 +338,9 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     refused with ``StateError`` before its optimizer step, leaving no
     gradient behind, so the task can be trained again on finite data. A
     dataset with no samples, with a label count that differs from its
-    sample count, or with labels that are not integers, is refused before
-    anything is touched, as is a ``cfg.task_count`` other than some
-    masker's task count.
+    sample count, with samples that hold NaN, or with labels that are not
+    integers, is refused before anything is touched, as is a
+    ``cfg.task_count`` or ``cfg.s_max`` other than some masker's.
 
     A member model (``layers.stack_members``) trains its M independent runs
     in lockstep along the leading member axis: one tape, one backward and
@@ -358,6 +365,9 @@ def train_task(model: Sequential, dataset, task: Optional[int],
         if masker.task_count != cfg.task_count:
             raise UsageError(f"cfg.task_count is {cfg.task_count} but masker "
                              f"'{masker.layer_tag}' has {masker.task_count} tasks")
+        if masker.s_max != cfg.s_max:
+            raise UsageError(f"cfg.s_max is {cfg.s_max:g} but masker "
+                             f"'{masker.layer_tag}' has s_max {masker.s_max:g}")
     if task is not None:  # refused up front as at finalization
         for masker in maskers:
             masker.check_finalizable(task)

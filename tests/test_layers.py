@@ -20,7 +20,8 @@ from taskgate.checkpoint import load_model_state, model_state
 from taskgate.forgetting import forget_task
 from taskgate.layers import COSH_CLAMP, E_MAX, InputSide, Linear, ReLU, walk
 
-from gated_models import claim_binary, flat_model, logits, set_binary_row, sgd_steps
+from gated_models import (claim_binary, flat_model, gated_layers, logits, set_binary_row,
+                          sgd_steps)
 from gradcheck import assert_grads_match
 
 
@@ -450,8 +451,8 @@ class TestCumulativeMaskRecord:
 
 
 class TestNullifyInputs:
-    """A gated layer works out its hooks' inputs once per records change,
-    and its hooks always read the maskers' records as they are now."""
+    """A gated layer's hooks read the maskers' records as they are at each
+    taped forward: forgetting, retraining and rewrapping all show."""
 
     @staticmethod
     def hook_inputs(model, task, monkeypatch):
@@ -1020,7 +1021,7 @@ class TestProtection:
 
     def test_loop_without_training_flag_keeps_task0_bit_exact(self):
         # a hand-written loop on the payload's default training=False: the
-        # nullify hooks hang on the task id and the tape, not on the flag
+        # nullify hooks hang on the tape alone, not on the flag
         rng = np.random.default_rng(49)
         model = Sequential(
             HATLinear(4, 6, 2, "l1", rng),
@@ -1057,3 +1058,40 @@ class TestProtection:
         assert np.array_equal(before, logits(model, x_eval, 1))
         sgd_steps(model, rng.standard_normal((16, 4)), rng.integers(0, 2, 16), 0)
         assert np.array_equal(before, logits(model, x_eval, 1))
+
+
+class TestPlainModeProtection:
+    """A taped forward without a task id protects every completed task too:
+    plain-mode training moves only what no completed task claims."""
+
+    @staticmethod
+    def model(rng):
+        # no task-indexed head: TaskIndexed refuses task=None
+        return Sequential(HATLinear(6, 8, 2, "l1", rng), ReLU(),
+                          HATLinear(8, 2, 2, "l2", rng))
+
+    def test_train_task_without_task_keeps_task0_bit_exact(self):
+        rng = np.random.default_rng(53)
+        model = self.model(rng)
+        x = rng.standard_normal((64, 6))
+        data = (x, (x[:, 0] > 0).astype(int))
+        cfg = tg.TrainerConfig(task_count=2, epochs=2, batch_size=16)
+        tg.train_task(model, data, 0, cfg)
+        x_eval = rng.standard_normal((8, 6))
+        before = logits(model, x_eval, 0)
+        tg.train_task(model, (x, 1 - data[1]), None, cfg)
+        assert np.array_equal(before, logits(model, x_eval, 0))
+
+    def test_hand_written_loop_without_task_keeps_task0_bit_exact(self):
+        rng = np.random.default_rng(54)
+        model = self.model(rng)
+        claim_binary(model, 0, rng)
+        x_eval = rng.standard_normal((8, 6))
+        before = logits(model, x_eval, 0)
+        weights = [layer.weight.data.copy() for layer in gated_layers(model)]
+        sgd_steps(model, rng.standard_normal((16, 6)), rng.integers(0, 2, 16), None,
+                  training=False)
+        assert np.array_equal(before, logits(model, x_eval, 0))
+        # the loop did train: weights no completed task claims moved
+        assert any(not np.array_equal(w, layer.weight.data)
+                   for w, layer in zip(weights, gated_layers(model)))

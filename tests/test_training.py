@@ -96,6 +96,10 @@ class TestCosineSchedule:
         with pytest.raises(tg.UsageError):
             scale_cosine(1.5, 400.0)
 
+    def test_numpy_progress_accepted(self):
+        assert scale_cosine(np.float64(0.25), 400.0) == 200.0
+        assert scale_cosine(np.int64(1), 400.0) == 400.0
+
 
 class TestRegularizer:
     def test_hand_value_half_usage(self):
@@ -255,9 +259,15 @@ class TestPenaltyNode:
     (lambda: scale_linear(1, 1, float("inf")), "s_max"),
     (lambda: scale_linear(5, 0, 400.0), "batches per epoch"),
     (lambda: scale_linear(3, -2, 400.0), "batches per epoch"),
+    (lambda: scale_cosine("0.5", 400.0), "progress"),
+    (lambda: scale_cosine(None, 400.0), "progress"),
+    (lambda: scale_cosine(True, 400.0), "progress"),
+    (lambda: scale_cosine(float("nan"), 400.0), "progress"),
 ], ids=["regularizer", "regularizer saturated", "regularizer float", "cosine zero",
         "cosine nan", "cosine s_min zero", "cosine s_min nan", "linear zero",
-        "linear nan", "linear inf", "linear no batches", "linear negative batches"])
+        "linear nan", "linear inf", "linear no batches", "linear negative batches",
+        "cosine string progress", "cosine none progress", "cosine bool progress",
+        "cosine nan progress"])
 def test_degenerate_penalty_and_schedule_arguments_refused(call, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -442,6 +452,21 @@ class TestTrainTask:
             train_task(model, two_cluster_task(rng), task, cfg)
         assert all(np.array_equal(m.embedding_rows[0].data, b)
                    for m, b in zip(model.maskers(), before))
+        assert all(not m.stored_task_masks for m in model.maskers())
+
+    @pytest.mark.parametrize("task", [0, None])
+    def test_s_max_must_match_the_maskers(self, task):
+        # else the schedule would peak at 50 while compensation,
+        # finalization and evaluate use the maskers' 400
+        rng = np.random.default_rng(58)
+        model = small_model(rng, 2)
+        params = model.task_parameters(0)
+        before = [p.data.copy() for p in params]
+        cfg = TrainerConfig(task_count=2, s_max=50.0, epochs=1, batch_size=30)
+        with pytest.raises(tg.UsageError, match="s_max is 50 but masker 'l1.mask' "
+                                                "has s_max 400"):
+            train_task(model, two_cluster_task(rng), task, cfg)
+        assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
         assert all(not m.stored_task_masks for m in model.maskers())
 
     def test_retraining_finalized_task_rejected(self):
@@ -831,15 +856,26 @@ class TestIdentityReduction:
         assert out1.shape == (5, 2)
 
 
-def bad_dataset(rng, samples, labels, dtype=np.int64):
-    return rng.standard_normal((samples, 6)), rng.integers(0, 2, labels).astype(dtype)
+def bad_dataset(rng, samples, labels, dtype=np.int64, entry=None):
+    """Normal samples and labels of the given dtype; ``entry``, if given,
+    becomes one sample value, in that value's type."""
+    x = rng.standard_normal((samples, 6))
+    if entry is not None:
+        x = x.astype(type(entry))
+        x[7, 2] = entry
+    return x, rng.integers(0, 2, labels).astype(dtype)
 
 
 class TestDatasetChecks:
-    # (samples, labels[, label dtype]): mismatched, empty, labels not integers
+    # (samples, labels[, label dtype[, sample entry]]): mismatched, empty,
+    # labels not integers, samples that hold NaN (relu maps NaN to 0, so
+    # the loss would stay finite while NaN reached the weights), samples
+    # that are not numbers
     BAD_DATASETS = [((8, 20), tg.ShapeError), ((20, 8), tg.ShapeError),
                     ((0, 0), tg.UsageError), ((20, 20, float), tg.UsageError),
-                    ((20, 20, bool), tg.UsageError)]
+                    ((20, 20, bool), tg.UsageError),
+                    ((20, 20, np.int64, np.nan), tg.UsageError),
+                    ((20, 20, np.int64, "a"), tg.UsageError)]
 
     @pytest.mark.parametrize("sizes, error", BAD_DATASETS)
     @pytest.mark.parametrize("task", [0, None])
@@ -856,6 +892,19 @@ class TestDatasetChecks:
             np.testing.assert_array_equal(p.data, data)
             assert p.grad is None and p.node_id is None
         assert [m.completed_tasks() for m in model.maskers()] == [[], []]
+
+    def test_list_samples_train_as_arrays(self):
+        x, y = two_cluster_task(np.random.default_rng(66))
+        cfg = TrainerConfig(task_count=2, epochs=2, batch_size=30)
+        runs = []
+        for data in ((x, y), (x.tolist(), y.tolist())):
+            model = small_model(np.random.default_rng(67), 2)
+            metrics = train_task(model, data, 0, cfg)
+            runs.append((metrics, [p.data for p in model.task_parameters(0)],
+                         evaluate(model, data, 0)))
+        (m_arr, p_arr, acc_arr), (m_list, p_list, acc_list) = runs
+        assert m_arr == m_list and acc_arr == acc_list
+        assert all(np.array_equal(a, b) for a, b in zip(p_arr, p_list))
 
     def test_a_batch_refused_after_recording_releases_its_tape(self):
         # a label outside [0, C) is refused by the cross-entropy, after the
