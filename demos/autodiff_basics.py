@@ -49,9 +49,9 @@ print(f"numeric d/dw[0,0] = {numeric:.6f}, analytic = {w.grad[0, 0]:.6f}")
 # 3. Gradient hooks
 #
 # A hook transforms the gradient flowing into a tensor during backward().
-# The gated layers protect completed tasks with one: nullification is a hook
-# on each gated layer's weights. (Compensation is not a hook; it runs inside
-# the backward pass of the mask gate's own tape node.)
+# Completed tasks are protected with them: nullification is a hook on the
+# weights of every gated layer and shared Linear or LayerNorm, and
+# compensation is a hook on the training task's embedding row.
 
 w.grad = None
 with Tape() as tape:

@@ -78,10 +78,12 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
     """Erase the parameters exclusively associated with one finalized task.
 
     Weight (i, j) of a gated layer is zeroed when output unit i is exclusive
-    to `task` and input feature j is exclusive at the masker that guards it
-    (first layers, having no such masker, zero the whole row; a dense layer
+    to `task` and input feature j is exclusive at the masker whose units its
+    inputs are (a layer whose inputs count as claimed, a first layer or one
+    reading through a weighted module, zeroes the whole row; a dense layer
     after a flattened convolution reads each channel's exclusivity at all of
-    its pixels). Bias i is zeroed on output-side exclusivity alone. The
+    its pixels). Bias i is zeroed on output-side exclusivity alone. Shared
+    modules belong to no one task and are left alone. The
     task's task-indexed submodules are zeroed or reset, and every masker
     resets the task's slot (``HATMasker.reset_task``) so it can be retrained.
     A refused call changes nothing; a member model is refused (see

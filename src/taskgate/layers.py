@@ -7,13 +7,15 @@ The pieces:
   mask. The cumulative mask, their OR, is rebuilt only where those records
   change; ``reset_task`` frees a slot.
 * ``HATLinear`` / ``HATConv2d`` wrap a weighted base layer and gate its
-  output through an output masker. Any forward recorded on a tape, with a
-  task id or without, protects every completed task: once one claims any
-  of the layer's output units, the forward registers a gradient hook on
-  the weights (once per tape) that multiplies each entry's gradient by
-  ``1 - min(out_mask_i, in_mask_j)``, read from the maskers' records as
-  they are then, so parameters claimed by earlier tasks stop moving in any
-  training loop.
+  output through an output masker.
+* One rule protects completed tasks: a weight entry stops moving once a
+  completed task claims both of its ends. A gated layer's output ends are
+  its output masker's units, its input ends those of the most recent masker
+  if only functions sit between them (else claimed). A shared ``Linear`` or
+  ``LayerNorm`` (not in ``TaskIndexed``) has every end claimed once its
+  model has a completed task. Any forward on a tape, task id or not, hooks
+  each entry's gradient by ``1 - min(out_i, in_j)`` of the claims (once per
+  tape, through ``_protect``), so they hold in any training loop.
 * Applying a training mask records one ``gate`` node, ``data * sigmoid(s * e)``.
   With the payload's ``training`` flag it also hooks the task's embedding
   row (once per tape): each gradient reaching the row is rescaled to undo
@@ -27,16 +29,15 @@ The pieces:
 * ``stack_members`` turns M models of one structure into one member model:
   each parameter gains a leading member axis, and ``train_task`` trains
   the members in lockstep. Maskers (per-member rows, gate, compensation
-  hook and rail), ``Linear``, ``HATLinear`` and ``ReLU`` serve members.
-  Everything else refuses them with a one-line error: ``HATConv2d``,
-  ``LayerNorm`` and ``TaskIndexed`` when stacked, nullification once a
-  completed task claims a gated layer's units, and checkpoints and
-  ``forget_task`` (``refuse_members``).
+  hook and rail), ``Linear``, ``HATLinear``, ``ReLU`` and nullification
+  serve members. Everything else refuses them with a one-line error:
+  ``HATConv2d``, ``LayerNorm`` and ``TaskIndexed`` when stacked, and
+  checkpoints and ``forget_task`` (``refuse_members``).
 
 Plain modules and functions (``Linear``, ``ReLU``, a flatten) operate on
 bare tensors inside a ``Sequential``, which may nest. ``walk`` is the one
-traversal of a model; it also decides which masker guards each gated
-layer's input features and how those features map onto its units.
+traversal of a model; it also decides which masker, if any, claims each
+gated layer's input features and how those features map onto its units.
 """
 
 from __future__ import annotations
@@ -131,16 +132,17 @@ def grad_nullify(g: np.ndarray, a_out_cum: np.ndarray,
 
     With ``a_in_cum`` given, entry (i, j) of a weight gradient is multiplied
     by ``1 - min(a_out_cum[i], a_in_cum[j])``; extra trailing axes (conv
-    spatial taps) share their (i, j) factor. Without it — bias vectors and
-    first-layer weights, whose input side carries no mask — the factor is
-    ``1 - a_out_cum[i]`` per output unit. An entry whose factor is 0 comes
-    out as an exact zero even where ``g`` is infinite or NaN.
+    spatial taps) share their (i, j) factor; a leading member axis pairs up.
+    Without it — biases, and weights whose inputs count as claimed — the
+    factor is ``1 - a_out_cum[i]`` per output unit. An entry whose factor is
+    0 comes out as an exact zero even where ``g`` is infinite or NaN.
     """
     a_out = np.asarray(a_out_cum, dtype=g.dtype)
     if a_in_cum is None:
         factor = 1.0 - a_out
     else:
-        factor = 1.0 - np.minimum.outer(a_out, np.asarray(a_in_cum, dtype=g.dtype))
+        a_in = np.asarray(a_in_cum, dtype=g.dtype)
+        factor = 1.0 - np.minimum(a_out[..., :, None], a_in[..., None, :])
     if factor.ndim > g.ndim:
         raise ShapeError(f"mask factor rank {factor.ndim} exceeds gradient rank {g.ndim}")
     factor = factor.reshape(factor.shape + (1,) * (g.ndim - factor.ndim))
@@ -394,6 +396,21 @@ class HATMasker(PayloadModule):
         return sorted(self.stored_task_masks)
 
 
+def _protect(module, out: Tensor) -> Tensor:
+    """``out``, just recorded by ``module``'s forward. On a tape, once per tape
+    and once ``module._claims()`` gives claimed output ends, the module's weight
+    and bias get ``grad_nullify`` hooks with the claims on their two ends."""
+    tape = Tape.current()
+    if tape is not None and module not in tape.notes:
+        a_out, a_in = module._claims()
+        if a_out is not None:
+            weight, bias = module.local_parameters()
+            weight.register_hook(lambda g: grad_nullify(g, a_out, a_in))
+            bias.register_hook(lambda g: grad_nullify(g, a_out))
+            tape.notes[module] = True  # hooks are on this tape
+    return out
+
+
 def _dense(x: Tensor, weight: Tensor, bias: Tensor, who: str) -> Tensor:
     """y = x Wᵀ + b for a [B, in] batch ([M, B, in] for M members); `who`
     names the layer in errors."""
@@ -403,7 +420,18 @@ def _dense(x: Tensor, weight: Tensor, bias: Tensor, who: str) -> Tensor:
     return ops.linear(x, weight, bias)
 
 
-class Linear(Module):
+class _Shared(Module):
+    """A weighted module all tasks train unless ``TaskIndexed`` holds it: once a
+    masker of its model (``guards``) has a completed task, all its ends count as claimed."""
+
+    guards: tuple = ()
+
+    def _claims(self):  # no numpy work while nothing is claimed
+        claimed = any(m.stored_task_masks for m in self.guards)
+        return np.ones(self.local_parameters()[1].shape) if claimed else None, None
+
+
+class Linear(_Shared):
     """Plain dense layer y = x Wᵀ + b on bare tensors."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
@@ -418,7 +446,7 @@ class Linear(Module):
         return [self.weight, self.bias]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return _dense(x, self.weight, self.bias, "linear")
+        return _protect(self, _dense(x, self.weight, self.bias, "linear"))
 
 
 class ReLU:
@@ -426,7 +454,7 @@ class ReLU:
         return ops.relu(x)
 
 
-class LayerNorm(Module):
+class LayerNorm(_Shared):
     """Per-sample feature normalization with learnable gain/shift."""
 
     def __init__(self, n_features: int, eps: float = 1e-5):
@@ -443,13 +471,13 @@ class LayerNorm(Module):
         return [self.gain, self.shift]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.layer_norm(x, self.gain, self.shift, eps=self.eps)
+        return _protect(self, ops.layer_norm(x, self.gain, self.shift, eps=self.eps))
 
 
 class InputSide(NamedTuple):
-    """The masker over a gated layer's inputs (None for a first layer); each
-    of its units covers ``taps`` consecutive input features (channel-major
-    pixels when a dense layer reads a flattened convolution)."""
+    """The masker whose units are a gated layer's input ends (None when they count
+    as claimed: a first layer, or one reading a weighted module). Each unit covers
+    ``taps`` consecutive input features, a flattened convolution's channel-major pixels."""
 
     masker: Optional[HATMasker] = None
     taps: int = 1
@@ -457,7 +485,7 @@ class InputSide(NamedTuple):
     def expand(self, per_unit: np.ndarray) -> np.ndarray:
         """A vector over the masker's units as one over input features: the
         same array when each unit covers one feature, else a new one."""
-        return per_unit if self.taps == 1 else np.repeat(per_unit, self.taps)
+        return per_unit if self.taps == 1 else np.repeat(per_unit, self.taps, axis=-1)
 
 
 class _GatedWeightedLayer(PayloadModule):
@@ -479,25 +507,14 @@ class _GatedWeightedLayer(PayloadModule):
     def _weighted(self, x: Tensor) -> Tensor:
         raise NotImplementedError
 
+    def _claims(self):
+        a_out, side = self.output_masker.cumulative_mask, self.input_side
+        if not a_out.any():  # every factor 1 - min(out, in) is 1
+            return None, None
+        return a_out, side.masker and side.expand(side.masker.cumulative_mask)
+
     def forward(self, p: HATPayload) -> HATPayload:
-        h = self._weighted(p.data)
-        tape = Tape.current()
-        if tape is not None and self not in tape.notes:
-            # with no output unit claimed, every factor 1 - min(out, in) is 1
-            a_out, side = self.output_masker.cumulative_mask, self.input_side
-            if a_out.any():
-                if self.members is not None:
-                    raise UsageError(f"'{self.layer_tag}' cannot protect completed "
-                                     f"tasks: nullification serves unstacked "
-                                     f"layers, not {self.members} members")
-                # A first layer (no masker below) protects by output side
-                # alone: its inputs are task-free, so a weight is frozen
-                # exactly when its output unit is claimed.
-                a_in = (None if side.masker is None
-                        else side.expand(side.masker.cumulative_mask))
-                self.weight.register_hook(lambda g: grad_nullify(g, a_out, a_in))
-                self.bias.register_hook(lambda g: grad_nullify(g, a_out))
-                tape.notes[self] = True  # hooks are on this tape
+        h = _protect(self, self._weighted(p.data))
         return self.output_masker.forward(p.with_data(h))
 
 
@@ -597,16 +614,19 @@ class Sequential(PayloadModule):
 
     Building a pipeline binds each gated layer's input side from ``walk``,
     so a model whose widths cannot be protected is refused right here, as
-    is one that mixes member modules with others or member counts.
-    ``members`` is the member count of its modules (None for none).
+    is one that mixes member modules with others or member counts. Shared
+    modules get its maskers as ``guards``; ``members`` is the member count.
     """
 
     def __init__(self, *modules):
         self.steps = list(modules)
-        counts = set()
-        for _, module, side in walk(self):
+        walked, counts = list(walk(self)), set()
+        maskers = tuple(m for _, m, _ in walked if isinstance(m, HATMasker))
+        for _, module, side in walked:
             if side is not None:
                 module.input_side = side
+            elif isinstance(module, _Shared):
+                module.guards = maskers
             if isinstance(module, Module):
                 counts.add(module.members)
         if len(counts) > 1:
@@ -712,32 +732,23 @@ def _stack_leaves(leaves: list) -> Tensor:
 
 
 def _input_side(layer: _GatedWeightedLayer, masker: Optional[HATMasker],
-                owner, between: Optional[Module]) -> InputSide:
+                owner) -> InputSide:
     """How `layer`'s input features map onto the units of `masker`, the most
-    recent masker before it (`owner` is the module it belongs to; `between`
-    the first weighted module run between them, if any)."""
+    recent masker before it with only functions in between, if any (`owner`
+    is the module it belongs to)."""
     if masker is None:
         return InputSide()
     # input features, or a conv's input channels
     width = layer.in_features if isinstance(layer, HATLinear) else layer.in_channels
     units = masker.n_features
     if width == units:
-        side = InputSide(masker)
-    elif (isinstance(layer, HATLinear) and isinstance(owner, HATConv2d)
+        return InputSide(masker)
+    if (isinstance(layer, HATLinear) and isinstance(owner, HATConv2d)
             and width % units == 0):
-        side = InputSide(masker, width // units)  # a flattened convolution
-    else:
-        raise ShapeError(f"'{layer.layer_tag}' reads {width} input features, which "
-                         f"do not map onto the {units} units of masker "
-                         f"'{masker.layer_tag}'")
-    if between is not None:
-        # a shared module trains under every task, and even a task-indexed
-        # one turns masked-off units into nonzero inputs, so the masker no
-        # longer guards what this layer reads and a completed task drifts
-        raise ShapeError(f"'{layer.layer_tag}' reads masker '{masker.layer_tag}' "
-                         f"through a {type(between).__name__}; only functions "
-                         f"such as ReLU or a flatten may sit between them")
-    return side
+        return InputSide(masker, width // units)  # a flattened convolution
+    raise ShapeError(f"'{layer.layer_tag}' reads {width} input features, which "
+                     f"do not map onto the {units} units of masker "
+                     f"'{masker.layer_tag}'")
 
 
 def walk(model: Sequential):
@@ -747,14 +758,13 @@ def walk(model: Sequential):
     ``"3"`` for step 3, ``"3.1"`` for step 1 of a ``Sequential`` at step 3.
     A gated layer is followed by its output masker, under the same name, and
     is the only module yielded with an ``InputSide`` (None for the rest): the
-    most recent masker before it in run order, or none for a first layer.
-    A weighted module (``Linear``, ``LayerNorm``, ``TaskIndexed``) between
-    that masker and the gated layer is refused with ``ShapeError``.
+    most recent masker before it in run order with only functions between
+    them, or none when a weighted module (``Linear``, ``LayerNorm``,
+    ``TaskIndexed``) sits there or the layer comes first.
     """
-    # most recent masker, the module that owns it, and the first weighted
-    # module run after it; a list handed down, not a closure cell, so a
-    # walk leaves no reference cycle behind
-    yield from _visit(model.steps, "", [None, None, None])
+    # the masker whose units the next module reads, and its owner; a list
+    # handed down, not a closure cell, so a walk leaves no reference cycle
+    yield from _visit(model.steps, "", [None, None])
 
 
 def _visit(steps, prefix: str, last: list):
@@ -764,11 +774,11 @@ def _visit(steps, prefix: str, last: list):
             yield from _visit(module.steps, name + ".", last)
         elif isinstance(module, _GatedWeightedLayer):
             yield name, module, _input_side(module, *last)
-            last[:] = (module.output_masker, module, None)
+            last[:] = (module.output_masker, module)
             yield name, module.output_masker, None
         else:
             if isinstance(module, HATMasker):
-                last[:] = (module, module, None)
-            elif last[2] is None and isinstance(module, Module):
-                last[2] = module
+                last[:] = (module, module)
+            elif isinstance(module, Module):  # its outputs are no masker's units
+                last[:] = (None, None)
             yield name, module, None

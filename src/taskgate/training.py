@@ -270,13 +270,16 @@ def _member_configs(cfg, members: Optional[int]) -> list:
 
 def _samples(dataset, members: Optional[int] = None) -> tuple:
     """``(x, y)`` of a dataset as arrays, refused with a one-line
-    ``ShapeError`` when its samples and labels differ in number and
+    ``ShapeError`` when they are not [N,...] samples and [N] labels and
     ``UsageError`` when it has none, its samples are not real numbers or
     hold NaN, or its labels are not integers. For M members the dataset is
     stacked per member: [M,N,...] samples and [M,N] labels."""
     x, y = dataset
     x, y = np.asarray(x), np.asarray(y)
     if members is None:
+        if x.ndim < 1 or y.ndim != 1:
+            raise ShapeError(f"a dataset needs [N,...] samples and [N] labels, got "
+                             f"shapes {x.shape} and {y.shape}")
         n, n_labels = len(x), len(y)
     else:
         if x.ndim < 2 or y.ndim != 2 or len(x) != members or len(y) != members:

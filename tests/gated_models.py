@@ -4,12 +4,14 @@
 * nested: a trunk of three HATLinear with the middle one inside a nested
   Sequential
 * conv: HATConv2d -> ReLU -> flatten -> HATLinear -> ReLU -> per-task head
+* linear_first: a shared Linear -> ReLU -> HATLinear -> ReLU -> per-task head
+* shared_head: HATLinear -> ReLU -> HATLinear -> ReLU -> a shared Linear head
 """
 
 import numpy as np
 
 import taskgate as tg
-from taskgate import E_MAX, HATConv2d, HATLinear, ReLU, Sequential
+from taskgate import E_MAX, HATConv2d, HATLinear, LayerNorm, Linear, ReLU, Sequential
 from taskgate.layers import walk
 
 IMAGE = (2, 4, 4)  # channels, height, width of the conv model's inputs
@@ -52,7 +54,28 @@ def conv_model(rng, task_count):
     )
 
 
-BUILDERS = {"flat": flat_model, "nested": nested_model, "conv": conv_model}
+def linear_first_model(rng, task_count):
+    return Sequential(
+        Linear(4, 6, rng),
+        ReLU(),
+        HATLinear(6, 5, task_count, "l1", rng),
+        ReLU(),
+        tg.task_indexed_linear(5, 2, task_count, "head", rng),
+    )
+
+
+def shared_head_model(rng, task_count):
+    return Sequential(
+        HATLinear(4, 6, task_count, "l1", rng),
+        ReLU(),
+        HATLinear(6, 5, task_count, "l2", rng),
+        ReLU(),
+        Linear(5, 2, rng),
+    )
+
+
+BUILDERS = {"flat": flat_model, "nested": nested_model, "conv": conv_model,
+            "linear_first": linear_first_model, "shared_head": shared_head_model}
 
 
 def inputs(kind, n, rng):
@@ -62,6 +85,12 @@ def inputs(kind, n, rng):
 
 def gated_layers(model):
     return [layer for _, layer, side in walk(model) if side is not None]
+
+
+def shared_modules(model):
+    """The Linear and LayerNorm modules every task trains (none of them
+    inside a task-indexed module)."""
+    return [m for _, m, _ in walk(model) if isinstance(m, (Linear, LayerNorm))]
 
 
 def set_binary_row(masker, task, on_units):

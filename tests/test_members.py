@@ -13,7 +13,7 @@ from taskgate.data import toy_dataset
 from taskgate.layers import Module, walk
 from taskgate.training import TrainerConfig, evaluate, init_embeddings, train_task
 
-from gated_models import conv_model, flatten
+from gated_models import conv_model, flatten, logits
 
 TASKS = 2
 
@@ -162,6 +162,28 @@ def test_a_second_task_pays_each_members_own_capacity_penalty():
         assert accuracies[m] == evaluate(alone, tests[m], 0)
 
 
+def test_a_gated_group_trains_a_second_task_as_each_member_alone():
+    # task 1 trains under nullification: per member, the gated layers'
+    # claimed entries and the whole shared head stay where task 0 left them
+    group = stack_members([build("gated", seed, init) for seed, init, _ in MEMBERS])
+    cfgs = [config(*member, epochs=2) for member in MEMBERS]
+    x_test, _ = stacked([dataset(seed + 100, n=30) for seed, _, _ in MEMBERS])
+    train_task(group, stacked([dataset(seed) for seed, _, _ in MEMBERS]), 0, cfgs)
+    task_0 = logits(group, x_test, 0)
+    head = [p.data.copy() for p in group.steps[-1].local_parameters()]
+    metrics = train_task(group, stacked([dataset(seed + 1) for seed, _, _ in MEMBERS]), 1, cfgs)
+    assert logits(group, x_test, 0).tobytes() == task_0.tobytes()
+    assert all(np.array_equal(p.data, h) for p, h in zip(group.steps[-1].local_parameters(), head))
+    for m, (seed, init, schedule) in enumerate(MEMBERS):
+        alone = build("gated", seed, init)
+        for task in (0, 1):
+            alone_metrics = train_task(alone, dataset(seed + task), task,
+                                       config(seed, init, schedule, epochs=2))
+        assert metrics[m] == alone_metrics
+        assert all(g[m].tobytes() == a.tobytes()
+                   for g, a in zip(arrays(group), arrays(alone)))
+
+
 def run_toy_alone(cfg):
     """``bench.run_toy`` as it ran before lockstep: every run on its own."""
     outcomes = []
@@ -244,10 +266,6 @@ def toy_group(members=2):
     return stack_members([build("toy", seed, "ones") for seed in range(members)])
 
 
-def gated_group(members=2):
-    return stack_members([build("gated", seed, "ones") for seed in range(members)])
-
-
 def group_data(members=2, n=16):
     return stacked([dataset(seed, n=n) for seed in range(members)])
 
@@ -288,14 +306,6 @@ class TestRefusals:
         group = toy_group()
         with pytest.raises(tg.ShapeError, match="one member count"):
             Sequential(group, Linear(2, 2, np.random.default_rng(7)))
-
-    def test_nullification_across_members(self):
-        group = gated_group()
-        train_task(group, group_data(), 0, group_configs())
-        before = [a.copy() for a in arrays(group)]
-        with pytest.raises(tg.UsageError, match="nullification serves unstacked layers"):
-            train_task(group, group_data(), 1, group_configs())
-        assert all(np.array_equal(a, b) for a, b in zip(arrays(group), before))
 
     def test_checkpoint_and_forget(self, tmp_path):
         group = toy_group()

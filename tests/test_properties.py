@@ -7,8 +7,9 @@ need not be exactly binary. Training is ``train_task`` or a few steps of a
 hand-written loop on raw tapes, with or without the payload's ``training``
 flag. Across each operation, every task completed both before and after it
 keeps the bytes of its test-set logits, every weight or bias entry whose
-nullify factor is exactly 0 stays bit-identical, and no operation touches
-the per-task head of a task it is not about.
+nullify factor is exactly 0 stays bit-identical (all of a shared module's
+entries, once any task is complete), and no operation touches the per-task
+head of a task it is not about.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from taskgate import (TrainerConfig, forget_task, grad_nullify, init_embeddings,
                       train_task)
 from taskgate.layers import EMBEDDING_INITS, walk
 
-from gated_models import BUILDERS, gated_layers, inputs, logits, sgd_steps
+from gated_models import BUILDERS, gated_layers, inputs, logits, sgd_steps, shared_modules
 
 TASKS = 3
 CFG = TrainerConfig(task_count=TASKS, epochs=1, batch_size=8, lr=0.1,
@@ -27,8 +28,12 @@ CFG = TrainerConfig(task_count=TASKS, epochs=1, batch_size=8, lr=0.1,
 
 
 def frozen_entries(model):
-    """(tensor, boolean selection of entries whose nullify factor is 0)."""
+    """(tensor, boolean selection of entries whose nullify factor is 0): a
+    shared module's every entry once the model has a completed task."""
     out = []
+    if any(m.completed_tasks() for m in model.maskers()):
+        out += [(p, np.ones(p.shape, dtype=bool))
+                for m in shared_modules(model) for p in m.local_parameters()]
     for _, layer, side in walk(model):
         if side is None:
             continue
@@ -43,7 +48,7 @@ def frozen_entries(model):
 
 def head_parameters(model, task):
     head = model.steps[-1]
-    return [p for t, sub in enumerate(head.submodules) if t != task
+    return [p for t, sub in enumerate(getattr(head, "submodules", [])) if t != task
             for p in sub.local_parameters()]
 
 
@@ -51,7 +56,7 @@ def completed(model):
     return set.intersection(*(set(m.completed_tasks()) for m in model.maskers()))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(kind=st.sampled_from(sorted(BUILDERS)), seed=st.integers(0, 2**16),
        init=st.sampled_from(EMBEDDING_INITS), data=st.data())

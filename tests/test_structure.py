@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 import taskgate as tg
-from taskgate import HATConv2d, HATLinear, HATMasker, Linear, ReLU, Sequential
+from taskgate import (HATConv2d, HATLinear, HATMasker, Linear, ReLU, Sequential, TrainerConfig,
+                      bench, init_embeddings, train_task)
 from taskgate.checkpoint import load_model_state, model_state, read_entries, write_entries
 from taskgate.forgetting import forget_task
 from taskgate.layers import InputSide, walk
 
 from gated_models import (BUILDERS, IMAGE, claim_binary, conv_model, flatten,
                           gated_layers, inputs, logits, nested_model,
-                          set_binary_row, sgd_steps)
+                          set_binary_row, sgd_steps, shared_modules)
 
 
 class TestWalk:
@@ -70,32 +71,14 @@ class TestWalk:
                        flatten, HATLinear(47, 5, 2, "fc", rng))
 
     def test_dense_masker_never_repeats(self):
-        # only a flattened convolution's channels spread over input features
+        # only a flattened convolution's channels spread over input features;
+        # through a function (here one that repeats each feature) l2 still
+        # reads l1's masker, whose 3 units its 6 features do not map onto
         rng = np.random.default_rng(104)
-        with pytest.raises(tg.ShapeError):
+        repeat = tg.Tensor(np.tile(np.eye(3), 2))
+        with pytest.raises(tg.ShapeError, match="'l2' reads 6 input features"):
             Sequential(HATLinear(4, 3, 2, "l1", rng), ReLU(),
-                       Linear(3, 6, rng), HATLinear(6, 2, 2, "l2", rng))
-
-    @pytest.mark.parametrize("middle", ["linear", "layer_norm", "nested_linear",
-                                        "task_indexed_norm"])
-    def test_weighted_module_between_gated_layers_refused(self, middle):
-        # shared ones train under every task; a task-indexed layer norm
-        # turns masked-off units into nonzero inputs, so the weights reading
-        # them stay free and a completed task's logits move
-        rng = np.random.default_rng(105)
-        build = {"linear": lambda: Linear(6, 6, rng),
-                 "layer_norm": lambda: tg.LayerNorm(6),
-                 "nested_linear": lambda: Sequential(ReLU(), Linear(6, 6, rng)),
-                 "task_indexed_norm": lambda: tg.task_indexed_layer_norm(6, 2, "norm")}
-        with pytest.raises(tg.ShapeError, match="'l2' reads masker 'l1.mask'"):
-            Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(), build[middle](),
-                       HATLinear(6, 3, 2, "l2", rng))
-
-    def test_shared_module_after_a_standalone_masker_refused(self):
-        rng = np.random.default_rng(106)
-        with pytest.raises(tg.ShapeError, match="through a Linear"):
-            Sequential(HATMasker(5, 2, "gate"), Linear(5, 5, rng),
-                       HATLinear(5, 3, 2, "l1", rng))
+                       lambda x: tg.matmul(x, repeat), HATLinear(6, 2, 2, "l2", rng))
 
     def test_weighted_layers_after_the_last_gated_layer_allowed(self):
         # the toy model: a standalone masker, then only plain layers
@@ -107,6 +90,75 @@ class TestWalk:
         Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(),
                    tg.task_indexed_layer_norm(6, 2, "norm"),
                    tg.task_indexed_linear(6, 2, 2, "head", rng))
+
+
+def weighted_between_model(middle, rng, task_count):
+    """A gated layer reading the masker before it through a weighted module."""
+    head = tg.task_indexed_linear(5, 2, task_count, "head", rng)
+    if middle == "masker_linear":
+        return Sequential(HATMasker(4, task_count, "gate"), Linear(4, 6, rng), ReLU(),
+                          HATLinear(6, 5, task_count, "l1", rng), ReLU(), head)
+    build = {"linear": lambda: Linear(6, 6, rng),
+             "layer_norm": lambda: tg.LayerNorm(6),
+             "nested_linear": lambda: Sequential(ReLU(), Linear(6, 6, rng)),
+             "task_indexed_norm": lambda: tg.task_indexed_layer_norm(6, task_count, "norm")}
+    return Sequential(HATLinear(4, 6, task_count, "l1", rng), ReLU(), build[middle](),
+                      HATLinear(6, 5, task_count, "l2", rng), ReLU(), head)
+
+
+def train_three_tasks_then_forget_one(model, features, rng):
+    """Train tasks 0, 1 and 2 in turn from gaussian rows, then forget task 1:
+    every other completed task's logits keep their bytes throughout."""
+    init_embeddings(model.maskers(), "gaussian", rng)
+    cfg = TrainerConfig(task_count=3, epochs=2, batch_size=8, lr=0.1, momentum=0.5,
+                        reg_lambda=0.075)
+    tests = [rng.standard_normal((12, features)) for _ in range(3)]
+    seen = {}
+    for task in range(3):
+        train_task(model, (rng.standard_normal((24, features)), rng.integers(0, 2, 24)),
+                   task, cfg)
+        seen[task] = logits(model, tests[task], task)
+        for t in range(task):
+            assert logits(model, tests[t], t).tobytes() == seen[t].tobytes(), \
+                f"task {t}'s logits moved while task {task} trained"
+    forget_task(model, 1)
+    for t in (0, 2):
+        assert logits(model, tests[t], t).tobytes() == seen[t].tobytes()
+
+
+@pytest.mark.parametrize("middle", ["linear", "layer_norm", "nested_linear",
+                                    "task_indexed_norm", "masker_linear"])
+def test_a_weighted_module_before_a_gated_layer_claims_its_inputs(middle):
+    # shared modules train under every task, and even a task-indexed one
+    # turns masked-off units into nonzero inputs, so the layer after it
+    # freezes each claimed output unit's whole row, as a first layer does
+    rng = np.random.default_rng(105)
+    model = weighted_between_model(middle, rng, task_count=3)
+    assert gated_layers(model)[-1].input_side == InputSide()
+    indexed = [sub for _, m, _ in walk(model) if isinstance(m, tg.TaskIndexed)
+               for sub in m.submodules]
+    assert indexed and all(sub.guards == () for sub in indexed)
+    train_three_tasks_then_forget_one(model, 4, rng)
+
+
+SHARED_SHAPES = {  # (builder, input features)
+    "linear_first": (BUILDERS["linear_first"], 4),
+    "shared_head": (BUILDERS["shared_head"], 4),
+    "toy": (lambda rng, task_count: bench.build_toy_model(
+        rng, bench.ExperimentConfig(experiment="toy-init", tasks=task_count)), 5),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHARED_SHAPES))
+def test_shared_modules_keep_completed_tasks_bit_exact(shape):
+    # a shared module before the first gated layer, after the last one, or
+    # after a standalone masker: every task trains it until one completes
+    rng = np.random.default_rng(108)
+    build, features = SHARED_SHAPES[shape]
+    model = build(rng, 3)
+    shared = shared_modules(model)
+    assert shared and all(m.guards == tuple(model.maskers()) for m in shared)
+    train_three_tasks_then_forget_one(model, features, rng)
 
 
 @pytest.mark.parametrize("kind", ["nested", "conv"])  # flat: test_layers

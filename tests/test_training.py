@@ -858,8 +858,10 @@ class TestIdentityReduction:
 
 def bad_dataset(rng, samples, labels, dtype=np.int64, entry=None):
     """Normal samples and labels of the given dtype; ``entry``, if given,
-    becomes one sample value, in that value's type."""
-    x = rng.standard_normal((samples, 6))
+    becomes one sample value, in that value's type. ``samples`` is a count
+    of 6-feature samples or the samples' whole shape; ``labels`` is a count
+    or a shape."""
+    x = rng.standard_normal(samples if isinstance(samples, tuple) else (samples, 6))
     if entry is not None:
         x = x.astype(type(entry))
         x[7, 2] = entry
@@ -870,12 +872,16 @@ class TestDatasetChecks:
     # (samples, labels[, label dtype[, sample entry]]): mismatched, empty,
     # labels not integers, samples that hold NaN (relu maps NaN to 0, so
     # the loss would stay finite while NaN reached the weights), samples
-    # that are not numbers
+    # that are not numbers, and samples or labels of the wrong rank: 0-d
+    # samples, [N,1] labels (which broadcast against [N] predictions) and
+    # 0-d labels
     BAD_DATASETS = [((8, 20), tg.ShapeError), ((20, 8), tg.ShapeError),
                     ((0, 0), tg.UsageError), ((20, 20, float), tg.UsageError),
                     ((20, 20, bool), tg.UsageError),
                     ((20, 20, np.int64, np.nan), tg.UsageError),
-                    ((20, 20, np.int64, "a"), tg.UsageError)]
+                    ((20, 20, np.int64, "a"), tg.UsageError),
+                    (((), 1), tg.ShapeError), ((20, (20, 1)), tg.ShapeError),
+                    ((20, ()), tg.ShapeError)]
 
     @pytest.mark.parametrize("sizes, error", BAD_DATASETS)
     @pytest.mark.parametrize("task", [0, None])
