@@ -4,7 +4,8 @@ The graph is recorded on an explicit :class:`Tape`: operations executed while
 a tape is active append nodes in creation order, and ``backward`` replays the
 node list in exact reverse creation order. Outside a tape, every operation is
 a plain numpy computation with no bookkeeping, which is what evaluation paths
-use.
+use. Recorded tensors hold their tape weakly, so a graph lives exactly as
+long as the caller keeps its tape.
 
 Gradient hooks attach to individual nodes. Each hook transforms an incoming
 gradient before it is accumulated into the node's gradient slot; hooks on one
@@ -44,6 +45,7 @@ constructing tensors with ``dtype=np.float32``.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -94,11 +96,16 @@ class Tape:
 
         with Tape() as tape:
             loss = model(x)
-        loss.backward()
+        tape.backward(loss)
 
-    A tape can be consumed by exactly one backward pass; call :meth:`reset`
-    to clear gradient slots and run backward again over the same graph.
-    Tapes are single-threaded; the active tape is tracked per thread.
+    A tape is consumed by exactly one backward pass. Tapes are
+    single-threaded; the active tape is tracked per thread.
+
+    The tape holds its nodes and they hold the recorded tensors, but a
+    tensor holds its tape only weakly: dropping the last reference to a
+    tape frees its graph at once, without the cycle collector, and every
+    tensor it recorded then reads ``node_id`` None, keeping its value and
+    gradient. Keep the tape (``as tape``) until its backward has run.
 
     ``notes`` maps a module or a parameter to what was noted about it in
     this recording; it is dropped with the tape.
@@ -111,6 +118,7 @@ class Tape:
         self.notes: dict = {}
         self.consumed = False
         self._next_hook_id = 0
+        self._ref = weakref.ref(self)  # what recorded tensors hold
 
     @classmethod
     def current(cls) -> Optional["Tape"]:
@@ -125,28 +133,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb):
         Tape._tls.active = None
         return False
-
-    def reset(self) -> None:
-        """Clear gradient slots so backward may run again on this graph."""
-        for node in self.nodes:
-            node.grad = None
-        self.consumed = False
-
-    def release(self) -> None:
-        """Detach every tensor recorded here from this tape.
-
-        Every recorded tensor points back at the tape, so an unreleased graph
-        is a reference cycle that only the cycle collector frees, and a leaf
-        keeps its last tape alive until it joins another. Afterwards only the
-        caller's own references hold the tape; the tensors keep their values
-        and gradients, but none of them can seed a backward pass here.
-        ``train_task`` releases each batch's tape after its backward or refusal.
-        """
-        for node in self.nodes:
-            t = node.tensor
-            if t._node_tape is self:
-                t._node_tape = None
-                t._node_id = None
 
     def _add_node(self, op, parents, backward_fn, tensor) -> Node:
         node = Node(len(self.nodes), op, parents, backward_fn, tensor)
@@ -178,10 +164,10 @@ class Tape:
     def backward(self, loss: "Tensor") -> None:
         if loss.shape != ():
             raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
-        if loss._node_tape is not self:
+        if loss._tape_ref is not self._ref:
             raise UsageError("loss was not recorded on this tape")
         if self.consumed:
-            raise StateError("tape already consumed by backward; call reset() first")
+            raise StateError("tape already consumed by backward; record a new one")
         self.consumed = True
 
         seed_node = self.nodes[loss._node_id]
@@ -230,7 +216,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._node_tape: Optional[Tape] = None
+        self._tape_ref: Optional[weakref.ref] = None
         self._node_id: Optional[int] = None
 
     @property
@@ -250,6 +236,13 @@ class Tensor:
         return self.data.dtype
 
     @property
+    def _node_tape(self) -> Optional[Tape]:
+        """The tape this tensor last joined while it lives, held weakly. Read
+        by this name in perfbench's tracer (``perfbench/per_layer.py``)."""
+        ref = self._tape_ref
+        return None if ref is None else ref()
+
+    @property
     def node_id(self) -> Optional[int]:
         """Node id on the tape this tensor last joined, if any."""
         return self._node_id if self._node_tape is not None else None
@@ -262,9 +255,10 @@ class Tensor:
 
     def register_hook(self, transform: Callable[[np.ndarray], np.ndarray]) -> HookHandle:
         """Register a gradient hook on this tensor's live tape node."""
-        if self._node_tape is None:
+        tape = self._node_tape
+        if tape is None:
             raise UsageError("tensor has no node; use it inside an active Tape first")
-        return self._node_tape.register_hook(self._node_id, transform)
+        return tape.register_hook(self._node_id, transform)
 
     def backward(self) -> None:
         backward(self)
@@ -323,10 +317,10 @@ class Tensor:
 
 
 def _leaf_id(tape: Tape, t: Tensor) -> int:
-    if t._node_tape is tape:
+    if t._tape_ref is tape._ref:
         return t._node_id
     node = tape._add_node("leaf", (), None, t)
-    t._node_tape = tape
+    t._tape_ref = tape._ref
     t._node_id = node.nid
     return node.nid
 
@@ -342,7 +336,7 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn
     out = object.__new__(Tensor)  # the fields Tensor.__init__ sets
     out.data = out_data
     out.grad = None
-    out._node_tape = out._node_id = None
+    out._tape_ref = out._node_id = None
     tape = getattr(Tape._tls, "active", None)
     track = False
     if tape is not None:
@@ -356,7 +350,7 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn
     out.requires_grad = track
     if track:
         out._node_id = tape._add_node(op, tuple(parents), backward_fn, out).nid
-        out._node_tape = tape
+        out._tape_ref = tape._ref
     return out
 
 
@@ -733,6 +727,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss."""
-    if loss._node_tape is None:
-        raise UsageError("loss was not recorded on a tape; compute it inside `with Tape():`")
-    loss._node_tape.backward(loss)
+    tape = loss._node_tape
+    if tape is None:
+        raise UsageError("loss is on no live tape; record it in `with Tape() as tape:` and keep `tape`")
+    tape.backward(loss)

@@ -272,8 +272,8 @@ def _samples(dataset, members: Optional[int] = None) -> tuple:
     """``(x, y)`` of a dataset as arrays, refused with a one-line
     ``ShapeError`` when they are not [N,...] samples and [N] labels and
     ``UsageError`` when it has none, its samples are not real numbers or
-    hold NaN, or its labels are not integers. For M members the dataset is
-    stacked per member: [M,N,...] samples and [M,N] labels."""
+    hold NaN or ±inf, or its labels are not integers. For M members the
+    dataset is stacked per member: [M,N,...] samples and [M,N] labels."""
     x, y = dataset
     x, y = np.asarray(x), np.asarray(y)
     if members is None:
@@ -293,10 +293,11 @@ def _samples(dataset, members: Optional[int] = None) -> tuple:
         raise UsageError("dataset is empty")
     if x.dtype.kind not in "biuf":
         raise UsageError(f"dataset samples must be real numbers, got dtype {x.dtype}")
-    # relu maps NaN to 0, so the loss stays finite while the gate's
-    # backward writes NaN into the task's embedding row
-    if np.isnan(x).any():
-        raise UsageError(f"dataset samples hold {int(np.isnan(x).sum())} NaN values")
+    # relu maps NaN to 0 and can hide an inf from the loss, while the
+    # gate's backward writes NaN into the task's embedding row
+    bad = np.count_nonzero(~np.isfinite(x))
+    if bad:
+        raise UsageError(f"dataset samples hold {bad} NaN or infinite values")
     ops.check_integer_labels(y)
     return x, y
 
@@ -333,16 +334,16 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     Each batch runs the model forward exactly once: an epoch's loss and
     accuracy come from the logits its batches trained on (see
     EpochMetrics), with no separate pass over the data. Each batch's tape
-    is released as soon as its backward ends or the batch is refused, so
-    reference counting frees its graph without the cycle collector.
+    is dropped as soon as its backward ends or the batch is refused, which
+    frees its graph and detaches every parameter from it.
     A task already finalized, or whose embedding row at some masker is not
     finite, is refused with ``StateError`` before training and again
     before any masker finalizes it. A batch whose loss is not finite is
     refused with ``StateError`` before its optimizer step, leaving no
     gradient behind, so the task can be trained again on finite data. A
     dataset with no samples, with a label count that differs from its
-    sample count, with samples that hold NaN, or with labels that are not
-    integers, is refused before anything is touched, as is a
+    sample count, with samples that hold NaN or ±inf, or with labels that
+    are not integers, is refused before anything is touched, as is a
     ``cfg.task_count`` or ``cfg.s_max`` other than some masker's.
 
     A member model (``layers.stack_members``) trains its M independent runs
@@ -428,7 +429,7 @@ def train_task(model: Sequential, dataset, task: Optional[int],
                                      f"finite; refused before its optimizer step")
                 tape.backward(total)
             finally:
-                tape.release()  # no cycle left: rebinding frees this graph
+                del tape  # frees the graph, even while a refusal's traceback lives
             optimizer.step(None if active is None or active.all() else active)
             optimizer.zero_grad()
             if task is not None:  # only the training task's rows moved

@@ -115,7 +115,6 @@ def sgd_steps(model, x, y, task, steps=25, lr=0.2, scale=30.0, training=True):
                                               scale=scale, training=training))
             loss = tg.softmax_cross_entropy(out.masked_data(), y)
         tape.backward(loss)
-        tape.release()
         for p in params:
             if p.grad is not None:
                 p.data -= lr * p.grad

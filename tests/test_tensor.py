@@ -1,4 +1,5 @@
 import contextlib
+import weakref
 
 import numpy as np
 import pytest
@@ -654,17 +655,34 @@ class TestBackward:
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [6.0])
 
-    def test_release_detaches_every_tensor_and_keeps_gradients(self):
+    def test_dropping_the_tape_detaches_every_tensor_and_keeps_gradients(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
             y = tg.mul(x, x)
             loss = y.sum()
         tape.backward(loss)
-        tape.release()
+        dead = weakref.ref(tape)
+        del tape  # the tensors hold it weakly: no cycle keeps it
+        assert dead() is None
         assert x.node_id is None and y.node_id is None and loss.node_id is None
+        assert x._node_tape is None
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
         with pytest.raises(tg.UsageError):
-            tape.backward(loss)
+            loss.backward()
+        with pytest.raises(tg.UsageError):
+            x.register_hook(lambda g: g)
+
+    def test_a_loss_from_another_tape_is_refused(self):
+        x = Tensor([1.0], requires_grad=True)
+        with Tape() as first:
+            tg.mul(x, x)
+        with Tape() as second:
+            loss = tg.mul(x, x).sum()
+        assert second.nodes[x.node_id].tensor is x  # the leaf joined anew
+        with pytest.raises(tg.UsageError, match="not recorded on this tape"):
+            first.backward(loss)
+        second.backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
@@ -680,15 +698,6 @@ class TestBackward:
         tape.backward(loss)
         with pytest.raises(tg.StateError):
             tape.backward(loss)
-
-    def test_reset_allows_second_pass_and_grads_accumulate(self):
-        x = Tensor([3.0], requires_grad=True)
-        with Tape() as tape:
-            loss = tg.mul(x, x).sum()
-        tape.backward(loss)
-        tape.reset()
-        tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, [12.0])
 
     def test_backward_off_tape(self):
         x = Tensor([1.0], requires_grad=True)

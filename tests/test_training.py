@@ -410,6 +410,24 @@ def two_cluster_task(rng, n=120, dim=6, sep=6.0):
     return x[order], y[order]
 
 
+def spiked_continual_model(rng, tasks):
+    """The continual model (dim 6, width 8) behind a function step, and
+    that step: once its ``on`` is set it turns entry [0, 2] of each batch
+    into inf, a non-finite input that ``train_task``'s dataset check
+    cannot see."""
+    def spike(x):
+        if not spike.on:
+            return x
+        bump = np.zeros(x.shape)
+        bump[0, 2] = np.inf
+        return tg.add(x, Tensor(bump))
+
+    spike.on = False
+    base = bench.build_continual_model(
+        rng, bench.ExperimentConfig(tasks=tasks, dim=6, trunk_width=8))
+    return Sequential(spike, *base.steps), spike
+
+
 def small_model(rng, task_count):
     return Sequential(
         HATLinear(6, 12, task_count, "l1", rng),
@@ -530,8 +548,7 @@ class TestTrainTask:
     def test_non_finite_batch_moves_no_protected_entry(self):
         # inf * 0 is NaN: a nullify factor of 0 must give an exact zero
         rng = np.random.default_rng(59)
-        model = bench.build_continual_model(
-            rng, bench.ExperimentConfig(tasks=2, dim=6, trunk_width=8))
+        model, spike = spiked_continual_model(rng, 2)
         data = two_cluster_task(rng)
         test_x = two_cluster_task(rng, n=40)[0]
         cfg = TrainerConfig(task_count=2, epochs=2, batch_size=30, seed=1)
@@ -539,14 +556,14 @@ class TestTrainTask:
         # task 0 claims the whole trunk, so every l1/l2 entry is protected
         assert all(np.all(m.cumulative_mask == 1.0) for m in model.maskers())
         before = logits_of(model, test_x, 0)
-        x, y = data[0].copy(), data[1]
-        x[3, 2] = np.inf
+        spike.on = True
         # task 1's own embedding rows go NaN, so it is not finalized
         with np.errstate(invalid="ignore", over="ignore"), \
                 pytest.raises(tg.StateError, match="not finite"):
-            train_task(model, (x, y), 1, cfg)
+            train_task(model, data, 1, cfg)
+        spike.on = False
         assert logits_of(model, test_x, 0).tobytes() == before.tobytes()
-        for layer in model.steps[0], model.steps[2]:
+        for layer in model.steps[1], model.steps[3]:
             for p in layer.weight, layer.bias:
                 assert not np.isnan(p.data).any(), layer.layer_tag
 
@@ -556,8 +573,7 @@ class TestTrainTask:
         # training task 2 on finite data then wrote NaN into every l1
         # weight, changing task 0's logits
         rng = np.random.default_rng(60)
-        model = bench.build_continual_model(
-            rng, bench.ExperimentConfig(tasks=3, dim=6, trunk_width=8))
+        model, spike = spiked_continual_model(rng, 3)
         data = two_cluster_task(rng)
         test_x = two_cluster_task(rng, n=40)[0]
         cfg = TrainerConfig(task_count=3, epochs=2, batch_size=30, seed=1)
@@ -566,11 +582,11 @@ class TestTrainTask:
         maskers = model.maskers()
         records = [(m.cumulative_mask.copy(), dict(m.stored_task_masks))
                    for m in maskers]
-        x, y = data[0].copy(), data[1]
-        x[3, 2] = np.inf
+        spike.on = True
         with np.errstate(invalid="ignore", over="ignore"), \
                 pytest.raises(tg.StateError, match="not finite") as info:
-            train_task(model, (x, y), 1, cfg)
+            train_task(model, data, 1, cfg)
+        spike.on = False
         assert "\n" not in str(info.value)
         # refused at every masker before any was finalized
         for m, (cum, stored) in zip(maskers, records):
@@ -578,7 +594,7 @@ class TestTrainTask:
             assert m.stored_task_masks.keys() == stored.keys() == {0}
             assert m.stored_task_masks[0] is stored[0]
         train_task(model, two_cluster_task(rng), 2, cfg)
-        assert np.isfinite(model.steps[0].weight.data).all()
+        assert np.isfinite(model.steps[1].weight.data).all()
         assert logits_of(model, test_x, 0).tobytes() == before.tobytes()
 
     def test_refused_task_trains_again(self):
@@ -586,18 +602,17 @@ class TestTrainTask:
         # so task 1's head, norm and embedding slots stay finite and task 1
         # trains again on finite data
         rng = np.random.default_rng(62)
-        model = bench.build_continual_model(
-            rng, bench.ExperimentConfig(tasks=3, dim=6, trunk_width=8))
+        model, spike = spiked_continual_model(rng, 3)
         data = two_cluster_task(rng)
         test_x = two_cluster_task(rng, n=40)[0]
         cfg = TrainerConfig(task_count=3, epochs=2, batch_size=30, seed=1)
         train_task(model, data, 0, cfg)
         before = logits_of(model, test_x, 0)
-        x, y = data[0].copy(), data[1]
-        x[3, 2] = np.inf
+        spike.on = True
         with np.errstate(invalid="ignore", over="ignore"), \
                 pytest.raises(tg.StateError, match="not finite") as info:
-            train_task(model, (x, y), 1, cfg)
+            train_task(model, data, 1, cfg)
+        spike.on = False
         assert "\n" not in str(info.value)
         params = model.task_parameters(1)
         assert all(p.grad is None and np.isfinite(p.data).all() for p in params)
@@ -746,8 +761,8 @@ class TestTapes:
     @pytest.mark.parametrize("shape, stop_at", [
         ("continual", None), ("conv", None), ("continual", 2)])
     def test_train_task_leaves_no_cyclic_garbage(self, shape, stop_at):
-        # each batch's graph is released once its backward ends, so reference
-        # counting frees it and the collector finds nothing
+        # each batch's tape is dropped once its backward ends, so reference
+        # counting frees its graph and the collector finds nothing
         rng = np.random.default_rng(69)
         if shape == "conv":  # conv -> flatten -> HATLinear
             model = conv_model(rng, 2)
@@ -767,6 +782,37 @@ class TestTapes:
                 assert gc.collect() == 0
             finally:
                 gc.enable()
+
+    def test_a_hand_written_loop_frees_each_dropped_tape_without_the_collector(self):
+        # a recorded tensor holds its tape weakly, so a loop of its own frees
+        # each graph the moment it drops the tape, with nothing to release
+        rng = np.random.default_rng(70)
+        model = bench.build_continual_model(
+            rng, bench.ExperimentConfig(tasks=2, dim=6, trunk_width=8))
+        x, y = two_cluster_task(rng, n=16)
+        params = model.task_parameters(0)
+        tapes = []
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):  # rebinding `tape` drops the one before
+                with tg.Tape() as tape:
+                    out = model.forward(HATPayload(Tensor(x), task=0, scale=10.0,
+                                                   training=True))
+                    loss = tg.softmax_cross_entropy(out.masked_data(), y)
+                tape.backward(loss)
+                tapes.append(weakref.ref(tape))
+                for p in params:
+                    p.data -= 0.1 * p.grad
+                    p.grad = None
+            assert [t() is None for t in tapes] == [True, True, False]
+            assert all(p.node_id is not None for p in params)
+            del tape
+            assert [t() for t in tapes] == [None] * 3
+            assert [p.node_id for p in params] == [None] * len(params)
+            assert loss.node_id is None and out.masked_data().node_id is None
+        finally:
+            gc.enable()
 
 
 def tape_references(model):
@@ -872,16 +918,19 @@ class TestDatasetChecks:
     # (samples, labels[, label dtype[, sample entry]]): mismatched, empty,
     # labels not integers, samples that hold NaN (relu maps NaN to 0, so
     # the loss would stay finite while NaN reached the weights), samples
-    # that are not numbers, and samples or labels of the wrong rank: 0-d
+    # that are not numbers, samples or labels of the wrong rank: 0-d
     # samples, [N,1] labels (which broadcast against [N] predictions) and
-    # 0-d labels
+    # 0-d labels, and samples that hold ±inf (as NaN; an inf also warned
+    # in the first product and the layer norm before the loss refused it)
     BAD_DATASETS = [((8, 20), tg.ShapeError), ((20, 8), tg.ShapeError),
                     ((0, 0), tg.UsageError), ((20, 20, float), tg.UsageError),
                     ((20, 20, bool), tg.UsageError),
                     ((20, 20, np.int64, np.nan), tg.UsageError),
                     ((20, 20, np.int64, "a"), tg.UsageError),
                     (((), 1), tg.ShapeError), ((20, (20, 1)), tg.ShapeError),
-                    ((20, ()), tg.ShapeError)]
+                    ((20, ()), tg.ShapeError),
+                    ((20, 20, np.int64, np.inf), tg.UsageError),
+                    ((20, 20, np.int64, -np.inf), tg.UsageError)]
 
     @pytest.mark.parametrize("sizes, error", BAD_DATASETS)
     @pytest.mark.parametrize("task", [0, None])
