@@ -48,7 +48,9 @@ print(f"numeric d/dw[0,0] = {numeric:.6f}, analytic = {w.grad[0, 0]:.6f}")
 # ---------------------------------------------------------------------------
 # 3. Gradient hooks
 #
-# A hook transforms the gradient flowing into a tensor during backward().
+# A hook, registered through a tensor, transforms each gradient flowing into
+# it during tape.backward(loss). Only leaves such as w keep a .grad, so a hook
+# is also how to read an intermediate's gradient.
 # Completed tasks are protected with them: nullification is a hook on the
 # weights of every gated layer and shared Linear or LayerNorm, and
 # compensation is a hook on the training task's embedding row.

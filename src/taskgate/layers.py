@@ -610,23 +610,25 @@ def task_indexed_linear(in_features: int, out_features: int, task_count: int,
 
 
 class Sequential(PayloadModule):
-    """Payload pipeline: gated modules run natively, plain ones via forward_by.
+    """Payload pipeline: gated modules take the payload, plain ones its data.
 
     Building a pipeline binds each gated layer's input side from ``walk``,
     so a model whose widths cannot be protected is refused right here, as
-    is one that mixes member modules with others or member counts. Shared
-    modules get its maskers as ``guards``; ``members`` is the member count.
+    is one that mixes member modules with others or member counts, or that
+    reaches one trainable parameter twice (a ``ReLU`` or a function may
+    repeat). Shared modules get its maskers as ``guards``; ``members`` is
+    the member count.
     """
 
     def __init__(self, *modules):
         self.steps = list(modules)
-        walked, counts = list(walk(self)), set()
-        maskers = tuple(m for _, m, _ in walked if isinstance(m, HATMasker))
-        for _, module, side in walked:
-            if side is not None:
-                module.input_side = side
-            elif isinstance(module, _Shared):
-                module.guards = maskers
+        walked, counts, reached = list(walk(self)), set(), {}
+        for name, module, _ in walked:
+            for where, leaf in _leaves(name, module):
+                if leaf in reached:
+                    raise ShapeError(f"steps {reached[leaf]} and {where} reach one "
+                                     f"trainable parameter; use each module once")
+                reached[leaf] = where
             if isinstance(module, Module):
                 counts.add(module.members)
         if len(counts) > 1:
@@ -634,10 +636,16 @@ class Sequential(PayloadModule):
                              "one member count, got "
                              + ", ".join(sorted(map(str, counts))))
         self.members = counts.pop() if counts else None
+        maskers = tuple(m for _, m, _ in walked if isinstance(m, HATMasker))
+        for _, module, side in walked:
+            if side is not None:
+                module.input_side = side
+            elif isinstance(module, _Shared):
+                module.guards = maskers
 
     def forward(self, p: HATPayload) -> HATPayload:
         for m in self.steps:
-            p = m.forward(p) if isinstance(m, PayloadModule) else p.forward_by(m)
+            p = m.forward(p) if isinstance(m, PayloadModule) else p.with_data(m(p.data))
         return p
 
     def maskers(self) -> list:
@@ -657,6 +665,17 @@ class Sequential(PayloadModule):
             elif isinstance(m, Module):
                 params.extend(m.local_parameters())
         return params
+
+
+def _leaves(name: str, module) -> list:
+    """``(step, leaf)`` for each trainable leaf a walked module holds itself;
+    step ``"4[1]"`` is task 1's submodule of a task-indexed module at step 4."""
+    if isinstance(module, HATMasker):
+        return [(name, row) for row in module.embedding_rows]
+    if isinstance(module, TaskIndexed):
+        return [(f"{name}[{t}]", p) for t, sub in enumerate(module.submodules)
+                for p in sub.local_parameters()]
+    return [(name, p) for p in module.local_parameters()] if isinstance(module, Module) else []
 
 
 def refuse_members(model: Sequential, what: str) -> None:

@@ -13,7 +13,7 @@ the model's structure, when a ``Sequential`` is built.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class HATPayload:
         """New payload with the same task/scale/training flags."""
         return HATPayload(data, task=self.task, scale=self.scale,
                           training=self.training)
-
-    def forward_by(self, plain_op: Callable[[Tensor], Tensor]) -> "HATPayload":
-        """Send the data through a function that only knows tensors."""
-        return self.with_data(plain_op(self.data))
 
     def __repr__(self):
         return (f"HATPayload(shape={self.data.shape}, task={self.task}, "

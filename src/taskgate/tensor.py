@@ -7,12 +7,14 @@ a plain numpy computation with no bookkeeping, which is what evaluation paths
 use. Recorded tensors hold their tape weakly, so a graph lives exactly as
 long as the caller keeps its tape.
 
-Gradient hooks attach to individual nodes. Each hook transforms an incoming
-gradient before it is accumulated into the node's gradient slot; hooks on one
-node fire in registration order, so registering ``f`` then ``g`` stores
-``g(f(upstream))``. What a module must remember about one recording (hooks
-it has registered, a mask a later op may reuse) goes in the tape's ``notes``
-dict, so it lives and dies with the tape instead of on the module.
+Backward runs only as ``tape.backward(loss)``, and only leaves keep a
+``.grad``. A hook is registered through the tensor that receives it and
+transforms each gradient arriving there before it is accumulated; hooks on
+one tensor fire in registration order, so registering ``f`` then ``g``
+gives ``g(f(upstream))``. A hook is how to see an intermediate's gradient.
+What a module must remember about one recording (hooks it has registered,
+a mask a later op may reuse) goes in the tape's ``notes`` dict, so it
+lives and dies with the tape instead of on the module.
 
 Hot compositions get one node where the generic ops would record several,
 with the generic ops' arithmetic in their float order. The fused nodes are:
@@ -66,14 +68,15 @@ class StateError(RuntimeError):
 
 
 class HookHandle:
-    """Removal token for a registered gradient hook."""
+    """Removal token for one hook registration: it holds its own entry, the
+    node nothing of it (so no cycle). Removing twice is a no-op."""
 
-    def __init__(self, node: "Node", hook_id: int):
-        self._node = node
-        self._hook_id = hook_id
+    def __init__(self, hooks: list, entry: tuple):
+        self._hooks = hooks
+        self._entry = entry
 
     def remove(self) -> None:
-        self._node.hooks = [(h, fn) for h, fn in self._node.hooks if h != self._hook_id]
+        self._hooks[:] = [e for e in self._hooks if e is not self._entry]
 
 
 class Node:
@@ -85,7 +88,7 @@ class Node:
         self.parents = parents          # per input: node id or None (non-differentiated)
         self.backward_fn = backward_fn  # out-gradient -> tuple of input gradients
         self.tensor = tensor
-        self.hooks = []                 # [(hook_id, transform)] in registration order
+        self.hooks = []                 # [(transform,)], one per registration, in order
         self.grad = None
 
 
@@ -98,8 +101,9 @@ class Tape:
             loss = model(x)
         tape.backward(loss)
 
-    A tape is consumed by exactly one backward pass. Tapes are
-    single-threaded; the active tape is tracked per thread.
+    A tape is consumed by exactly one backward pass, which adds each leaf's
+    gradient to its ``.grad``. Tapes are single-threaded; the active tape
+    is tracked per thread.
 
     The tape holds its nodes and they hold the recorded tensors, but a
     tensor holds its tape only weakly: dropping the last reference to a
@@ -117,7 +121,6 @@ class Tape:
         self.nodes: list[Node] = []
         self.notes: dict = {}
         self.consumed = False
-        self._next_hook_id = 0
         self._ref = weakref.ref(self)  # what recorded tensors hold
 
     @classmethod
@@ -139,19 +142,9 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def register_hook(self, node_id: int, transform: Callable[[np.ndarray], np.ndarray]) -> HookHandle:
-        """Attach a shape-preserving gradient transform to a node."""
-        if not 0 <= node_id < len(self.nodes):
-            raise UsageError(f"unknown node id {node_id}")
-        node = self.nodes[node_id]
-        hook_id = self._next_hook_id
-        self._next_hook_id += 1
-        node.hooks.append((hook_id, transform))
-        return HookHandle(node, hook_id)
-
     @staticmethod
     def _hooked(node: Node, grad: np.ndarray) -> np.ndarray:
-        for _, transform in node.hooks:
+        for (transform,) in node.hooks:
             out = np.asarray(transform(grad))
             if out.shape != grad.shape:
                 raise ShapeError(
@@ -189,14 +182,10 @@ class Tape:
                     g = self._hooked(parent, g)
                 parent.grad = g if parent.grad is None else parent.grad + g
 
-        for node in nodes:
-            t = node.tensor
-            if node.grad is None or t is None or not t.requires_grad:
-                continue
-            if node.op == "leaf":
+        for node in nodes:  # only leaves keep a gradient
+            if node.op == "leaf" and node.grad is not None:
+                t = node.tensor
                 t.grad = node.grad if t.grad is None else t.grad + node.grad
-            else:
-                t.grad = node.grad
 
 
 class Tensor:
@@ -204,7 +193,8 @@ class Tensor:
 
     ``requires_grad`` marks trainable leaves; a leaf only joins a tape when an
     operation first touches it while that tape is active, and ``.grad``
-    accumulates across backward passes until cleared.
+    accumulates across backward passes until cleared. Only leaves get a
+    ``.grad``; ``register_hook`` shows an intermediate's gradient.
     """
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
@@ -254,14 +244,13 @@ class Tensor:
         self.grad = None
 
     def register_hook(self, transform: Callable[[np.ndarray], np.ndarray]) -> HookHandle:
-        """Register a gradient hook on this tensor's live tape node."""
+        """Attach a shape-preserving gradient transform to this tensor's live node."""
         tape = self._node_tape
         if tape is None:
             raise UsageError("tensor has no node; use it inside an active Tape first")
-        return tape.register_hook(self._node_id, transform)
-
-    def backward(self) -> None:
-        backward(self)
+        hooks, entry = tape.nodes[self._node_id].hooks, (transform,)
+        hooks.append(entry)
+        return HookHandle(hooks, entry)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -723,11 +712,3 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         return (grad * (g / bsz)[..., None, None],)
 
     return _record("softmax_cross_entropy", (logits,), loss, backward_fn)
-
-
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation from a scalar loss."""
-    tape = loss._node_tape
-    if tape is None:
-        raise UsageError("loss is on no live tape; record it in `with Tape() as tape:` and keep `tape`")
-    tape.backward(loss)

@@ -158,10 +158,12 @@ class SGD:
     """Plain stochastic gradient descent with classical momentum.
 
     Velocity buffers start at zero, so a fresh optimizer per task keeps one
-    task's motion from leaking into the next.
+    task's motion from leaking into the next. ``lr`` and ``momentum`` are
+    checked as ``TrainerConfig`` checks them (``check_trainer_numbers``).
     """
 
     def __init__(self, params: list, lr: float, momentum: float = 0.9):
+        check_trainer_numbers(lr, momentum)
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
@@ -187,7 +189,7 @@ class SGD:
             p.grad = None
 
 
-def check_trainer_numbers(lr, momentum, reg_lambda, **counts) -> None:
+def check_trainer_numbers(lr, momentum, reg_lambda=0.0, **counts) -> None:
     """Refuse, each with a one-line ``UsageError`` naming the field: an
     ``lr`` or ``reg_lambda`` that is not a finite real number >= 0 (a NaN
     weight would turn the penalty off unseen), a ``momentum`` outside

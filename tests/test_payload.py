@@ -115,29 +115,30 @@ class TestMasking:
 
 
 class TestForwardBy:
+    """A plain function in a ``Sequential`` takes the payload's data."""
+
     def test_identity_equals_materialization(self, masker):
         set_row(masker, 0, np.array([0.0, 1.0, -1.0, 0.5]))
         data = np.arange(8.0).reshape(2, 4)
-        p1 = masker(HATPayload(Tensor(data.copy()), task=0, scale=3.0))
-        p2 = masker(HATPayload(Tensor(data.copy()), task=0, scale=3.0))
-        via_forward = p1.forward_by(lambda t: t)
-        materialized = p2.masked_data()
+        via_forward = tg.Sequential(masker, lambda t: t)(
+            HATPayload(Tensor(data.copy()), task=0, scale=3.0))
+        materialized = masker(HATPayload(Tensor(data.copy()), task=0, scale=3.0)).masked_data()
         np.testing.assert_array_equal(via_forward.data.data, materialized.data)
 
     def test_relu_through_plain_function(self):
-        p = HATPayload(Tensor([[-1.0, 2.0]]))
-        out = p.forward_by(tg.relu)
+        out = tg.Sequential(tg.relu)(HATPayload(Tensor([[-1.0, 2.0]])))
         np.testing.assert_array_equal(out.data.data, [[0.0, 2.0]])
 
     def test_double_after_half_mask_restores_data(self, masker):
         set_row(masker, 0, 0.0)
         data = np.array([[1.0, -2.0, 3.0, -4.0]])
-        p = masker(HATPayload(Tensor(data), task=0, scale=9.0))
-        out = p.forward_by(lambda t: tg.scale(t, 2.0))
+        out = tg.Sequential(masker, lambda t: tg.scale(t, 2.0))(
+            HATPayload(Tensor(data), task=0, scale=9.0))
         np.testing.assert_array_equal(out.data.data, data)
 
     def test_metadata_inherited(self, masker):
-        p = masker(HATPayload(Tensor(np.ones((1, 4))), task=2, scale=7.0,
-                              training=True))
-        out = p.forward_by(lambda t: t)
+        seen = []
+        out = tg.Sequential(masker, lambda t: (seen.append(t), t)[1])(
+            HATPayload(Tensor(np.ones((1, 4))), task=2, scale=7.0, training=True))
         assert (out.task, out.scale, out.training) == (2, 7.0, True)
+        assert seen == [out.data]  # the function's result is the payload's data

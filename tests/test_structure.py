@@ -5,6 +5,7 @@ protection, forgetting and checkpoints."""
 import ast
 import gc
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,41 @@ class TestWalk:
         Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(),
                    tg.task_indexed_layer_norm(6, 2, "norm"),
                    tg.task_indexed_linear(6, 2, 2, "head", rng))
+
+    # unrefused, l2 at two steps would train task 0 for its whole budget
+    # before finalize_task refused it, and one head serving two tasks would
+    # let task 1 move task 0's logits
+    @pytest.mark.parametrize("case", ["gated_layer", "task_indexed", "masker", "linear",
+                                      "layer_norm", "nested", "indexed_and_shared"])
+    def test_a_parameter_reached_twice_is_refused_before_anything_changes(self, case):
+        rng = np.random.default_rng(110)
+        l1, l2 = HATLinear(4, 6, 2, "l1", rng), HATLinear(6, 6, 2, "l2", rng)
+        gate, lin, head = HATMasker(6, 2, "gate"), Linear(6, 6, rng), Linear(6, 2, rng)
+        norm = tg.layers.LayerNorm(6)
+        inner = Sequential(l2, ReLU())
+        steps, where = {
+            "gated_layer": ([l2, ReLU(), l2, ReLU(), tg.task_indexed_linear(6, 2, 2, "head", rng)],
+                            "0 and 2"),
+            "task_indexed": ([l1, ReLU(), tg.TaskIndexed([head, head], "head")], "2[0] and 2[1]"),
+            "masker": ([l1, gate, ReLU(), gate], "1 and 3"),
+            "linear": ([l1, lin, ReLU(), lin], "1 and 3"),
+            "layer_norm": ([l1, norm, norm], "1 and 2"),
+            "nested": ([l1, ReLU(), inner, inner], "2.0 and 3.0"),
+            "indexed_and_shared": ([l1, lin, tg.TaskIndexed([Linear(6, 6, rng), lin], "head")],
+                                   "1 and 2[1]"),
+        }[case]
+        sides, guards = [(m, m.input_side) for m in (l1, l2)], lin.guards
+        with pytest.raises(tg.ShapeError, match=re.escape(f"steps {where} reach")) as err:
+            Sequential(*steps)
+        assert "\n" not in str(err.value)
+        assert all(m.input_side is side for m, side in sides) and lin.guards is guards
+
+    def test_a_relu_or_a_function_may_repeat(self):
+        rng = np.random.default_rng(111)
+        relu = ReLU()
+        model = Sequential(HATLinear(4, 6, 2, "l1", rng), relu, tg.relu,
+                           HATLinear(6, 6, 2, "l2", rng), relu, tg.relu)
+        assert len(model.task_parameters(0)) == 6
 
 
 def weighted_between_model(middle, rng, task_count):

@@ -397,6 +397,19 @@ class TestSGD:
         SGD([p], lr=0.1).zero_grad()
         assert p.grad is None
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"lr": np.inf}, "lr"), ({"lr": np.nan}, "lr"), ({"lr": -0.1}, "lr"),
+        ({"lr": True}, "lr"), ({"lr": 0.1, "momentum": 1.0}, "momentum"),
+        ({"lr": 0.1, "momentum": -0.5}, "momentum"),
+        ({"lr": 0.1, "momentum": np.nan}, "momentum"),
+    ], ids=repr)
+    def test_bad_numbers_are_refused(self, kwargs, field):
+        # an infinite lr would turn every frozen weight into NaN (inf * 0)
+        # and so move a completed task's logits
+        with pytest.raises(tg.UsageError, match=f"^{field} must be") as err:
+            SGD([Tensor([1.0], requires_grad=True)], **kwargs)
+        assert "\n" not in str(err.value)
+
 
 def two_cluster_task(rng, n=120, dim=6, sep=6.0):
     direction = rng.standard_normal(dim)
