@@ -101,7 +101,7 @@ class ExperimentConfig:
             raise UsageError(f"unknown schedule '{self.schedule}'")
         if self.init not in ("",) + EMBEDDING_INITS:
             raise UsageError(f"unknown init '{self.init}'")
-        check_trainer_numbers(self.lr, self.momentum, self.reg_lambda,
+        check_trainer_numbers(self.lr, self.momentum, self.reg_lambda, self.seed,
                               tasks=self.tasks, epochs=self.epochs,
                               batch_size=self.batch_size)
         for name in ("repeats", "batch_cap", "toy_samples", "toy_hidden",

@@ -76,6 +76,8 @@ def assemble_config(args: argparse.Namespace) -> bench.ExperimentConfig:
                 mapping = bench.parse_config_mapping(fh.read())
         except FileNotFoundError:
             raise UsageError(f"config file not found: {args.config}") from None
+        except UnicodeDecodeError:
+            raise UsageError(f"config file is not UTF-8 text: {args.config}") from None
     cfg = bench.config_from_mapping(mapping)
     overrides = {name: getattr(args, name) for name in _FLAG_FIELDS
                  if getattr(args, name) is not None}

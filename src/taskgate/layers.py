@@ -616,19 +616,22 @@ class Sequential(PayloadModule):
     so a model whose widths cannot be protected is refused right here, as
     is one that mixes member modules with others or member counts, or that
     reaches one trainable parameter twice (a ``ReLU`` or a function may
-    repeat). Shared modules get its maskers as ``guards``; ``members`` is
-    the member count.
+    repeat). Shared modules get its maskers as ``guards``, and so does every
+    trainable leaf but the embedding rows, for ``training.SGD`` to see when
+    their records change; ``members`` is the member count.
     """
 
     def __init__(self, *modules):
         self.steps = list(modules)
-        walked, counts, reached = list(walk(self)), set(), {}
+        walked, counts, reached, weights = list(walk(self)), set(), {}, []
         for name, module, _ in walked:
             for where, leaf in _leaves(name, module):
                 if leaf in reached:
                     raise ShapeError(f"steps {reached[leaf]} and {where} reach one "
                                      f"trainable parameter; use each module once")
                 reached[leaf] = where
+                if not isinstance(module, HATMasker):  # a row would hold its masker: a cycle
+                    weights.append(leaf)
             if isinstance(module, Module):
                 counts.add(module.members)
         if len(counts) > 1:
@@ -642,6 +645,8 @@ class Sequential(PayloadModule):
                 module.input_side = side
             elif isinstance(module, _Shared):
                 module.guards = maskers
+        for leaf in weights:
+            leaf.guards = maskers
 
     def forward(self, p: HATPayload) -> HATPayload:
         for m in self.steps:

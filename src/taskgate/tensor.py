@@ -7,6 +7,11 @@ a plain numpy computation with no bookkeeping, which is what evaluation paths
 use. Recorded tensors hold their tape weakly, so a graph lives exactly as
 long as the caller keeps its tape.
 
+Every op is a function of this module (``add``, ``matmul``, ``reduce_sum``
+and the rest); a ``Tensor`` has no operator methods. The binary ops take
+tensors only: a constant goes in as a ``Tensor`` of its own, which gets no
+gradient.
+
 Backward runs only as ``tape.backward(loss)``, and only leaves keep a
 ``.grad``. A hook is registered through the tensor that receives it and
 transforms each gradient arriving there before it is accumulated; hooks on
@@ -240,9 +245,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def register_hook(self, transform: Callable[[np.ndarray], np.ndarray]) -> HookHandle:
         """Attach a shape-preserving gradient transform to this tensor's live node."""
         tape = self._node_tape
@@ -254,55 +256,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # operator sugar; constants are wrapped, so only tensor operands get gradients
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def relu(self):
-        return relu(self)
-
-    def clamp(self, lo, hi):
-        return clamp(self, lo, hi)
-
-    def scale(self, c):
-        return scale(self, c)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def permute(self, axes):
-        return permute(self, axes)
-
-    def transpose(self):
-        if self.ndim != 2:
-            raise ShapeError(f"transpose expects a matrix, got shape {self.shape}")
-        return permute(self, (1, 0))
-
-    def sum(self):
-        return reduce_sum(self)
-
-    def mean(self):
-        return reduce_mean(self)
 
 
 def _leaf_id(tape: Tape, t: Tensor) -> int:
@@ -341,15 +294,6 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn
         out._node_id = tape._add_node(op, tuple(parents), backward_fn, out).nid
         out._tape_ref = tape._ref
     return out
-
-
-def _wrap(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x, dtype=like.data.dtype)
-    if arr.ndim == 0 and like.ndim > 0:
-        arr = np.full(like.shape, arr[()], dtype=like.data.dtype)
-    return Tensor(arr, requires_grad=False)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -398,13 +342,17 @@ def _feature_axes(full_shape: tuple) -> tuple:
     return (0,) + tuple(range(2, len(full_shape)))
 
 
-def _binary(op: str, a: Tensor, b, fwd, grad_a, grad_b) -> Tensor:
+def _binary(op: str, a: Tensor, b: Tensor, fwd, grad_a, grad_b) -> Tensor:
     """Shared machinery for elementwise binary ops.
 
-    Equal shapes, or one operand a rank-1 vector broadcast across the other's
-    feature axis (axis 1 of a rank >= 2 tensor). No other broadcast exists.
+    Both operands are tensors; a constant goes in as a ``Tensor`` of its
+    own. Equal shapes, or one operand a rank-1 vector broadcast across the
+    other's feature axis (axis 1 of a rank >= 2 tensor). No other broadcast
+    exists.
     """
-    b = _wrap(b, a)
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+        raise UsageError(f"{op} takes two tensors, got {type(a).__name__} "
+                         f"and {type(b).__name__}")
     if a.shape == b.shape:
         out = fwd(a.data, b.data)
 
@@ -439,17 +387,17 @@ def _binary(op: str, a: Tensor, b, fwd, grad_a, grad_b) -> Tensor:
     return _record(op, (a, b), fwd(a_data, b_data), backward_fn)
 
 
-def add(a: Tensor, b) -> Tensor:
+def add(a: Tensor, b: Tensor) -> Tensor:
     return _binary("add", a, b, lambda x, y: x + y,
                    lambda g, x, y: g, lambda g, x, y: g)
 
 
-def sub(a: Tensor, b) -> Tensor:
+def sub(a: Tensor, b: Tensor) -> Tensor:
     return _binary("sub", a, b, lambda x, y: x - y,
                    lambda g, x, y: g, lambda g, x, y: -g)
 
 
-def mul(a: Tensor, b) -> Tensor:
+def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary("mul", a, b, lambda x, y: x * y,
                    lambda g, x, y: g * y, lambda g, x, y: g * x)
 

@@ -157,9 +157,15 @@ def init_embeddings(maskers: list, kind: str, rng: Optional[np.random.Generator]
 class SGD:
     """Plain stochastic gradient descent with classical momentum.
 
-    Velocity buffers start at zero, so a fresh optimizer per task keeps one
-    task's motion from leaking into the next. ``lr`` and ``momentum`` are
-    checked as ``TrainerConfig`` checks them (``check_trainer_numbers``).
+    Velocity buffers start at zero, and restart at zero on the first step
+    after the completed tasks of the parameters' model change (a task
+    finalized or forgotten, masks restored): velocity from before a
+    finalization cannot move an entry it claims, and one optimizer may serve
+    many tasks as a fresh one per task (``train_task``) does. The parameters
+    name their model's maskers (``guards``, set by ``Sequential``), so
+    finalizing one model leaves another's optimizer alone. ``lr`` and
+    ``momentum`` are checked as ``TrainerConfig`` checks them
+    (``check_trainer_numbers``).
     """
 
     def __init__(self, params: list, lr: float, momentum: float = 0.9):
@@ -168,11 +174,21 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self._maskers = list(dict.fromkeys(m for p in self.params
+                                           for m in getattr(p, "guards", ())))
+        self._seen = [m.cumulative_mask for m in self._maskers]
 
     def step(self, live: Optional[np.ndarray] = None) -> None:
         """One step of every parameter with a gradient. For a member model,
         ``live`` (a boolean [M] array) picks the members that move; the
         others keep their values and velocity."""
+        for m, seen in zip(self._maskers, self._seen):
+            # a masker's cumulative mask is a new array exactly when its records change
+            if m.cumulative_mask is not seen:
+                for v in self.velocity:
+                    v.fill(0.0)
+                self._seen = [m.cumulative_mask for m in self._maskers]
+                break
         for p, v in zip(self.params, self.velocity):
             if p.grad is None:
                 continue
@@ -189,12 +205,15 @@ class SGD:
             p.grad = None
 
 
-def check_trainer_numbers(lr, momentum, reg_lambda=0.0, **counts) -> None:
+def check_trainer_numbers(lr, momentum, reg_lambda=0.0, seed=0, **counts) -> None:
     """Refuse, each with a one-line ``UsageError`` naming the field: an
     ``lr`` or ``reg_lambda`` that is not a finite real number >= 0 (a NaN
     weight would turn the penalty off unseen), a ``momentum`` outside
-    [0, 1), and each of ``counts`` (task count, epochs, batch size) that is
+    [0, 1), a ``seed`` that is not an int >= 0 (numpy's generators take no
+    other), and each of ``counts`` (task count, epochs, batch size) that is
     not an int >= 1. Bools are refused throughout."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise UsageError(f"seed must be an int >= 0, got {seed!r}")
     for name, value in counts.items():
         _width(value, name)
     for name, value, hi, bounds in (("lr", lr, math.inf, "finite and >= 0"),
@@ -218,7 +237,7 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_trainer_numbers(self.lr, self.momentum, self.reg_lambda,
+        check_trainer_numbers(self.lr, self.momentum, self.reg_lambda, self.seed,
                               task_count=self.task_count, epochs=self.epochs,
                               batch_size=self.batch_size)
         if self.schedule not in SCHEDULES:

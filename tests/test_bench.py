@@ -148,7 +148,8 @@ class TestConfig:
                             ("epochs", 1.5), ("batch_size", True), ("tasks", 2.0),
                             ("tasks", True), ("repeats", 1.5), ("theta_lo", -0.1),
                             ("theta_lo", 0.9), ("theta_lo", nan), ("theta_lo", True),
-                            ("theta_hi", 1.5), ("theta_hi", 0.1), ("theta_hi", nan)]:
+                            ("theta_hi", 1.5), ("theta_hi", 0.1), ("theta_hi", nan),
+                            ("seed", -1), ("seed", 2.0), ("seed", False)]:
             with pytest.raises(tg.UsageError, match=name) as err:
                 bench.ExperimentConfig(**{name: value})
             assert "\n" not in str(err.value)
@@ -300,6 +301,25 @@ class TestCli:
         assert code == 1
         assert err.startswith("taskgate: error:") and err.count("\n") == 1
         assert "batch_size" in err
+
+    @pytest.mark.parametrize("argv, config, named", [
+        ("continual --seed -1", None, "seed"),
+        ("toy-init --seed -3", None, "seed"),
+        ("continual --config {cfg}", b"seed=-5\n", "seed"),
+        ("continual --config {cfg}", b"tasks=2\xff\n", "{cfg}"),
+        ("forget", None, "seed"),  # the checkpoint's stored config holds seed=-1
+    ], ids=["flag-seed", "toy-flag-seed", "config-seed", "config-not-utf8", "stored-seed"])
+    def test_bad_input_is_one_line_error(self, tmp_path, capsys, argv, config, named):
+        cfgfile = tmp_path / "bad.cfg"
+        if config is not None:
+            cfgfile.write_bytes(config)
+        write_entries(tmp_path / bench.CHECKPOINT_NAME, {
+            CONFIG_ENTRY: np.frombuffer(b"tasks=2\nseed=-1\n", dtype=np.uint8)})
+        code = cli.main(argv.format(cfg=cfgfile).split() + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("taskgate: error:") and err.count("\n") == 1
+        assert "Traceback" not in err and named.format(cfg=cfgfile) in err
 
     def test_help_states_effective_lambda_default(self, capsys):
         with pytest.raises(SystemExit):

@@ -45,7 +45,7 @@ class TestAttention:
         for _ in range(20):
             e = Tensor(rng.standard_normal(6) * 0.5, requires_grad=True)
             s = float(rng.uniform(0.5, 4.0))
-            assert_grads_match(lambda: attention(e, s).sum(), [e])
+            assert_grads_match(lambda: tg.reduce_sum(attention(e, s)), [e])
 
 
 class TestGradNullify:

@@ -26,7 +26,7 @@ class TestMatmul:
         a = Tensor([[1.0, 2.0]], requires_grad=True)
         b = Tensor([[3.0], [4.0]], requires_grad=True)
         with Tape() as tape:
-            loss = tg.matmul(a, b).sum()
+            loss = tg.reduce_sum(tg.matmul(a, b))
         tape.backward(loss)
         np.testing.assert_allclose(a.grad, [[3.0, 4.0]])
         np.testing.assert_allclose(b.grad, [[1.0], [2.0]])
@@ -36,7 +36,7 @@ class TestMatmul:
         for _ in range(20):
             a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
             b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-            assert_grads_match(lambda: tg.matmul(a, b).sum(), [a, b])
+            assert_grads_match(lambda: tg.reduce_sum(tg.matmul(a, b)), [a, b])
 
     def test_shape_mismatch_names_both_shapes(self):
         a = Tensor(np.zeros((2, 3)))
@@ -120,12 +120,12 @@ class TestElementwise:
         for _ in range(20):
             a = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
             b = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-            assert_grads_match(lambda: op(a, b).sum(), [a, b])
+            assert_grads_match(lambda: tg.reduce_sum(op(a, b)), [a, b])
 
     def test_sigmoid_at_zero(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         with Tape() as tape:
-            loss = tg.sigmoid(x).sum()
+            loss = tg.reduce_sum(tg.sigmoid(x))
         tape.backward(loss)
         np.testing.assert_array_equal(tg.sigmoid(x).data, 0.5 * np.ones(3))
         np.testing.assert_allclose(x.grad, 0.25 * np.ones(3))
@@ -140,7 +140,7 @@ class TestElementwise:
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = Tensor(rng.standard_normal(7) * 2, requires_grad=True)
-            assert_grads_match(lambda: tg.sigmoid(x).sum(), [x])
+            assert_grads_match(lambda: tg.reduce_sum(tg.sigmoid(x)), [x])
 
     def test_relu_values(self):
         x = Tensor([-3.0, 2.0])
@@ -195,7 +195,7 @@ class TestElementwise:
     def test_relu_grad(self):
         x = Tensor([-3.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            loss = tg.relu(x).sum()
+            loss = tg.reduce_sum(tg.relu(x))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
@@ -203,7 +203,7 @@ class TestElementwise:
         x = Tensor([7.0], requires_grad=True)
         with Tape() as tape:
             y = tg.clamp(x, -6.0, 6.0)
-            loss = y.sum()
+            loss = tg.reduce_sum(y)
         tape.backward(loss)
         assert y.data[0] == 6.0
         np.testing.assert_array_equal(x.grad, [0.0])
@@ -211,14 +211,14 @@ class TestElementwise:
     def test_clamp_gradient_closed_interval(self):
         x = Tensor([-6.0, -1.0, 6.0, 6.5], requires_grad=True)
         with Tape() as tape:
-            loss = tg.clamp(x, -6.0, 6.0).sum()
+            loss = tg.reduce_sum(tg.clamp(x, -6.0, 6.0))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0, 0.0])
 
     def test_scale(self):
         x = Tensor([1.0, -2.0], requires_grad=True)
         with Tape() as tape:
-            loss = tg.scale(x, 3.0).sum()
+            loss = tg.reduce_sum(tg.scale(x, 3.0))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
@@ -228,7 +228,7 @@ class TestElementwise:
         full = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
         vec = Tensor(rng.standard_normal(4), requires_grad=True)
         with Tape() as tape:
-            loss = tg.add(full, vec).sum()
+            loss = tg.reduce_sum(tg.add(full, vec))
         tape.backward(loss)
         np.testing.assert_allclose(vec.grad, 6.0 * np.ones(4))
         np.testing.assert_allclose(full.grad, np.ones((6, 4)))
@@ -239,20 +239,29 @@ class TestElementwise:
         for _ in range(10):
             full = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
             vec = Tensor(rng.standard_normal(3), requires_grad=True)
-            assert_grads_match(lambda: op(full, vec).sum(), [full, vec])
-            assert_grads_match(lambda: op(vec, full).sum(), [full, vec])
+            assert_grads_match(lambda: tg.reduce_sum(op(full, vec)), [full, vec])
+            assert_grads_match(lambda: tg.reduce_sum(op(vec, full)), [full, vec])
 
     def test_broadcast_over_feature_maps(self):
         rng = np.random.default_rng(5)
         full = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
         vec = Tensor(rng.standard_normal(3), requires_grad=True)
-        assert_grads_match(lambda: tg.mul(full, vec).sum(), [full, vec])
+        assert_grads_match(lambda: tg.reduce_sum(tg.mul(full, vec)), [full, vec])
 
     def test_incompatible_shapes_raise(self):
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.zeros((3, 2)))
         with pytest.raises(tg.ShapeError):
             tg.add(a, b)
+
+    @pytest.mark.parametrize("op", [tg.add, tg.sub, tg.mul])
+    @pytest.mark.parametrize("constant", [2.0, np.ones(3), [1.0, 1.0, 1.0]], ids=repr)
+    def test_a_non_tensor_operand_is_refused(self, op, constant):
+        x = Tensor(np.zeros(3))
+        for a, b in ((x, constant), (constant, x)):
+            with pytest.raises(tg.UsageError, match="takes two tensors") as err:
+                op(a, b)
+            assert "\n" not in str(err.value)
 
 
 class TestConv2d:
@@ -274,7 +283,7 @@ class TestConv2d:
         x = Tensor(rng.standard_normal((1, 1, 4, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(2), requires_grad=True)
-        assert_grads_match(lambda: tg.conv2d(x, w, b).sum(), [x, w, b],
+        assert_grads_match(lambda: tg.reduce_sum(tg.conv2d(x, w, b)), [x, w, b],
                            rel_tol=1e-5)
 
     def test_stride_and_padding(self):
@@ -283,8 +292,8 @@ class TestConv2d:
         w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
         out = tg.conv2d(x, w, stride=2, padding=1)
         assert out.shape == (2, 4, 3, 3)
-        assert_grads_match(lambda: tg.conv2d(x, w, stride=2, padding=1).sum(),
-                           [x, w])
+        assert_grads_match(
+            lambda: tg.reduce_sum(tg.conv2d(x, w, stride=2, padding=1)), [x, w])
 
     def test_kernel_larger_than_padded_input(self):
         x = Tensor(np.zeros((1, 1, 2, 2)))
@@ -364,7 +373,7 @@ def check_against_loop(x_shape, cout, kernel, stride, padding, with_bias, dtype)
     with Tape() as tape:
         out = tg.conv2d(x, w, b, stride=stride, padding=padding)
         g = rng.standard_normal(out.shape).astype(dtype)
-        loss = tg.mul(out, Tensor(g)).sum()
+        loss = tg.reduce_sum(tg.mul(out, Tensor(g)))
     tape.backward(loss)
     ref_out, ref_gx, ref_gw, ref_gb = loop_conv2d(
         x.data, w.data, None if b is None else b.data, g, stride, padding)
@@ -407,7 +416,7 @@ class TestConv2dReference:
                 out = tg.conv2d(x, w, b, stride=stride, padding=1)
                 if g is None:
                     g = rng.standard_normal(out.shape)
-                loss = tg.mul(out, Tensor(g)).sum()
+                loss = tg.reduce_sum(tg.mul(out, Tensor(g)))
             tape.backward(loss)
             return out.data, x.grad, g
 
@@ -426,7 +435,7 @@ class TestConv2dReference:
         def grads(x):
             w.grad = b.grad = None
             with Tape() as tape:
-                loss = tg.conv2d(x, w, b, stride=2, padding=1).sum()
+                loss = tg.reduce_sum(tg.conv2d(x, w, b, stride=2, padding=1))
             tape.backward(loss)
             return w.grad, b.grad
 
@@ -611,8 +620,8 @@ class TestLayerNormReference:
 class TestShapeOps:
     def test_reshape_grad(self):
         x = Tensor(np.arange(6.0), requires_grad=True)
-        assert_grads_match(lambda: tg.mul(tg.reshape(x, (2, 3)),
-                                          tg.reshape(x, (2, 3))).sum(), [x])
+        assert_grads_match(lambda: tg.reduce_sum(tg.mul(tg.reshape(x, (2, 3)),
+                                                        tg.reshape(x, (2, 3)))), [x])
 
     def test_reshape_bad_size(self):
         with pytest.raises(tg.ShapeError):
@@ -623,7 +632,7 @@ class TestShapeOps:
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         with Tape() as tape:
             y = tg.permute(tg.permute(x, (2, 0, 1)), (1, 2, 0))
-            loss = tg.mul(y, y).sum()
+            loss = tg.reduce_sum(tg.mul(y, y))
         tape.backward(loss)
         np.testing.assert_array_equal(y.data, x.data)
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
@@ -637,7 +646,7 @@ class TestShapeOps:
         x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
         gain = Tensor(rng.standard_normal(6), requires_grad=True)
         shift = Tensor(rng.standard_normal(6), requires_grad=True)
-        assert_grads_match(lambda: tg.layer_norm(x, gain, shift).sum(),
+        assert_grads_match(lambda: tg.reduce_sum(tg.layer_norm(x, gain, shift)),
                            [x, gain, shift])
 
     def test_layer_norm_normalizes(self):
@@ -652,7 +661,7 @@ class TestBackward:
     def test_square_at_three(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            loss = tg.mul(x, x).sum()
+            loss = tg.reduce_sum(tg.mul(x, x))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [6.0])
 
@@ -660,7 +669,7 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
             y = tg.mul(x, x)
-            loss = y.sum()
+            loss = tg.reduce_sum(y)
         tape.backward(loss)
         dead = weakref.ref(tape)
         del tape  # the tensors hold it weakly: no cycle keeps it
@@ -676,7 +685,7 @@ class TestBackward:
         with Tape() as first:
             tg.mul(x, x)
         with Tape() as second:
-            loss = tg.mul(x, x).sum()
+            loss = tg.reduce_sum(tg.mul(x, x))
         assert second.nodes[x.node_id].tensor is x  # the leaf joined anew
         with pytest.raises(tg.UsageError, match="not recorded on this tape"):
             first.backward(loss)
@@ -693,7 +702,7 @@ class TestBackward:
     def test_double_backward_without_reset(self):
         x = Tensor([1.0], requires_grad=True)
         with Tape() as tape:
-            loss = tg.mul(x, x).sum()
+            loss = tg.reduce_sum(tg.mul(x, x))
         tape.backward(loss)
         with pytest.raises(tg.StateError):
             tape.backward(loss)
@@ -706,7 +715,7 @@ class TestBackward:
             y = tg.mul(a, b)
             y.register_hook(lambda g: (seen.append(g.copy()), g)[1])
             z = tg.relu(y)
-            loss = tg.scale(z, 2.0).sum()
+            loss = tg.reduce_sum(tg.scale(z, 2.0))
         tape.backward(loss)
         assert y.grad is None and z.grad is None and loss.grad is None
         np.testing.assert_array_equal(a.grad, [6.0, 0.0])   # 2 * relu'(y) * b
@@ -720,7 +729,7 @@ class TestBackward:
     def test_shared_leaf_accumulates_from_both_consumers(self):
         x = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
-            loss = tg.add(tg.mul(x, x), tg.scale(x, 3.0)).sum()
+            loss = tg.reduce_sum(tg.add(tg.mul(x, x), tg.scale(x, 3.0)))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [7.0])  # 2x + 3
 
@@ -759,7 +768,7 @@ class TestGradHooks:
         with Tape() as tape:
             y = tg.mul(x, x)
             y.register_hook(lambda g: g * 0.0)
-            loss = y.sum()
+            loss = tg.reduce_sum(y)
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [0.0])
 
@@ -771,7 +780,7 @@ class TestGradHooks:
                 if hooked:
                     y.register_hook(lambda g: g * 2.0)
                     y.register_hook(lambda g: g * 3.0)
-                loss = y.sum()
+                loss = tg.reduce_sum(y)
             tape.backward(loss)
             return x.grad
 
@@ -784,7 +793,7 @@ class TestGradHooks:
             y = tg.scale(x, 1.0)
             y.register_hook(lambda g: (seen.append("f"), g + 1.0)[1])
             y.register_hook(lambda g: (seen.append("g"), g * 10.0)[1])
-            loss = y.sum()
+            loss = tg.reduce_sum(y)
         tape.backward(loss)
         assert seen == ["f", "g"]
         # g(f(upstream)) = (1 + 1) * 10
@@ -796,7 +805,7 @@ class TestGradHooks:
             y = tg.mul(x, x)
             handle = y.register_hook(lambda g: g * 100.0)
             handle.remove()
-            loss = y.sum()
+            loss = tg.reduce_sum(y)
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [8.0])
 
@@ -805,7 +814,7 @@ class TestGradHooks:
         with Tape() as tape:
             y = tg.mul(x, x)
             y.register_hook(lambda g: g)
-            loss = y.sum()
+            loss = tg.reduce_sum(y)
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [8.0])
 
@@ -815,7 +824,7 @@ class TestGradHooks:
         with Tape() as tape:
             y = tg.add(tg.scale(x, 2.0), tg.scale(x, 3.0))
             x.register_hook(lambda g: (calls.append(g.copy()), g)[1])
-            loss = y.sum()
+            loss = tg.reduce_sum(y)
         tape.backward(loss)
         assert sorted(g[0] for g in calls) == [2.0, 3.0]  # one per consumer
 
@@ -824,7 +833,7 @@ class TestGradHooks:
         with Tape() as tape:
             y = tg.mul(x, x)
             y.register_hook(lambda g: g[:1])
-            loss = y.sum()
+            loss = tg.reduce_sum(y)
         with pytest.raises(tg.ShapeError):
             tape.backward(loss)
 
@@ -841,7 +850,7 @@ class TestGradHooks:
             y.register_hook(lambda g: g * 3.0)
             first.remove()
             first.remove()
-            loss = y.sum()
+            loss = tg.reduce_sum(y)
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [24.0])  # 3 * 2x
 
@@ -857,7 +866,7 @@ class TestGradHooks:
                 for h in handles[:removed]:
                     h.remove()
                     h.remove()
-                loss = y.sum()
+                loss = tg.reduce_sum(y)
             tape.backward(loss)
             return x.grad[0]
 
@@ -871,7 +880,7 @@ class TestGradHooks:
             with Tape() as tape:
                 y = tg.mul(x, x)
                 handle = y.register_hook(lambda g: g)
-                loss = y.sum()
+                loss = tg.reduce_sum(y)
             tape.backward(loss)
             dead = weakref.ref(tape)
             del tape, y, loss, handle
@@ -888,14 +897,6 @@ class TestTensorBasics:
         x = Tensor(np.zeros(3, dtype=np.float32))
         assert x.dtype == np.float32
         assert tg.sigmoid(x).dtype == np.float32
-
-    def test_zero_grad(self):
-        x = Tensor([3.0], requires_grad=True)
-        with Tape() as tape:
-            loss = tg.mul(x, x).sum()
-        tape.backward(loss)
-        x.zero_grad()
-        assert x.grad is None
 
     def test_numeric_oracle_sanity(self):
         # the oracle itself must be trustworthy: check it on a known function

@@ -20,6 +20,7 @@ from taskgate.training import (
     scale_linear,
     train_task,
 )
+from taskgate.data import continual_tasks
 from taskgate.layers import walk
 
 from gated_models import conv_model, inputs, logits as logits_of
@@ -409,6 +410,51 @@ class TestSGD:
         with pytest.raises(tg.UsageError, match=f"^{field} must be") as err:
             SGD([Tensor([1.0], requires_grad=True)], **kwargs)
         assert "\n" not in str(err.value)
+
+    @staticmethod
+    def continual_model(seed):
+        return bench.build_continual_model(
+            np.random.default_rng(seed), bench.ExperimentConfig(tasks=2, dim=6, trunk_width=8))
+
+    def test_one_optimizer_across_a_finalization_moves_no_completed_task(self):
+        # velocity carried from task 0 would keep moving the weights its
+        # finalization claims, though their gradients are zero
+        model = self.continual_model(0)
+        tasks = continual_tasks(2, np.random.default_rng(1), dim=6, train_n=256)
+        params = list({id(p): p for t in (0, 1) for p in model.task_parameters(t)}.values())
+        opt = SGD(params, lr=0.05, momentum=0.9)
+        test_x = tasks[0].test[0]
+        for task in (0, 1):
+            x, y = tasks[task].train
+            for _ in range(3):
+                for start in range(0, len(y), 32):
+                    batch = HATPayload(Tensor(x[start:start + 32]), task=task, scale=50.0,
+                                       training=True)
+                    with tg.Tape() as tape:
+                        loss = tg.softmax_cross_entropy(
+                            model.forward(batch).masked_data(), y[start:start + 32])
+                    tape.backward(loss)
+                    opt.step()
+                    opt.zero_grad()
+            for masker in model.maskers():
+                masker.finalize_task(task)
+            if task == 0:
+                before = logits_of(model, test_x, 0)
+        assert np.abs(logits_of(model, test_x, 0) - before).max() == 0.0
+
+    def test_finalizing_one_model_leaves_another_models_optimizer_alone(self):
+        a, b = self.continual_model(2), self.continual_model(3)
+        params = a.task_parameters(0)
+        opt = SGD(params, lr=0.1, momentum=0.5)
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        for masker in b.maskers():
+            masker.finalize_task(0)
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt.step()  # v = 0.5 * 1 + 1: a's momentum carries on
+        assert all((v == 1.5).all() for v in opt.velocity)
 
 
 def two_cluster_task(rng, n=120, dim=6, sep=6.0):
@@ -1034,11 +1080,12 @@ class TestEvaluate:
                             ("lr", -0.1), ("lr", "0.1"), ("lr", True),
                             ("momentum", 1.0), ("momentum", -0.1), ("momentum", nan),
                             ("reg_lambda", nan), ("reg_lambda", inf),
-                            ("reg_lambda", -0.1), ("reg_lambda", False)]:
+                            ("reg_lambda", -0.1), ("reg_lambda", False),
+                            ("seed", -1), ("seed", 1.5), ("seed", True)]:
             with pytest.raises(tg.UsageError, match=name) as err:
                 TrainerConfig(**{"task_count": 1, name: value})
             assert "\n" not in str(err.value)
-        TrainerConfig(task_count=1, lr=0.0, momentum=0.0, reg_lambda=0.0)
+        TrainerConfig(task_count=1, lr=0.0, momentum=0.0, reg_lambda=0.0, seed=np.int64(0))
 
     def test_unknown_schedule_kind_rejected(self):
         with pytest.raises(tg.UsageError, match="schedule"):
