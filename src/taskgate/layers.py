@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import copy
 import math
+import weakref
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -57,6 +58,10 @@ COSH_CLAMP = 50.0     # bound on cosh arguments inside the gradient rescaling
 RAIL_FACTOR = 100.0   # rescaled gradients may not exceed 100x the raw max
 THETA_BIN = 0.5       # threshold for storing a completed task's binary mask
 EMBEDDING_INITS = ("ones", "gaussian")  # how a task slot's embedding row starts
+
+# each module with parameters -> a weak reference to the Sequential holding
+# it; both sides weak, so a dropped model frees its modules for another
+_MODEL_OF: "weakref.WeakKeyDictionary[Module, weakref.ref]" = weakref.WeakKeyDictionary()
 
 
 class Module:
@@ -616,14 +621,18 @@ class Sequential(PayloadModule):
     so a model whose widths cannot be protected is refused right here, as
     is one that mixes member modules with others or member counts, or that
     reaches one trainable parameter twice (a ``ReLU`` or a function may
-    repeat). Shared modules get its maskers as ``guards``, and so does every
-    trainable leaf but the embedding rows, for ``training.SGD`` to see when
-    their records change; ``members`` is the member count.
+    repeat). A module with parameters belongs to one model: one that
+    another live model holds is refused, while a nested ``Sequential``
+    hands its modules up to the pipeline built around it. Shared modules
+    get its maskers as ``guards``, and so does every trainable leaf but the
+    embedding rows, for ``training.SGD`` to see when their records change;
+    ``members`` is the member count.
     """
 
     def __init__(self, *modules):
         self.steps = list(modules)
         walked, counts, reached, weights = list(walk(self)), set(), {}, []
+        nested, owned = list(_pipelines(self)), []
         for name, module, _ in walked:
             for where, leaf in _leaves(name, module):
                 if leaf in reached:
@@ -634,6 +643,15 @@ class Sequential(PayloadModule):
                     weights.append(leaf)
             if isinstance(module, Module):
                 counts.add(module.members)
+                indexed = module.submodules if isinstance(module, TaskIndexed) else []
+                for part in [module] + indexed:
+                    holder = _MODEL_OF.get(part)
+                    holder = holder and holder()
+                    if holder is not None and not any(holder is p for p in nested):
+                        raise UsageError(f"step {name}'s {type(part).__name__} belongs "
+                                         f"to another model; build each model from "
+                                         f"its own modules")
+                    owned.append(part)
         if len(counts) > 1:
             raise ShapeError("a model's modules must all be unstacked or all have "
                              "one member count, got "
@@ -647,6 +665,8 @@ class Sequential(PayloadModule):
                 module.guards = maskers
         for leaf in weights:
             leaf.guards = maskers
+        for part in owned:
+            _MODEL_OF[part] = weakref.ref(self)
 
     def forward(self, p: HATPayload) -> HATPayload:
         for m in self.steps:
@@ -670,6 +690,14 @@ class Sequential(PayloadModule):
             elif isinstance(m, Module):
                 params.extend(m.local_parameters())
         return params
+
+
+def _pipelines(model: Sequential):
+    """``model`` and every ``Sequential`` nested in it."""
+    yield model
+    for step in model.steps:
+        if isinstance(step, Sequential):
+            yield from _pipelines(step)
 
 
 def _leaves(name: str, module) -> list:

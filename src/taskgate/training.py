@@ -319,7 +319,7 @@ def _samples(dataset, members: Optional[int] = None) -> tuple:
     bad = np.count_nonzero(~np.isfinite(x))
     if bad:
         raise UsageError(f"dataset samples hold {bad} NaN or infinite values")
-    ops.check_integer_labels(y)
+    ops.check_labels(y)
     return x, y
 
 
@@ -512,11 +512,13 @@ def _member_flags(stop, members: int) -> np.ndarray:
 
 def evaluate(model: Sequential, dataset, task: Optional[int]):
     """Fraction of correct predictions at full mask hardness; no tape, no
-    hooks, no state changes. A dataset is refused as in ``train_task``.
-    A member model reads a dataset stacked per member and returns an [M]
-    array, member m's fraction at m."""
+    hooks, no state changes. A dataset is refused as in ``train_task``,
+    labels outside the head's classes included. A member model reads a
+    dataset stacked per member and returns an [M] array, member m's
+    fraction at m."""
     x, y = _samples(dataset, model.members)
     payload = HATPayload(Tensor(x), task=task, scale=None, training=False)
     logits = model.forward(payload).masked_data().data
+    ops.check_labels(y, logits.shape[-1])
     hits = np.argmax(logits, axis=-1) == y
     return float(np.mean(hits)) if model.members is None else np.mean(hits, axis=-1)

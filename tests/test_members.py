@@ -286,6 +286,14 @@ class TestRefusals:
         with pytest.raises(tg.UsageError, match="has no member form"):
             stack_members(models)
 
+    def test_evaluate_refuses_labels_outside_the_head(self):
+        x, y = group_data()
+        y[1, 3] = 2  # member 1's head has classes 0 and 1
+        with pytest.raises(tg.UsageError, match=r"labels must lie in \[0, 2\), "
+                                                r"got range \[0, 2\]") as err:
+            evaluate(toy_group(), (x, y), 0)
+        assert "\n" not in str(err.value)
+
     def test_models_that_differ(self):
         rng = np.random.default_rng(6)
         cfg = bench.ExperimentConfig(experiment="toy-init", tasks=TASKS)

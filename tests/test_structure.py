@@ -102,7 +102,7 @@ class TestWalk:
         l1, l2 = HATLinear(4, 6, 2, "l1", rng), HATLinear(6, 6, 2, "l2", rng)
         gate, lin, head = HATMasker(6, 2, "gate"), Linear(6, 6, rng), Linear(6, 2, rng)
         norm = tg.layers.LayerNorm(6)
-        inner = Sequential(l2, ReLU())
+        inner = Sequential(HATLinear(6, 6, 2, "l3", rng), ReLU())
         steps, where = {
             "gated_layer": ([l2, ReLU(), l2, ReLU(), tg.task_indexed_linear(6, 2, 2, "head", rng)],
                             "0 and 2"),
@@ -114,7 +114,8 @@ class TestWalk:
             "indexed_and_shared": ([l1, lin, tg.TaskIndexed([Linear(6, 6, rng), lin], "head")],
                                    "1 and 2[1]"),
         }[case]
-        sides, guards = [(m, m.input_side) for m in (l1, l2)], lin.guards
+        sides = [(m, m.input_side) for m in (l1, l2, inner.steps[0])]
+        guards = lin.guards
         with pytest.raises(tg.ShapeError, match=re.escape(f"steps {where} reach")) as err:
             Sequential(*steps)
         assert "\n" not in str(err.value)
@@ -126,6 +127,38 @@ class TestWalk:
         model = Sequential(HATLinear(4, 6, 2, "l1", rng), relu, tg.relu,
                            HATLinear(6, 6, 2, "l2", rng), relu, tg.relu)
         assert len(model.task_parameters(0)) == 6
+        other = Sequential(HATLinear(4, 6, 2, "l3", rng), relu, tg.relu)
+        assert len(other.task_parameters(0)) == 3
+
+    # unrefused, the last model built rebinds a module's input side and
+    # guards for every model holding it: after Sequential(l2) below, model
+    # a's l2 read no masker on its input side
+    @pytest.mark.parametrize("case", ["gated_layer", "output_masker", "masker", "linear",
+                                      "task_indexed_submodule", "nested_twice"])
+    def test_a_module_of_another_model_is_refused(self, case):
+        rng = np.random.default_rng(112)
+        l1, l2 = HATLinear(4, 5, 2, "l1", rng), HATLinear(5, 5, 2, "l2", rng)
+        gate, lin = HATMasker(5, 2, "gate"), Linear(5, 5, rng)
+        head = tg.task_indexed_linear(5, 3, 2, "head", rng)
+        inner = Sequential(l1, ReLU())
+        a = Sequential(inner, gate, l2, ReLU(), lin, ReLU(), head)
+        steps = {"gated_layer": [l2], "output_masker": [l2.output_masker],
+                 "masker": [gate], "linear": [lin],
+                 "task_indexed_submodule": [head.submodules[1]],
+                 "nested_twice": [inner]}[case]
+        sides, guards = [(m, m.input_side) for m in (l1, l2)], lin.guards
+        with pytest.raises(tg.UsageError, match="belongs to another model") as err:
+            Sequential(*steps)
+        assert "\n" not in str(err.value)
+        assert all(m.input_side is side for m, side in sides) and lin.guards is guards
+        assert l2.input_side.masker is gate and a.steps[0] is inner
+
+    def test_a_dropped_model_frees_its_modules(self):
+        rng = np.random.default_rng(113)
+        l1, l2 = HATLinear(4, 5, 2, "l1", rng), HATLinear(5, 3, 2, "l2", rng)
+        a = Sequential(l1, ReLU(), l2)
+        del a
+        assert Sequential(l2).steps == [l2] and l2.input_side.masker is None
 
 
 def weighted_between_model(middle, rng, task_count):

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -452,6 +453,105 @@ class TestConv2dReference:
         assert raw.grad is None
         np.testing.assert_array_equal(gw_raw, gw_tracked)
         np.testing.assert_array_equal(gb_raw, gb_tracked)
+
+
+def tile_sizes(monkeypatch):
+    """The sample count of each conv2d tile run from now on, in order."""
+    sizes, run = [], tg.tensor._conv_tile
+
+    def spy(x, *args):
+        sizes.append(len(x))
+        return run(x, *args)
+
+    monkeypatch.setattr(tg.tensor, "_conv_tile", spy)
+    return sizes
+
+
+def recorded_conv2d(x, w, b, **kwargs):
+    """conv2d's output as a recorded call, one tile, gives it."""
+    with Tape():
+        return tg.conv2d(Tensor(x, requires_grad=True), w, b, **kwargs).data
+
+
+class TestConv2dTiles:
+    """A call that is not recorded runs in tiles of at most 1 MiB of
+    columns, with the bits of the recorded one-tile call."""
+
+    BUDGET = 1 << 20
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_tiles_keep_the_bits_of_one_tile(self, monkeypatch, stride, with_bias, dtype):
+        # 16x16 images, padding 1: 256 or 64 output pixels, whole blocks
+        # of columns from one sample up
+        rng = np.random.default_rng(33)
+        w = Tensor(rng.standard_normal((5, 2, 3, 3)).astype(dtype))
+        b = Tensor(rng.standard_normal(5).astype(dtype)) if with_bias else None
+        columns = 2 * 9 * (16 // stride) ** 2 * np.dtype(dtype).itemsize
+        tile = self.BUDGET // columns  # 28 to 227 samples
+        sizes = tile_sizes(monkeypatch)
+        for batch, tiles in [(1, [1]), (tile, [tile]), (2 * tile + 3, [tile, tile, 3])]:
+            x = rng.standard_normal((batch, 2, 16, 16)).astype(dtype)
+            sizes.clear()
+            free = tg.conv2d(Tensor(x), w, b, stride=stride, padding=1)
+            assert sizes == tiles and free.dtype == dtype and not free.requires_grad
+            np.testing.assert_array_equal(free.data, recorded_conv2d(x, w, b, stride=stride,
+                                                                     padding=1))
+            assert sizes == tiles + [batch]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_sample_over_the_budget_is_a_tile_of_its_own(self, monkeypatch, dtype):
+        # 270 taps at 1024 pixels: 2.2 MB of columns per sample, 1.1 MB in float32
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((3, 30, 32, 32)).astype(dtype)
+        w = Tensor(rng.standard_normal((4, 30, 3, 3)).astype(dtype))
+        b = Tensor(rng.standard_normal(4).astype(dtype))
+        sizes = tile_sizes(monkeypatch)
+        free = tg.conv2d(Tensor(x), w, b, padding=1)
+        assert sizes == [1, 1, 1]
+        np.testing.assert_array_equal(free.data, recorded_conv2d(x, w, b, padding=1))
+
+    @pytest.mark.parametrize("shape, cin, tiles", [
+        ((192, 2, 7, 7), 2, [128, 64]),   # 49 pixels: whole blocks of 64 samples
+        ((200, 2, 7, 7), 2, [200]),       # 200 samples fill no whole blocks
+        ((8, 43, 8, 8), 43, [8]),         # 387 taps: deeper than 384
+    ])
+    def test_whole_blocks_and_depth_decide_the_tiles(self, monkeypatch, shape, cin, tiles):
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal(shape)
+        w = Tensor(rng.standard_normal((3, cin, 3, 3)))
+        sizes = tile_sizes(monkeypatch)
+        free = tg.conv2d(Tensor(x), w, padding=1)
+        assert sizes == tiles
+        np.testing.assert_array_equal(free.data, recorded_conv2d(x, w, None, padding=1))
+
+    def test_unrecorded_calls_tile_whatever_requires_a_gradient(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        x = Tensor(rng.standard_normal((256, 3, 12, 12)), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 3, 3, 3)), requires_grad=True)
+        sizes = tile_sizes(monkeypatch)
+        out = tg.conv2d(x, w, padding=1)  # no tape: nothing is recorded
+        assert sizes == [32] * 8 and not out.requires_grad and x.node_id is None
+        with Tape():  # a tape, but no input requires a gradient
+            tg.conv2d(Tensor(x.data), Tensor(w.data), padding=1)
+        assert sizes == [32] * 16
+
+    def test_an_unrecorded_call_never_holds_a_whole_batchs_columns(self):
+        rng = np.random.default_rng(37)
+        x = Tensor(rng.standard_normal((256, 3, 12, 12)))
+        w = Tensor(rng.standard_normal((8, 3, 3, 3)))
+        b = Tensor(rng.standard_normal(8))
+        columns = 27 * 144 * 256 * 8  # the untiled column matrix: 8.0 MB
+        tracemalloc.start()
+        try:
+            tg.conv2d(x, w, b, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 2.4 MB output and one tile's padding, columns and product:
+        # about 3.8 MB, where the one-tile call takes 13.9 MB
+        assert peak < columns
 
 
 class TestReductionsAndLoss:

@@ -1,5 +1,6 @@
 import collections
 import gc
+import re
 import warnings
 import weakref
 
@@ -482,9 +483,9 @@ def spiked_continual_model(rng, tasks):
         return tg.add(x, Tensor(bump))
 
     spike.on = False
-    base = bench.build_continual_model(
-        rng, bench.ExperimentConfig(tasks=tasks, dim=6, trunk_width=8))
-    return Sequential(spike, *base.steps), spike
+    steps = bench.build_continual_model(
+        rng, bench.ExperimentConfig(tasks=tasks, dim=6, trunk_width=8)).steps
+    return Sequential(spike, *steps), spike
 
 
 def small_model(rng, task_count):
@@ -949,8 +950,10 @@ class TestIdentityReduction:
         x = rng.standard_normal((5, 6))
         out1 = model.forward(HATPayload(Tensor(x), task=0)).masked_data().data
         # absent task: the task-indexed head cannot dispatch, so check the
-        # trunk only
-        trunk = Sequential(*model.steps[:4])
+        # trunk only, as a model of its own once the full model is dropped
+        steps = model.steps
+        del model
+        trunk = Sequential(*steps[:4])
         gated = trunk.forward(HATPayload(Tensor(x))).masked_data().data
         base = [Linear(6, 12, rng), Linear(12, 12, rng)]
         for plain, hat in zip(base, (trunk.steps[0], trunk.steps[2])):
@@ -1054,6 +1057,19 @@ class TestEvaluate:
         y = rng.integers(0, 2, 1000)
         acc = evaluate(model, (x, y), 0)
         assert 0.4 <= acc <= 0.6
+
+    @pytest.mark.parametrize("label, seen", [(7, "[1, 7]"), (-1, "[-1, 1]")])
+    def test_labels_outside_the_head_are_refused(self, label, seen):
+        # a 2-class head: label 7 read 0.0 and label -1 counted no hit,
+        # where train_task refuses both
+        rng = np.random.default_rng(64)
+        model = small_model(rng, 2)
+        x, y = rng.standard_normal((10, 6)), np.full(10, label)
+        y[1] = 1
+        with pytest.raises(tg.UsageError, match=re.escape(
+                f"labels must lie in [0, 2), got range {seen}")) as err:
+            evaluate(model, (x, y), 0)
+        assert "\n" not in str(err.value)
 
     def test_evaluation_is_stateless(self):
         rng = np.random.default_rng(61)
