@@ -220,8 +220,8 @@ def mask_locked(masker: HATMasker, cfg: ExperimentConfig):
     """Full-hardness input mask is on for useful features, off for noise:
     a bool, or for a member masker an [M] array of them."""
     mask = masker.mask_values(0)
-    locked = ((mask[..., _USEFUL] > cfg.theta_hi).all(axis=-1)
-              & (mask[..., _USELESS] < cfg.theta_lo).all(axis=-1))
+    locked = (np.logical_and.reduce(mask[..., _USEFUL] > cfg.theta_hi, axis=-1)
+              & np.logical_and.reduce(mask[..., _USELESS] < cfg.theta_lo, axis=-1))
     return bool(locked) if masker.members is None else locked
 
 
@@ -270,9 +270,12 @@ def run_toy(cfg: ExperimentConfig) -> list:
 
     def on_batch(index, _model):
         locked = mask_locked(gate, cfg) & ~stopped
-        batches[locked] = index
-        completed[locked] = True
-        stopped[:] |= locked | (index >= cfg.batch_cap)
+        if np.logical_or.reduce(locked):
+            batches[locked] = index
+            completed[locked] = True
+            stopped[:] |= locked
+        if index >= cfg.batch_cap:
+            stopped[:] = True
         return stopped
 
     train_task(group, (np.stack(xs), np.stack(ys)), 0, trainers, on_batch_end=on_batch)

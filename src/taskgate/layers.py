@@ -109,7 +109,8 @@ def _check_member_scale(value, members: int):
     if _real(value):
         return check_scale(value)
     if (isinstance(value, np.ndarray) and value.dtype == np.float64
-            and value.shape == (members, 1) and bool(np.all((value > 0.0) & (value < math.inf)))):
+            and value.shape == (members, 1)
+            and np.logical_and.reduce((value > 0.0) & (value < math.inf), axis=None)):
         return value
     raise UsageError(f"mask scale must be finite and > 0 for each of {members} "
                      f"members, got {value!r}")
@@ -339,7 +340,7 @@ class HATMasker(PayloadModule):
             gx = g * shaped if need_gx else None
             q = g * x
             if x.ndim > 1:
-                q = q.sum(axis=axes)
+                q = np.add.reduce(q, axis=axes)
             return gx, _embedding_grad(q, mask, s)
 
         out = ops._record("gate", (data, row), x * shaped, backward_fn)
@@ -347,7 +348,7 @@ class HATMasker(PayloadModule):
             num, den = _compensation(row.data, s, self.s_max)
             column = members is not None  # each member's maximum, else one
             row.register_hook(lambda q: grad_rail(
-                q * num / den, np.abs(q).max(axis=-1, keepdims=column)))
+                q * num / den, np.maximum.reduce(np.abs(q), axis=-1, keepdims=column)))
             tape.notes[row] = (s, mask)  # the hook is on; the objective reuses the mask
         return out
 

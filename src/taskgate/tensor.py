@@ -345,7 +345,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def backward_fn(g):
         gx = g @ wt.swapaxes(-1, -2) if need_gx else None
-        return gx, (x_data.swapaxes(-1, -2) @ g).swapaxes(-1, -2), g.sum(axis=-2)
+        return gx, (x_data.swapaxes(-1, -2) @ g).swapaxes(-1, -2), np.add.reduce(g, axis=-2)
 
     return _record("linear", (x, weight, bias),
                    x_data @ wt + bias.data[..., None, :], backward_fn)
@@ -648,7 +648,8 @@ def reduce_sum(x: Tensor) -> Tensor:
     def backward_fn(g):
         return (np.full(shape, g, dtype=x.data.dtype),)
 
-    return _record("sum", (x,), np.asarray(x.data.sum(), dtype=x.data.dtype), backward_fn)
+    return _record("sum", (x,), np.asarray(np.add.reduce(x.data, axis=None), dtype=x.data.dtype),
+                   backward_fn)
 
 
 def reduce_mean(x: Tensor) -> Tensor:
@@ -667,9 +668,11 @@ def check_labels(labels: np.ndarray, classes: Optional[int] = None) -> None:
     at least one label; its callers refuse an empty batch first."""
     if labels.dtype.kind not in "iu":
         raise UsageError(f"labels must be integers, got dtype {labels.dtype}")
-    if classes is not None and (labels.min() < 0 or labels.max() >= classes):
-        raise UsageError(f"labels must lie in [0, {classes}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
+    if classes is None:
+        return
+    lo, hi = np.minimum.reduce(labels, axis=None), np.maximum.reduce(labels, axis=None)
+    if lo < 0 or hi >= classes:
+        raise UsageError(f"labels must lie in [0, {classes}), got range [{lo}, {hi}]")
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -694,12 +697,13 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     rows = labels.size  # every (member, sample) as one row of C classes
     picked = (np.arange(rows), labels.reshape(rows).astype(np.int64, copy=False))
 
-    zmax = z.max(axis=-1, keepdims=True)
+    # ufunc reductions: the bits of ndarray.max/sum/mean, without their wrappers
+    zmax = np.maximum.reduce(z, axis=-1, keepdims=True)
     ez = np.exp(z - zmax)
-    sez = ez.sum(axis=-1, keepdims=True)
+    sez = np.add.reduce(ez, axis=-1, keepdims=True)
     lse = zmax[..., 0] + np.log(sez[..., 0])
     true = z.reshape(rows, ncls)[picked].reshape(lse.shape)
-    loss = np.asarray((lse - true).mean(axis=-1), dtype=z.dtype)
+    loss = np.asarray(np.add.reduce(lse - true, axis=-1) / bsz, dtype=z.dtype)
     softmax = ez / sez
 
     def backward_fn(g):

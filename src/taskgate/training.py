@@ -49,12 +49,15 @@ def scale_cosine(p: float, s_max: float, s_min: Optional[float] = None) -> float
 
     s(0) = s(1) = s_max; the raw curve touches zero at p = 0.5, where the
     floor (default 1/s_max) takes over. The progress ``p`` must be a real
-    number in [0, 1] (a bool or a string is refused).
+    number in [0, 1] (a bool or a string is refused), and ``s_min`` no
+    larger than ``s_max``.
     """
     if not (_real(p) and 0.0 <= p <= 1.0):
         raise UsageError(f"progress must lie in [0,1], got {p!r}")
     s_max = check_scale(s_max, "s_max")
     s_min = 1.0 / s_max if s_min is None else check_scale(s_min, "s_min")
+    if s_min > s_max:  # the floor would lift s(0) and s(1) off s_max
+        raise UsageError(f"s_min must not exceed s_max, got {s_min!r} > {s_max!r}")
     return max(s_min, (s_max / 2.0) * (1.0 + math.cos(2.0 * math.pi * p)))
 
 
@@ -128,7 +131,7 @@ def _objective(loss: Tensor, maskers: list, capacity: list, task: int, s,
         note = notes.get(row)
         mask = (note[1] if note is not None and _same_scale(note[0], s)
                 else sigmoid_values(row.data * s))
-        excess = (mask * free).sum(axis=-1) * c + neg_quota
+        excess = np.add.reduce(mask * free, axis=-1) * c + neg_quota
         on = excess > 0
         # relu's 0 for -0.0 and NaN; one masker's excess is a numpy scalar
         over = np.where(on, excess, 0.0) if excess.ndim else (excess if on else 0.0)
@@ -325,7 +328,8 @@ def _samples(dataset, members: Optional[int] = None) -> tuple:
 
 def _mask_scale(linear, b: int, batches: int, s_max: float):
     """Batch b's mask scale: ``linear`` True or False picks the schedule;
-    a boolean [M,1] column picks it per member and gives a column."""
+    a boolean [M,1] column picks it per member and gives a [M,1] float64
+    column."""
     if linear is True:
         return scale_linear(b, batches, s_max)
     cosine = scale_cosine((b - 1) / batches, s_max)
@@ -350,7 +354,9 @@ def train_task(model: Sequential, dataset, task: Optional[int],
 
     on_batch_end, if given, is called after every optimizer step with
     (global_batch_index, model); returning True stops training early (the
-    toy benchmark uses this to count batches until the mask locks in).
+    toy benchmark uses this to count batches until the mask locks in). It
+    returns one flag, None reading as False; a return of any other shape
+    (a list included) is refused with ``UsageError``.
     Returns one EpochMetrics per epoch run, an early-stopped one included.
     Each batch runs the model forward exactly once: an epoch's loss and
     accuracy come from the logits its batches trained on (see
@@ -410,15 +416,24 @@ def train_task(model: Sequential, dataset, task: Optional[int],
                 capacity.append(free)
     neg_quota = np.float64(-1.0 / cfg.task_count)
     total_batches = math.ceil(n / cfg.batch_size)
+    # the schedule restarts every epoch: batch b trains at scales[b - 1],
+    # each value checked here, before the first batch
+    batch_indices = range(1, total_batches + 1)
     if members is None:
-        lanes, linear, active = None, cfg.schedule == "linear", None
+        lanes, active = None, None
+        scales = [_mask_scale(cfg.schedule == "linear", b, total_batches, cfg.s_max)
+                  for b in batch_indices]
     else:  # member m reads row m of every stacked array
         lanes = np.arange(members)[:, None]
         linear = np.array([[c.schedule == "linear"] for c in cfgs])
+        scales = np.stack([_mask_scale(linear, b, total_batches, cfg.s_max)
+                           for b in batch_indices])  # [B,M,1]: row b - 1 is batch b's column
+        scales.flags.writeable = False
         active = np.ones(members, dtype=bool)
     metrics = [[] for _ in cfgs]
     global_batch = 0
     stopped = False
+    live = None  # the members that step: all until one stops, then ``active``
 
     for epoch in range(cfg.epochs):
         orders = [np.random.default_rng([c.seed, 0 if task is None else task + 1, epoch])
@@ -430,7 +445,7 @@ def train_task(model: Sequential, dataset, task: Optional[int],
         for b, start in enumerate(range(0, n, cfg.batch_size), start=1):
             idx = order[..., start:start + cfg.batch_size]
             key = idx if lanes is None else (lanes, idx)
-            s = _mask_scale(linear, b, total_batches, cfg.s_max)
+            s = scales[b - 1]
             payload = HATPayload(Tensor(x[key]), task=task, scale=s, training=True)
             tape = Tape()
             try:
@@ -451,7 +466,7 @@ def train_task(model: Sequential, dataset, task: Optional[int],
                 tape.backward(total)
             finally:
                 del tape  # frees the graph, even while a refusal's traceback lives
-            optimizer.step(None if active is None or active.all() else active)
+            optimizer.step(live)
             optimizer.zero_grad()
             if task is not None:  # only the training task's rows moved
                 for masker in maskers:
@@ -459,21 +474,23 @@ def train_task(model: Sequential, dataset, task: Optional[int],
             epoch_loss += batch_loss
             hits = logits.data.argmax(axis=-1) == labels
             correct += (int(np.count_nonzero(hits)) if lanes is None
-                        else np.count_nonzero(hits, axis=-1))
+                        else np.add.reduce(hits, axis=-1))
             seen += idx.shape[-1]
             global_batch += 1
             if on_batch_end is None:
                 continue
-            stop = on_batch_end(global_batch, model)
+            flags = _stop_flags(on_batch_end(global_batch, model), members)
             if lanes is None:
-                stopped = bool(stop)
+                stopped = bool(flags)
             else:
-                ended = active & _member_flags(stop, members)
-                for m in np.flatnonzero(ended):
-                    metrics[m].append(_epoch_metrics(epoch, epoch_loss[m], correct[m],
-                                                     seen, b))
-                active &= ~ended
-                stopped = not active.any()
+                ended = active & flags
+                if np.logical_or.reduce(ended):
+                    for m in np.flatnonzero(ended):
+                        metrics[m].append(_epoch_metrics(epoch, epoch_loss[m], correct[m],
+                                                         seen, b))
+                    active &= ~ended
+                    live = active
+                    stopped = not np.logical_or.reduce(active)
             if stopped:
                 break
         if lanes is None:
@@ -497,25 +514,33 @@ def _non_finite(loss, active: Optional[np.ndarray]) -> Optional[str]:
     else how a refusal names the loss: "" unstacked, else its first member."""
     if active is None:
         return None if math.isfinite(loss) else ""
-    bad = np.flatnonzero(active & ~np.isfinite(loss))
+    finite = np.isfinite(loss)
+    if np.logical_and.reduce(finite):
+        return None
+    bad = np.flatnonzero(active & ~finite)
     return f"member {bad[0]}'s " if len(bad) else None
 
 
-def _member_flags(stop, members: int) -> np.ndarray:
-    """What ``on_batch_end`` returned for a member model, as [M] booleans."""
-    flags = np.asarray(stop, dtype=bool)  # None reads as False
-    if flags.shape not in ((), (members,)):
-        raise UsageError(f"on_batch_end must return a bool or {members} of them, "
-                         f"got shape {flags.shape}")
-    return flags
+def _stop_flags(stop, members: Optional[int]) -> np.ndarray:
+    """What ``on_batch_end`` returned, as booleans: one flag of shape (),
+    or for a member model also [M] of them, one per member. None reads as
+    False; any other shape is refused with ``UsageError``."""
+    flags = np.asarray(stop, dtype=bool)
+    if flags.shape == () or flags.shape == (members,):
+        return flags
+    wanted = "one bool" if members is None else f"a bool or {members} of them"
+    raise UsageError(f"on_batch_end must return {wanted}, got shape {flags.shape}")
 
 
 def evaluate(model: Sequential, dataset, task: Optional[int]):
     """Fraction of correct predictions at full mask hardness; no tape, no
-    hooks, no state changes. A dataset is refused as in ``train_task``,
+    hooks, no state changes. A call inside an active tape is refused with
+    ``UsageError`` before the forward, and a dataset as in ``train_task``,
     labels outside the head's classes included. A member model reads a
     dataset stacked per member and returns an [M] array, member m's
     fraction at m."""
+    if Tape.current() is not None:
+        raise UsageError("evaluate records nothing; call it outside the active tape")
     x, y = _samples(dataset, model.members)
     payload = HATPayload(Tensor(x), task=task, scale=None, training=False)
     logits = model.forward(payload).masked_data().data

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import taskgate as tg
-from taskgate import HATLinear, HATMasker, HATPayload, Linear, ReLU, Sequential, Tensor, bench
+from taskgate import (HATLinear, HATMasker, HATPayload, Linear, ReLU, Sequential, Tensor, bench,
+                      stack_members)
 from taskgate.training import (
     SGD,
     _free_capacity,
@@ -21,8 +22,8 @@ from taskgate.training import (
     scale_linear,
     train_task,
 )
-from taskgate.data import continual_tasks
-from taskgate.layers import walk
+from taskgate.data import continual_tasks, toy_dataset
+from taskgate.layers import PayloadModule, walk
 
 from gated_models import conv_model, inputs, logits as logits_of
 from gradcheck import numeric_grad, relative_error
@@ -265,11 +266,12 @@ class TestPenaltyNode:
     (lambda: scale_cosine(None, 400.0), "progress"),
     (lambda: scale_cosine(True, 400.0), "progress"),
     (lambda: scale_cosine(float("nan"), 400.0), "progress"),
+    (lambda: scale_cosine(0.0, 400.0, 1000.0), "s_min must not exceed s_max"),
 ], ids=["regularizer", "regularizer saturated", "regularizer float", "cosine zero",
         "cosine nan", "cosine s_min zero", "cosine s_min nan", "linear zero",
         "linear nan", "linear inf", "linear no batches", "linear negative batches",
         "cosine string progress", "cosine none progress", "cosine bool progress",
-        "cosine nan progress"])
+        "cosine nan progress", "cosine s_min above s_max"])
 def test_degenerate_penalty_and_schedule_arguments_refused(call, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -596,6 +598,19 @@ class TestTrainTask:
                    on_batch_end=lambda i, m: (seen.append(i), i >= 3)[1])
         assert seen == [1, 2, 3]
 
+    @pytest.mark.parametrize("stop, shape", [([False], "(1,)"),
+                                             (np.array([True, False]), "(2,)")])
+    def test_early_stop_callback_returns_one_flag(self, stop, shape):
+        # [False] stopped the task after its first batch, a list being
+        # truthy, and two flags raised numpy's own ValueError
+        rng = np.random.default_rng(57)
+        model = small_model(rng, 2)
+        cfg = TrainerConfig(task_count=2, epochs=2, batch_size=30, seed=2)
+        with pytest.raises(tg.UsageError, match=re.escape(
+                f"on_batch_end must return one bool, got shape {shape}")) as err:
+            train_task(model, two_cluster_task(rng), 0, cfg, on_batch_end=lambda i, m: stop)
+        assert "\n" not in str(err.value)
+
     def test_task_beyond_head_refused(self):
         rng = np.random.default_rng(58)
         model = Sequential(HATLinear(6, 12, 3, "l1", rng), ReLU(),
@@ -761,6 +776,63 @@ class TestEpochMetrics:
         metrics = train_task(model, data, 0, cfg, on_batch_end=stop)
         assert len(batches) == calls
         assert len(metrics) == epochs
+
+
+class ScaleSpy(PayloadModule):
+    """A first step that records the mask scale each training batch runs at."""
+
+    def __init__(self, members=None):
+        self.members = members
+        self.scales, self.writeable = [], []
+
+    def forward(self, p):
+        self.scales.append(np.array(p.scale, dtype=np.float64))
+        self.writeable.append(isinstance(p.scale, np.ndarray) and p.scale.flags.writeable)
+        return p
+
+
+class TestScheduleInTraining:
+    """Batch b of every epoch trains at the schedule's value for b."""
+
+    # 5 full batches of 8 and one of 4 per epoch, over two epochs
+    BATCHES, EPOCHS, S_MAX = 6, 2, 400.0
+
+    def expected(self, schedule):
+        b = range(1, self.BATCHES + 1)
+        one_epoch = ([scale_linear(i, self.BATCHES, self.S_MAX) for i in b]
+                     if schedule == "linear"
+                     else [scale_cosine((i - 1) / self.BATCHES, self.S_MAX) for i in b])
+        return np.array(one_epoch * self.EPOCHS)
+
+    def config(self, schedule, seed=3):
+        return TrainerConfig(task_count=2, s_max=self.S_MAX, schedule=schedule,
+                             epochs=self.EPOCHS, batch_size=8, seed=seed)
+
+    @staticmethod
+    def toy(seed):
+        return bench.build_toy_model(np.random.default_rng(seed),
+                                     bench.ExperimentConfig(experiment="toy-init", tasks=2))
+
+    @pytest.mark.parametrize("schedule", ["linear", "cosine"])
+    def test_unstacked_batches_train_at_the_schedule(self, schedule):
+        spy = ScaleSpy()
+        model = Sequential(spy, self.toy(0))
+        train_task(model, toy_dataset(44, np.random.default_rng(1)), 0, self.config(schedule))
+        assert all(s.shape == () for s in spy.scales)
+        np.testing.assert_array_equal(np.array(spy.scales), self.expected(schedule))
+
+    def test_each_member_trains_at_its_own_schedule(self):
+        schedules = ["linear", "cosine", "cosine", "linear"]
+        spy = ScaleSpy(len(schedules))
+        model = Sequential(spy, stack_members([self.toy(m) for m in range(len(schedules))]))
+        data = [toy_dataset(44, np.random.default_rng(m)) for m in range(len(schedules))]
+        train_task(model, (np.stack([x for x, _ in data]), np.stack([y for _, y in data])),
+                   0, [self.config(s, seed=m) for m, s in enumerate(schedules)])
+        recorded = np.array(spy.scales)
+        assert recorded.shape == (self.BATCHES * self.EPOCHS, len(schedules), 1)
+        for m, schedule in enumerate(schedules):
+            np.testing.assert_array_equal(recorded[:, m, 0], self.expected(schedule))
+        assert not any(spy.writeable)  # one array serves every epoch
 
 
 def live_tapes():
@@ -1070,6 +1142,20 @@ class TestEvaluate:
                 f"labels must lie in [0, 2), got range {seen}")) as err:
             evaluate(model, (x, y), 0)
         assert "\n" not in str(err.value)
+
+    def test_an_active_tape_is_refused(self):
+        # inside a tape, evaluate recorded its forward there (18 nodes on
+        # this model) and, once a task completes, its protection hooks
+        cfg = bench.ExperimentConfig(tasks=2)
+        model = bench.build_continual_model(np.random.default_rng(65), cfg)
+        data = continual_tasks(2, np.random.default_rng(66), dim=cfg.dim,
+                               train_n=8, test_n=8)[0].test
+        with tg.Tape() as tape:
+            with pytest.raises(tg.UsageError, match="outside the active tape") as err:
+                evaluate(model, data, 0)
+        assert "\n" not in str(err.value)
+        assert tape.nodes == [] and tape.notes == {}
+        assert 0.0 <= evaluate(model, data, 0) <= 1.0
 
     def test_evaluation_is_stateless(self):
         rng = np.random.default_rng(61)
