@@ -4,7 +4,7 @@ Layout (all integers little-endian):
 
     magic   8 bytes  b"HATCKPT1"
     count   u64      number of entries
-    entry   repeated, sorted by name:
+    entry   repeated, in strictly increasing name order (so each name once):
         name_len  u32
         name      UTF-8 bytes
         dtype     u8   (0 = float64, 1 = float32, 2 = uint8 bitmask)
@@ -12,12 +12,13 @@ Layout (all integers little-endian):
         extents   rank * u64
         payload   raw little-endian C-order array bytes
 
-Entry names mirror the model: gated layers save `{tag}/weight` and
-`{tag}/bias`; each masker saves `{tag}/embeddings` ([tasks, features]) and
-one `{tag}/stored/{t}` bitmask per finalized task, the task's one record;
+Parameter entries take their names from the model's leaf table (see
+``layers.Sequential``): gated layers save `{tag}/weight` and `{tag}/bias`;
 task-indexed modules save `{tag}/{t}/{param}`; untagged plain layers are
 named by pipeline position (`step3/weight`, or `step3.1/weight` for step 1
-of a nested pipeline at step 3). The launch configuration rides
+of a nested pipeline at step 3). Each masker saves `{tag}/embeddings`
+([tasks, features]) and one `{tag}/stored/{t}` bitmask per finalized task,
+the task's one record. The launch configuration rides
 along as UTF-8 bytes under `meta/config` so a checkpoint suffices to rebuild
 the network that wrote it.
 """
@@ -27,16 +28,7 @@ import struct
 
 import numpy as np
 
-from .layers import (
-    HATMasker,
-    LayerNorm,
-    Linear,
-    Sequential,
-    TaskIndexed,
-    _GatedWeightedLayer,
-    refuse_members,
-    walk,
-)
+from .layers import Sequential, refuse_members
 from .tensor import ShapeError, UsageError
 
 __all__ = ["read_entries", "write_entries", "model_state", "load_model_state",
@@ -101,7 +93,8 @@ class _Reader:
 def read_entries(path) -> dict:
     """Read a checkpoint back into {name: array}.
 
-    A corrupt or truncated file raises UsageError, whatever its header says.
+    A corrupt or truncated file, or one whose names are out of order or
+    repeated, raises UsageError, whatever its header says.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -109,10 +102,14 @@ def read_entries(path) -> dict:
     if rd.take(len(MAGIC)) != MAGIC:
         raise UsageError(f"{path} is not a checkpoint file (bad magic)")
     (count,) = rd.unpack("<Q")
-    entries = {}
+    entries, previous = {}, None
     for _ in range(count):
         (name_len,) = rd.unpack("<I")
         name = _utf8(rd.take(name_len), "an entry name")
+        if previous is not None and name <= previous:
+            raise UsageError(f"entry '{name}' follows '{previous}'; entries must be "
+                             f"sorted by name, each name once")
+        previous = name
         (code,) = rd.unpack("<B")
         if code not in _CODE_TO_DTYPE:
             raise UsageError(f"unknown dtype code {code} for entry '{name}'")
@@ -132,27 +129,6 @@ def read_entries(path) -> dict:
     return entries
 
 
-def _named_local(module) -> list:
-    if isinstance(module, Linear):
-        return [("weight", module.weight), ("bias", module.bias)]
-    return [("gain", module.gain), ("shift", module.shift)]  # a LayerNorm
-
-
-def _named_params(name: str, module) -> list:
-    """(entry name, tensor) for each parameter one step of `walk` owns."""
-    if isinstance(module, _GatedWeightedLayer):
-        return [(f"{module.layer_tag}/weight", module.weight),
-                (f"{module.layer_tag}/bias", module.bias)]
-    if isinstance(module, TaskIndexed):
-        return [(f"{module.layer_tag}/{t}/{pname}", param)
-                for t, sub in enumerate(module.submodules)
-                for pname, param in _named_local(sub)]
-    if isinstance(module, (Linear, LayerNorm)):
-        return [(f"step{name}/{pname}", param)
-                for pname, param in _named_local(module)]
-    return []
-
-
 def model_state(model: Sequential, config: str = None) -> dict:
     """Collect every array a bit-exact restore needs. A member model is
     refused (see ``refuse_members``)."""
@@ -164,15 +140,14 @@ def model_state(model: Sequential, config: str = None) -> dict:
             raise UsageError(f"duplicate checkpoint entry '{name}'")
         entries[name] = arr
 
-    for step, module, _ in walk(model):
-        for name, param in _named_params(step, module):
-            put(name, param.data.copy())
-        if isinstance(module, HATMasker):
-            name = module.layer_tag
-            put(f"{name}/embeddings",
-                np.stack([row.data for row in module.embedding_rows]))
-            for t, mask in sorted(module.stored_task_masks.items()):
-                put(f"{name}/stored/{t}", mask.astype(np.uint8))
+    for _, name, leaf, _ in model._leaf_table:
+        if name is not None:
+            put(name, leaf.data.copy())
+    for masker in model.maskers():
+        name = masker.layer_tag
+        put(f"{name}/embeddings", np.stack([row.data for row in masker.embedding_rows]))
+        for t, mask in sorted(masker.stored_task_masks.items()):
+            put(f"{name}/stored/{t}", mask.astype(np.uint8))
     if config is not None:
         put(CONFIG_ENTRY, np.frombuffer(config.encode("utf-8"), dtype=np.uint8))
     return entries
@@ -190,7 +165,7 @@ def load_model_state(model: Sequential, entries: dict) -> None:
     refuse_members(model, "a checkpoint")
     remaining = dict(entries)
     writes = []  # (tensor, value), made once every check has passed
-    records = []  # (masker, {task: stored mask}) in walk order
+    records = []  # (masker, {task: stored mask}) in pipeline order
 
     def pull(name):
         if name not in remaining:
@@ -203,35 +178,35 @@ def load_model_state(model: Sequential, entries: dict) -> None:
                              f"model expects {tensor.shape}")
         writes.append((tensor, value))
 
-    for step, obj, _ in walk(model):
-        for name, param in _named_params(step, obj):
-            assign(param, name, pull(name))
-        if isinstance(obj, HATMasker):
-            name = obj.layer_tag
-            stacked = pull(f"{name}/embeddings")
-            if stacked.shape != (len(obj.embedding_rows), obj.n_features):
-                raise ShapeError(
-                    f"entry '{name}/embeddings' has shape {stacked.shape}, "
-                    f"masker expects {(len(obj.embedding_rows), obj.n_features)}")
-            writes.extend(zip(obj.embedding_rows, stacked))
-            prefix = f"{name}/stored/"
-            stored = {}
-            for key in sorted(k for k in remaining if k.startswith(prefix)):
-                suffix = key[len(prefix):]
-                if not suffix.isdecimal() or str(int(suffix)) != suffix:
-                    raise UsageError(f"entry {key!r} does not end in a task id")
-                task = int(suffix)
-                if task >= obj.task_count:
-                    raise UsageError(f"entry {key!r} names task {task}, masker has "
-                                     f"{obj.task_count} tasks")
-                mask = remaining.pop(key)
-                if mask.shape != (obj.n_features,):
-                    raise ShapeError(f"entry {key!r} has shape {mask.shape}, masker "
-                                     f"expects {(obj.n_features,)}")
-                if not ((mask == 0) | (mask == 1)).all():
-                    raise UsageError(f"entry {key!r} holds a value other than 0 or 1")
-                stored[task] = mask
-            records.append((obj, stored))
+    for _, name, leaf, _ in model._leaf_table:
+        if name is not None:
+            assign(leaf, name, pull(name))
+    for masker in model.maskers():
+        name = masker.layer_tag
+        stacked = pull(f"{name}/embeddings")
+        if stacked.shape != (len(masker.embedding_rows), masker.n_features):
+            raise ShapeError(
+                f"entry '{name}/embeddings' has shape {stacked.shape}, "
+                f"masker expects {(len(masker.embedding_rows), masker.n_features)}")
+        writes.extend(zip(masker.embedding_rows, stacked))
+        prefix = f"{name}/stored/"
+        stored = {}
+        for key in sorted(k for k in remaining if k.startswith(prefix)):
+            suffix = key[len(prefix):]
+            if not suffix.isdecimal() or str(int(suffix)) != suffix:
+                raise UsageError(f"entry {key!r} does not end in a task id")
+            task = int(suffix)
+            if task >= masker.task_count:
+                raise UsageError(f"entry {key!r} names task {task}, masker has "
+                                 f"{masker.task_count} tasks")
+            mask = remaining.pop(key)
+            if mask.shape != (masker.n_features,):
+                raise ShapeError(f"entry {key!r} has shape {mask.shape}, masker "
+                                 f"expects {(masker.n_features,)}")
+            if not ((mask == 0) | (mask == 1)).all():
+                raise UsageError(f"entry {key!r} holds a value other than 0 or 1")
+            stored[task] = mask
+        records.append((masker, stored))
 
     leftovers = [k for k in remaining if not k.startswith("meta/")]
     if leftovers:

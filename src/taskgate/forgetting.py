@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .layers import (HATMasker, InputSide, Linear, Sequential, TaskIndexed,
-                     check_embedding_init, refuse_members, walk)
+                     check_embedding_init, grad_nullify, refuse_members, walk)
 from .payload import check_task_id
 from .tensor import StateError
 
@@ -100,7 +100,7 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
         if task not in masker.stored_task_masks:
             raise StateError(f"task {task} was never finalized at masker "
                              f"'{masker.layer_tag}'")
-    walked = list(walk(model))
+    walked = walk(model)
     # every range check before the first entry is zeroed
     slots = {module: module.submodule(task) for _, module, _ in walked
              if isinstance(module, TaskIndexed)}
@@ -129,16 +129,11 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
 
 
 def _forget_gated(layer, side: InputSide, task: int, report: ForgetReport) -> None:
+    # the entries the protection rule would freeze if the task's exclusive
+    # units were the only ones claimed (see ``layers.grad_nullify``)
     out_excl = attribution(layer.output_masker, task)
-    if side.masker is None:
-        weight_sel = out_excl
-    else:
-        in_excl = side.expand(attribution(side.masker, task))
-        pair = out_excl[:, None] & in_excl[None, :]
-        # conv kernels share the channel pair across all taps
-        weight_sel = np.broadcast_to(
-            pair.reshape(pair.shape + (1,) * (layer.weight.ndim - 2)),
-            layer.weight.shape)
+    in_excl = side.masker and side.expand(attribution(side.masker, task))
+    weight_sel = grad_nullify(np.ones(layer.weight.shape), out_excl, in_excl) == 0.0
     weights = _zero_counting(layer.weight.data, weight_sel)
     biases = _zero_counting(layer.bias.data, out_excl)
     report.add_layer(layer.layer_tag, weights, biases)

@@ -35,9 +35,10 @@ The pieces:
   checkpoints and ``forget_task`` (``refuse_members``).
 
 Plain modules and functions (``Linear``, ``ReLU``, a flatten) operate on
-bare tensors inside a ``Sequential``, which may nest. ``walk`` is the one
-traversal of a model; it also decides which masker, if any, claims each
-gated layer's input features and how those features map onto its units.
+bare tensors inside a ``Sequential``, which may nest. Building one is the
+one traversal of its model (``walk`` returns the parts it kept); it also
+decides which masker, if any, claims each gated layer's input features and
+how those features map onto its units.
 """
 
 from __future__ import annotations
@@ -65,16 +66,18 @@ _MODEL_OF: "weakref.WeakKeyDictionary[Module, weakref.ref]" = weakref.WeakKeyDic
 
 
 class Module:
-    """Minimal parameter container; models are traversed by ``walk``.
+    """Minimal parameter container; ``_leaf_names`` names the attributes
+    holding a kind's trainable leaves.
 
     ``members`` is None for an ordinary module and M for one that
     ``stack_members`` built, whose parameters carry a leading member axis.
     """
 
     members: Optional[int] = None
+    _leaf_names: tuple = ()
 
     def local_parameters(self) -> list:
-        return []
+        return [getattr(self, name) for name in self._leaf_names]
 
 
 class PayloadModule(Module):
@@ -440,6 +443,8 @@ class _Shared(Module):
 class Linear(_Shared):
     """Plain dense layer y = x Wᵀ + b on bare tensors."""
 
+    _leaf_names = ("weight", "bias")
+
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.in_features = in_features = _width(in_features, "in_features")
         self.out_features = out_features = _width(out_features, "out_features")
@@ -447,9 +452,6 @@ class Linear(_Shared):
         self.weight = Tensor(rng.standard_normal((out_features, in_features)) * bound,
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
-
-    def local_parameters(self):
-        return [self.weight, self.bias]
 
     def __call__(self, x: Tensor) -> Tensor:
         return _protect(self, _dense(x, self.weight, self.bias, "linear"))
@@ -463,6 +465,8 @@ class ReLU:
 class LayerNorm(_Shared):
     """Per-sample feature normalization with learnable gain/shift."""
 
+    _leaf_names = ("gain", "shift")
+
     def __init__(self, n_features: int, eps: float = 1e-5):
         self.n_features = n_features = _width(n_features, "n_features")
         self.eps = eps
@@ -472,9 +476,6 @@ class LayerNorm(_Shared):
     def reset(self) -> None:
         self.gain.data[...] = 1.0
         self.shift.data[...] = 0.0
-
-    def local_parameters(self):
-        return [self.gain, self.shift]
 
     def __call__(self, x: Tensor) -> Tensor:
         return _protect(self, ops.layer_norm(x, self.gain, self.shift, eps=self.eps))
@@ -501,14 +502,12 @@ class _GatedWeightedLayer(PayloadModule):
     bias: Tensor
     output_masker: HATMasker
     layer_tag: str
+    _leaf_names = ("weight", "bias")
 
     def __init__(self):
         # alone, a layer is a first layer; every Sequential holding it
         # rebinds this from the model's structure (see walk)
         self.input_side = InputSide()
-
-    def local_parameters(self):
-        return [self.weight, self.bias]
 
     def _weighted(self, x: Tensor) -> Tensor:
         raise NotImplementedError
@@ -583,16 +582,16 @@ class TaskIndexed(PayloadModule):
             raise UsageError(f"task-indexed module '{layer_tag}' needs one Linear or "
                              f"LayerNorm per task, got [{', '.join(kinds)}]")
 
+    def _check_task(self, task: Optional[int]) -> int:
+        return _task_index(task, len(self.submodules), "task-indexed module",
+                           self.layer_tag)
+
     def submodule(self, task: Optional[int]):
         """The submodule serving ``task`` (see ``_task_index``)."""
-        return self.submodules[_task_index(task, len(self.submodules),
-                                           "task-indexed module", self.layer_tag)]
+        return self.submodules[self._check_task(task)]
 
     def forward(self, p: HATPayload) -> HATPayload:
         return p.with_data(self.submodule(p.task)(p.data))
-
-    def task_parameters(self, task: int) -> list:
-        return self.submodule(task).local_parameters()
 
 
 def task_indexed_layer_norm(n_features: int, task_count: int, layer_tag: str) -> TaskIndexed:
@@ -618,30 +617,34 @@ def task_indexed_linear(in_features: int, out_features: int, task_count: int,
 class Sequential(PayloadModule):
     """Payload pipeline: gated modules take the payload, plain ones its data.
 
-    Building a pipeline binds each gated layer's input side from ``walk``,
-    so a model whose widths cannot be protected is refused right here, as
-    is one that mixes member modules with others or member counts, or that
-    reaches one trainable parameter twice (a ``ReLU`` or a function may
-    repeat). A module with parameters belongs to one model: one that
-    another live model holds is refused, while a nested ``Sequential``
-    hands its modules up to the pipeline built around it. Shared modules
-    get its maskers as ``guards``, and so does every trainable leaf but the
-    embedding rows, for ``training.SGD`` to see when their records change;
-    ``members`` is the member count.
+    Building a pipeline walks it once, keeping the parts (``walk``), the
+    maskers and a leaf table (``_leaves``), and binds each gated layer's
+    input side, so a model whose widths cannot be protected is refused
+    right here, as is one that mixes member modules with others or member
+    counts, or that reaches one trainable parameter twice (a ``ReLU`` or a
+    function may repeat). A module with parameters belongs to one model:
+    one that another live model holds is refused, while a nested
+    ``Sequential`` hands its modules up to the pipeline built around it.
+    Shared modules get its maskers as ``guards``, and so does every
+    trainable leaf but the embedding rows, for ``training.SGD`` to see when
+    their records change; ``members`` is the member count.
     """
 
     def __init__(self, *modules):
         self.steps = list(modules)
-        walked, counts, reached, weights = list(walk(self)), set(), {}, []
+        # the masker whose units the next module reads, and its owner: a list
+        # handed down, not a closure cell, so the walk leaves no reference cycle
+        walked = tuple(_visit(self.steps, "", [None, None]))
+        counts, reached, table = set(), {}, []
         nested, owned = list(_pipelines(self)), []
         for name, module, _ in walked:
-            for where, leaf in _leaves(name, module):
+            for row in _leaves(name, module):
+                where, _, leaf, _ = row
                 if leaf in reached:
                     raise ShapeError(f"steps {reached[leaf]} and {where} reach one "
                                      f"trainable parameter; use each module once")
                 reached[leaf] = where
-                if not isinstance(module, HATMasker):  # a row would hold its masker: a cycle
-                    weights.append(leaf)
+                table.append(row)
             if isinstance(module, Module):
                 counts.add(module.members)
                 indexed = module.submodules if isinstance(module, TaskIndexed) else []
@@ -664,10 +667,12 @@ class Sequential(PayloadModule):
                 module.input_side = side
             elif isinstance(module, _Shared):
                 module.guards = maskers
-        for leaf in weights:
-            leaf.guards = maskers
+        for _, entry, leaf, _ in table:
+            if entry is not None:  # an embedding row would hold its masker: a cycle
+                leaf.guards = maskers
         for part in owned:
             _MODEL_OF[part] = weakref.ref(self)
+        self._parts, self._maskers, self._leaf_table = walked, maskers, tuple(table)
 
     def forward(self, p: HATPayload) -> HATPayload:
         for m in self.steps:
@@ -676,21 +681,16 @@ class Sequential(PayloadModule):
 
     def maskers(self) -> list:
         """Every masker in pipeline order (standalone and layer-owned)."""
-        return [m for _, m, _ in walk(self) if isinstance(m, HATMasker)]
+        return list(self._maskers)
 
     def task_parameters(self, task: Optional[int]) -> list:
-        """The leaves that task's training may move."""
-        params = []
-        for _, m, _ in walk(self):
-            if isinstance(m, HATMasker):
-                if task is not None:
-                    params.append(m.embedding_rows[m._check_task(task)])
-            elif isinstance(m, TaskIndexed):
-                if task is not None:
-                    params.extend(m.task_parameters(task))
-            elif isinstance(m, Module):
-                params.extend(m.local_parameters())
-        return params
+        """The leaves that task's training may move: those every task trains,
+        and the task's own slots (none for ``task`` None)."""
+        if task is not None:
+            for _, m, _ in self._parts:
+                if isinstance(m, (HATMasker, TaskIndexed)):
+                    task = m._check_task(task)
+        return [leaf for _, _, leaf, slot in self._leaf_table if slot in (None, task)]
 
 
 def _pipelines(model: Sequential):
@@ -702,14 +702,21 @@ def _pipelines(model: Sequential):
 
 
 def _leaves(name: str, module) -> list:
-    """``(step, leaf)`` for each trainable leaf a walked module holds itself;
-    step ``"4[1]"`` is task 1's submodule of a task-indexed module at step 4."""
+    """A leaf table row ``(step, entry, leaf, task)`` for each trainable leaf
+    a walked module holds itself: step ``"4[1]"`` is task 1's submodule at
+    step 4; ``entry`` names its checkpoint entry (None for an embedding row,
+    stacked in its masker's entry); ``task`` is the slot it serves, None
+    when every task trains it."""
     if isinstance(module, HATMasker):
-        return [(name, row) for row in module.embedding_rows]
+        return [(name, None, row, t) for t, row in enumerate(module.embedding_rows)]
     if isinstance(module, TaskIndexed):
-        return [(f"{name}[{t}]", p) for t, sub in enumerate(module.submodules)
-                for p in sub.local_parameters()]
-    return [(name, p) for p in module.local_parameters()] if isinstance(module, Module) else []
+        return [(f"{name}[{t}]", f"{module.layer_tag}/{t}/{attr}", getattr(sub, attr), t)
+                for t, sub in enumerate(module.submodules) for attr in sub._leaf_names]
+    if not isinstance(module, Module):
+        return []
+    prefix = module.layer_tag if isinstance(module, _GatedWeightedLayer) else f"step{name}"
+    return [(name, f"{prefix}/{attr}", getattr(module, attr), None)
+            for attr in module._leaf_names]
 
 
 def refuse_members(model: Sequential, what: str) -> None:
@@ -804,20 +811,19 @@ def _input_side(layer: _GatedWeightedLayer, masker: Optional[HATMasker],
                      f"'{masker.layer_tag}'")
 
 
-def walk(model: Sequential):
-    """Every module of a pipeline in run order, nested ``Sequential`` flattened.
+def walk(model: Sequential) -> tuple:
+    """Every module of a pipeline in run order, nested ``Sequential`` flattened,
+    as its build walked them: ``(name, module, input_side)`` parts.
 
-    Yields ``(name, module, input_side)``. ``name`` is the module's position:
-    ``"3"`` for step 3, ``"3.1"`` for step 1 of a ``Sequential`` at step 3.
-    A gated layer is followed by its output masker, under the same name, and
-    is the only module yielded with an ``InputSide`` (None for the rest): the
-    most recent masker before it in run order with only functions between
-    them, or none when a weighted module (``Linear``, ``LayerNorm``,
-    ``TaskIndexed``) sits there or the layer comes first.
+    ``name`` is the module's position: ``"3"`` for step 3, ``"3.1"`` for
+    step 1 of a ``Sequential`` at step 3. A gated layer is followed by its
+    output masker, under the same name, and is the only module with an
+    ``InputSide`` (None for the rest), the one bound to it: the most recent
+    masker before it in run order with only functions between them, or none
+    when a weighted module (``Linear``, ``LayerNorm``, ``TaskIndexed``) sits
+    there or the layer comes first.
     """
-    # the masker whose units the next module reads, and its owner; a list
-    # handed down, not a closure cell, so a walk leaves no reference cycle
-    yield from _visit(model.steps, "", [None, None])
+    return model._parts
 
 
 def _visit(steps, prefix: str, last: list):

@@ -355,8 +355,8 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     on_batch_end, if given, is called after every optimizer step with
     (global_batch_index, model); returning True stops training early (the
     toy benchmark uses this to count batches until the mask locks in). It
-    returns one flag, None reading as False; a return of any other shape
-    (a list included) is refused with ``UsageError``.
+    returns one bool, None reading as False; anything else (a list, a
+    string, a number, NaN) is refused with ``UsageError``.
     Returns one EpochMetrics per epoch run, an early-stopped one included.
     Each batch runs the model forward exactly once: an epoch's loss and
     accuracy come from the logits its batches trained on (see
@@ -524,12 +524,13 @@ def _non_finite(loss, active: Optional[np.ndarray]) -> Optional[str]:
 def _stop_flags(stop, members: Optional[int]) -> np.ndarray:
     """What ``on_batch_end`` returned, as booleans: one flag of shape (),
     or for a member model also [M] of them, one per member. None reads as
-    False; any other shape is refused with ``UsageError``."""
-    flags = np.asarray(stop, dtype=bool)
-    if flags.shape == () or flags.shape == (members,):
+    False; any other shape or dtype is refused with ``UsageError``."""
+    flags = np.asarray(False if stop is None else stop)
+    if flags.dtype == bool and (flags.shape == () or flags.shape == (members,)):
         return flags
     wanted = "one bool" if members is None else f"a bool or {members} of them"
-    raise UsageError(f"on_batch_end must return {wanted}, got shape {flags.shape}")
+    raise UsageError(f"on_batch_end must return {wanted}, got shape {flags.shape} "
+                     f"of dtype {flags.dtype}")
 
 
 def evaluate(model: Sequential, dataset, task: Optional[int]):

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -237,6 +238,31 @@ class TestCorruptFiles:
         write_entries(path, entries)
         with pytest.raises(error) as info:
             load_model_state(model, read_entries(path))
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("case", ["repeated", "out_of_order"])
+    def test_entries_not_in_name_order_are_refused(self, tmp_path, case):
+        # a second, zeroed copy of head/0/bias used to load, and its zeros won
+        named = sorted(model_state(continual_style_model(np.random.default_rng(104))).items())
+        path = tmp_path / "bad.ckpt"
+
+        def write(pairs):
+            path.write_bytes(MAGIC + struct.pack("<Q", len(pairs)) + b"".join(
+                raw_entry(name.encode(), value.shape, payload=value.tobytes())
+                for name, value in pairs))
+
+        write(named)  # in name order, the hand-built file reads back
+        assert list(read_entries(path)) == [name for name, _ in named]
+        i = [name for name, _ in named].index("head/0/bias")
+        if case == "repeated":
+            named.insert(i + 1, ("head/0/bias", np.zeros(2)))
+        else:
+            named[i], named[i + 1] = named[i + 1], named[i]
+        write(named)
+        with pytest.raises(tg.UsageError, match=re.escape(
+                f"entry '{named[i + 1][0]}' follows '{named[i][0]}'; entries must be "
+                f"sorted by name, each name once")) as info:
+            read_entries(path)
         assert "\n" not in str(info.value)
 
     def test_maskers_disagreeing_on_completed_tasks_are_refused(self, tmp_path):

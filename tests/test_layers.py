@@ -859,7 +859,7 @@ class TestTaskIndexed:
                 loss = tg.softmax_cross_entropy(out.masked_data(),
                                                 rng.integers(0, 2, 8))
             tape.backward(loss)
-            for p in ti.task_parameters(1):
+            for p in ti.submodule(1).local_parameters():
                 p.data -= 0.1 * p.grad
                 p.grad = None
         for t in (0, 2):
@@ -909,11 +909,10 @@ def test_task_counts_must_be_ints(build, count):
 class _Rescale(tg.layers.Module):
     """A module of the user's own: elementwise trainable scale."""
 
+    _leaf_names = ("w",)
+
     def __init__(self, n):
         self.w = Tensor(np.ones(n), requires_grad=True)
-
-    def local_parameters(self):
-        return [self.w]
 
     def __call__(self, x):
         return tg.mul(x, self.w)

@@ -3,6 +3,8 @@
 for bit where each run ends alone; whatever cannot serve members refuses
 them with a one-line error."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,17 @@ class TestRefusals:
         with pytest.raises(tg.UsageError, match="a bool or 2 of them"):
             train_task(toy_group(), group_data(), 0, group_configs(),
                        on_batch_end=lambda i, m: [True, False, True])
+
+    @pytest.mark.parametrize("stop, got", [
+        ([1, 0], "shape (2,) of dtype int64"),
+        (np.array([0.5, 0.0]), "shape (2,) of dtype float64"),
+        ("True", "shape () of dtype <U4")])
+    def test_on_batch_end_returns_bools_per_member(self, stop, got):
+        with pytest.raises(tg.UsageError, match=re.escape(
+                f"on_batch_end must return a bool or 2 of them, got {got}")) as err:
+            train_task(toy_group(), group_data(), 0, group_configs(),
+                       on_batch_end=lambda i, m: stop)
+        assert "\n" not in str(err.value)
 
     def test_a_live_members_non_finite_loss_refuses_the_batch(self):
         group = toy_group()

@@ -34,6 +34,23 @@ class TestWalk:
         finally:
             gc.enable()
 
+    def test_a_model_is_walked_once_when_built(self, monkeypatch, tmp_path):
+        # every consumer reads what the build worked out; none walks again
+        visit, calls = tg.layers._visit, []
+        monkeypatch.setattr(tg.layers, "_visit", lambda *a: (calls.append(a), visit(*a))[1])
+        rng = np.random.default_rng(98)
+        model = conv_model(rng, task_count=2)
+        assert len(calls) == 1
+        parts = walk(model)
+        assert all(side is layer.input_side for _, layer, side in parts if side is not None)
+        assert len([side for _, _, side in parts if side is not None]) == 2
+        claim_binary(model, 0, rng)
+        model.task_parameters(1)
+        write_entries(tmp_path / "m.ckpt", model_state(model))
+        load_model_state(model, read_entries(tmp_path / "m.ckpt"))
+        forget_task(model, 0)
+        assert len(calls) == 1
+
     def test_nested_maskers_and_parameters_included(self):
         model = nested_model(np.random.default_rng(100), task_count=2)
         l1, l2, l3 = model.steps[0], model.steps[2].steps[0], model.steps[3]

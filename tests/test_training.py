@@ -598,11 +598,14 @@ class TestTrainTask:
                    on_batch_end=lambda i, m: (seen.append(i), i >= 3)[1])
         assert seen == [1, 2, 3]
 
-    @pytest.mark.parametrize("stop, shape", [([False], "(1,)"),
-                                             (np.array([True, False]), "(2,)")])
+    @pytest.mark.parametrize("stop, shape", [
+        ([False], "(1,)"), (np.array([True, False]), "(2,)"),
+        ("False", "() of dtype <U5"), (float("nan"), "() of dtype float64"),
+        (2, "() of dtype int64"), (np.array(0.5), "() of dtype float64")])
     def test_early_stop_callback_returns_one_flag(self, stop, shape):
         # [False] stopped the task after its first batch, a list being
-        # truthy, and two flags raised numpy's own ValueError
+        # truthy, and two flags raised numpy's own ValueError; "False", NaN,
+        # 2 and 0.5 each read as True, so they stopped it too
         rng = np.random.default_rng(57)
         model = small_model(rng, 2)
         cfg = TrainerConfig(task_count=2, epochs=2, batch_size=30, seed=2)
