@@ -128,8 +128,10 @@ def parse_config_mapping(text: str) -> dict:
             continue
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key=value, got '{line}'")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in mapping:
+            raise UsageError(f"config line {lineno}: key '{key}' given twice")
+        mapping[key] = value
     return mapping
 
 

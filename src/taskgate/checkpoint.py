@@ -133,23 +133,15 @@ def model_state(model: Sequential, config: str = None) -> dict:
     """Collect every array a bit-exact restore needs. A member model is
     refused (see ``refuse_members``)."""
     refuse_members(model, "a checkpoint")
-    entries = {}
-
-    def put(name, arr):
-        if name in entries:
-            raise UsageError(f"duplicate checkpoint entry '{name}'")
-        entries[name] = arr
-
-    for _, name, leaf, _ in model._leaf_table:
-        if name is not None:
-            put(name, leaf.data.copy())
+    entries = {name: leaf.data.copy() for _, name, leaf, _ in model._leaf_table
+               if name is not None}
     for masker in model.maskers():
         name = masker.layer_tag
-        put(f"{name}/embeddings", np.stack([row.data for row in masker.embedding_rows]))
+        entries[f"{name}/embeddings"] = np.stack([row.data for row in masker.embedding_rows])
         for t, mask in sorted(masker.stored_task_masks.items()):
-            put(f"{name}/stored/{t}", mask.astype(np.uint8))
+            entries[f"{name}/stored/{t}"] = mask.astype(np.uint8)
     if config is not None:
-        put(CONFIG_ENTRY, np.frombuffer(config.encode("utf-8"), dtype=np.uint8))
+        entries[CONFIG_ENTRY] = np.frombuffer(config.encode("utf-8"), dtype=np.uint8)
     return entries
 
 

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .layers import (HATMasker, InputSide, Linear, Sequential, TaskIndexed,
-                     check_embedding_init, grad_nullify, refuse_members, walk)
+from .layers import (HATMasker, Linear, Sequential, TaskIndexed, check_embedding_init,
+                     held_entries, refuse_members, walk)
 from .payload import check_task_id
 from .tensor import StateError
 
@@ -77,17 +77,15 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
                 rng: Optional[np.random.Generator] = None) -> ForgetReport:
     """Erase the parameters exclusively associated with one finalized task.
 
-    Weight (i, j) of a gated layer is zeroed when output unit i is exclusive
-    to `task` and input feature j is exclusive at the masker whose units its
-    inputs are (a layer whose inputs count as claimed, a first layer or one
-    reading through a weighted module, zeroes the whole row; a dense layer
-    after a flattened convolution reads each channel's exclusivity at all of
-    its pixels). Bias i is zeroed on output-side exclusivity alone. Shared
-    modules belong to no one task and are left alone. The
-    task's task-indexed submodules are zeroed or reset, and every masker
-    resets the task's slot (``HATMasker.reset_task``) so it can be retrained.
-    A refused call changes nothing; a member model is refused (see
-    ``refuse_members``).
+    A gated layer zeroes the entries the protection rule would hold were
+    the task's exclusive units (``attribution``) the only ones claimed
+    (``layers.held_entries``): weight (i, j) when output unit i and the unit
+    input j reads are exclusive (the whole row when its inputs count as
+    claimed), bias i when unit i is. Shared modules belong to no one task and
+    are left alone. The task's task-indexed submodules are zeroed or reset,
+    and every masker resets the task's slot (``HATMasker.reset_task``) so it
+    can be retrained. A refused call changes nothing; a member model is
+    refused (see ``refuse_members``).
     """
     refuse_members(model, "forget_task")
     task = check_task_id(task)
@@ -109,7 +107,9 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
     for _, module, side in walked:
         sub = slots.get(module)
         if side is not None:
-            _forget_gated(module, side, task, report)
+            held = held_entries(module, lambda masker: attribution(masker, task))
+            weights, biases = [_zero_counting(leaf.data, sel) for leaf, sel in held] or (0, 0)
+            report.add_layer(module.layer_tag, weights, biases)
         elif isinstance(sub, Linear):
             # a per-task head is exclusive by construction: zero it outright,
             # leaving the forgotten slot with constant (all-zero) outputs
@@ -126,14 +126,3 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
     for masker in maskers:
         masker.reset_task(task, embedding_init, rng)
     return report
-
-
-def _forget_gated(layer, side: InputSide, task: int, report: ForgetReport) -> None:
-    # the entries the protection rule would freeze if the task's exclusive
-    # units were the only ones claimed (see ``layers.grad_nullify``)
-    out_excl = attribution(layer.output_masker, task)
-    in_excl = side.masker and side.expand(attribution(side.masker, task))
-    weight_sel = grad_nullify(np.ones(layer.weight.shape), out_excl, in_excl) == 0.0
-    weights = _zero_counting(layer.weight.data, weight_sel)
-    biases = _zero_counting(layer.bias.data, out_excl)
-    report.add_layer(layer.layer_tag, weights, biases)

@@ -8,14 +8,15 @@ The pieces:
   change; ``reset_task`` frees a slot.
 * ``HATLinear`` / ``HATConv2d`` wrap a weighted base layer and gate its
   output through an output masker.
-* One rule protects completed tasks: a weight entry stops moving once a
-  completed task claims both of its ends. A gated layer's output ends are
-  its output masker's units, its input ends those of the most recent masker
-  if only functions sit between them (else claimed). A shared ``Linear`` or
-  ``LayerNorm`` (not in ``TaskIndexed``) has every end claimed once its
-  model has a completed task. Any forward on a tape, task id or not, hooks
-  each entry's gradient by ``1 - min(out_i, in_j)`` of the claims (once per
-  tape, through ``_protect``), so they hold in any training loop.
+* One rule protects completed tasks: an entry stops moving once a completed
+  task claims both of its ends. A gated layer's output ends are its output
+  masker's units, its input ends those of the most recent masker if only
+  functions sit between them (else claimed). Any other weighted module
+  outside a task slot has every end claimed once its model has a completed
+  task. Each kind's ``_held`` says which entries are held: in any training
+  loop a forward on a tape, task id or not, hooks their gradients by
+  ``1 - min(out_i, in_j)`` (once per tape, ``_protect``); ``forget_task``
+  and ``held_entries`` read it too.
 * Applying a training mask records one ``gate`` node, ``data * sigmoid(s * e)``.
   With the payload's ``training`` flag it also hooks the task's embedding
   row (once per tape): each gradient reaching the row is rescaled to undo
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 import weakref
 from typing import NamedTuple, Optional
 
@@ -59,6 +61,7 @@ COSH_CLAMP = 50.0     # bound on cosh arguments inside the gradient rescaling
 RAIL_FACTOR = 100.0   # rescaled gradients may not exceed 100x the raw max
 THETA_BIN = 0.5       # threshold for storing a completed task's binary mask
 EMBEDDING_INITS = ("ones", "gaussian")  # how a task slot's embedding row starts
+_CLAIMED = operator.attrgetter("cumulative_mask")  # a masker's completed tasks' units
 
 # each module with parameters -> a weak reference to the Sequential holding
 # it; both sides weak, so a dropped model frees its modules for another
@@ -67,17 +70,31 @@ _MODEL_OF: "weakref.WeakKeyDictionary[Module, weakref.ref]" = weakref.WeakKeyDic
 
 class Module:
     """Minimal parameter container; ``_leaf_names`` names the attributes
-    holding a kind's trainable leaves.
+    holding a kind's trainable leaves. A plain module implements ``forward``
+    on bare tensors, which calling it runs under ``_protect``.
 
     ``members`` is None for an ordinary module and M for one that
     ``stack_members`` built, whose parameters carry a leading member axis.
     """
 
     members: Optional[int] = None
+    guards: tuple = ()
     _leaf_names: tuple = ()
 
     def local_parameters(self) -> list:
         return [getattr(self, name) for name in self._leaf_names]
+
+    def _held(self, units) -> list:
+        """``(leaf, a_out, a_in)`` per leaf with held entries (see ``grad_nullify``),
+        ``units(masker)`` giving a masker's claimed units. A plain module claims
+        all its ends once a masker of its model (``guards``) has a completed task."""
+        if not any(m.stored_task_masks for m in self.guards):
+            return []  # no numpy work while nothing is claimed
+        lead = 1 if self.members is None else 2
+        return [(leaf, np.ones(leaf.shape[:lead]), None) for leaf in self.local_parameters()]
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return _protect(self, self.forward(x))
 
 
 class PayloadModule(Module):
@@ -192,6 +209,14 @@ def _width(v, name: str) -> int:
     return int(v)
 
 
+def _tag(v) -> str:
+    """``v`` as a layer tag, the stem of its checkpoint entry names: a str
+    without '/'; anything else is refused."""
+    if not isinstance(v, str) or "/" in v:
+        raise UsageError(f"layer tag must be a str without '/', got {v!r}")
+    return v
+
+
 def check_embedding_init(kind: str, rng: Optional[np.random.Generator]) -> None:
     """Refuse an init kind outside ``EMBEDDING_INITS``, or gaussian without an rng."""
     if kind not in EMBEDDING_INITS:
@@ -237,7 +262,7 @@ class HATMasker(PayloadModule):
                  s_max: float = 400.0):
         self.n_features = n_features = _width(n_features, "n_features")
         self.task_count = task_count = _width(task_count, "task_count")
-        self.layer_tag = layer_tag
+        self.layer_tag = _tag(layer_tag)
         self.s_max = check_scale(s_max, "s_max")
         self.embedding_rows = [Tensor(np.ones(n_features), requires_grad=True)
                                for _ in range(task_count)]
@@ -405,18 +430,22 @@ class HATMasker(PayloadModule):
         return sorted(self.stored_task_masks)
 
 
-def _protect(module, out: Tensor) -> Tensor:
-    """``out``, just recorded by ``module``'s forward. On a tape, once per tape
-    and once ``module._claims()`` gives claimed output ends, the module's weight
-    and bias get ``grad_nullify`` hooks with the claims on their two ends."""
+def held_entries(module: Module, units=_CLAIMED) -> list:
+    """``(leaf, selection)`` per leaf ``module._held(units)`` names: the entries
+    whose ``grad_nullify`` factor is 0, held by default by completed tasks."""
+    return [(leaf, grad_nullify(np.ones(leaf.shape), a_out, a_in) == 0.0)
+            for leaf, a_out, a_in in module._held(units)]
+
+
+def _protect(module: Module, out: Tensor) -> Tensor:
+    """``out``, just recorded by ``module``'s forward. On a tape, once per tape,
+    each leaf ``module._held`` names that is on it gets a ``grad_nullify`` hook."""
     tape = Tape.current()
     if tape is not None and module not in tape.notes:
-        a_out, a_in = module._claims()
-        if a_out is not None:
-            weight, bias = module.local_parameters()
-            weight.register_hook(lambda g: grad_nullify(g, a_out, a_in))
-            bias.register_hook(lambda g: grad_nullify(g, a_out))
-            tape.notes[module] = True  # hooks are on this tape
+        for leaf, a_out, a_in in module._held(_CLAIMED):
+            if leaf._node_tape is tape:
+                leaf.register_hook(lambda g, a_out=a_out, a_in=a_in: grad_nullify(g, a_out, a_in))
+                tape.notes[module] = True  # hooks are on this tape
     return out
 
 
@@ -429,18 +458,7 @@ def _dense(x: Tensor, weight: Tensor, bias: Tensor, who: str) -> Tensor:
     return ops.linear(x, weight, bias)
 
 
-class _Shared(Module):
-    """A weighted module all tasks train unless ``TaskIndexed`` holds it: once a
-    masker of its model (``guards``) has a completed task, all its ends count as claimed."""
-
-    guards: tuple = ()
-
-    def _claims(self):  # no numpy work while nothing is claimed
-        claimed = any(m.stored_task_masks for m in self.guards)
-        return np.ones(self.local_parameters()[1].shape) if claimed else None, None
-
-
-class Linear(_Shared):
+class Linear(Module):
     """Plain dense layer y = x Wᵀ + b on bare tensors."""
 
     _leaf_names = ("weight", "bias")
@@ -453,8 +471,8 @@ class Linear(_Shared):
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return _protect(self, _dense(x, self.weight, self.bias, "linear"))
+    def forward(self, x: Tensor) -> Tensor:
+        return _dense(x, self.weight, self.bias, "linear")
 
 
 class ReLU:
@@ -462,14 +480,13 @@ class ReLU:
         return ops.relu(x)
 
 
-class LayerNorm(_Shared):
+class LayerNorm(Module):
     """Per-sample feature normalization with learnable gain/shift."""
 
     _leaf_names = ("gain", "shift")
 
-    def __init__(self, n_features: int, eps: float = 1e-5):
+    def __init__(self, n_features: int):
         self.n_features = n_features = _width(n_features, "n_features")
-        self.eps = eps
         self.gain = Tensor(np.ones(n_features), requires_grad=True)
         self.shift = Tensor(np.zeros(n_features), requires_grad=True)
 
@@ -477,8 +494,8 @@ class LayerNorm(_Shared):
         self.gain.data[...] = 1.0
         self.shift.data[...] = 0.0
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return _protect(self, ops.layer_norm(x, self.gain, self.shift, eps=self.eps))
+    def forward(self, x: Tensor) -> Tensor:
+        return ops.layer_norm(x, self.gain, self.shift)  # eps 1e-5
 
 
 class InputSide(NamedTuple):
@@ -512,11 +529,12 @@ class _GatedWeightedLayer(PayloadModule):
     def _weighted(self, x: Tensor) -> Tensor:
         raise NotImplementedError
 
-    def _claims(self):
-        a_out, side = self.output_masker.cumulative_mask, self.input_side
+    def _held(self, units) -> list:
+        a_out, side = units(self.output_masker), self.input_side
         if not a_out.any():  # every factor 1 - min(out, in) is 1
-            return None, None
-        return a_out, side.masker and side.expand(side.masker.cumulative_mask)
+            return []
+        a_in = side.masker and side.expand(units(side.masker))
+        return [(self.weight, a_out, a_in), (self.bias, a_out, None)]
 
     def forward(self, p: HATPayload) -> HATPayload:
         h = _protect(self, self._weighted(p.data))
@@ -531,7 +549,7 @@ class HATLinear(_GatedWeightedLayer):
         super().__init__()
         self.in_features = in_features = _width(in_features, "in_features")
         self.out_features = out_features = _width(out_features, "out_features")
-        self.layer_tag = layer_tag
+        self.layer_tag = layer_tag = _tag(layer_tag)
         bound = np.sqrt(1.0 / in_features)
         self.weight = Tensor(rng.standard_normal((out_features, in_features)) * bound,
                              requires_grad=True)
@@ -555,7 +573,7 @@ class HATConv2d(_GatedWeightedLayer):
         kh, kw = ops._pair(kernel_size, "kernel_size", 1)
         self.stride = ops._pair(stride, "stride", 1)
         self.padding = ops._pair(padding, "padding", 0)
-        self.layer_tag = layer_tag
+        self.layer_tag = layer_tag = _tag(layer_tag)
         bound = np.sqrt(1.0 / (in_channels * kh * kw))
         self.weight = Tensor(
             rng.standard_normal((out_channels, in_channels, kh, kw)) * bound,
@@ -576,7 +594,7 @@ class TaskIndexed(PayloadModule):
 
     def __init__(self, submodules: list, layer_tag: str):
         self.submodules = list(submodules)
-        self.layer_tag = layer_tag
+        self.layer_tag = _tag(layer_tag)
         kinds = [type(sub).__name__ for sub in self.submodules]
         if not kinds or not all(isinstance(s, (Linear, LayerNorm)) for s in self.submodules):
             raise UsageError(f"task-indexed module '{layer_tag}' needs one Linear or "
@@ -621,11 +639,13 @@ class Sequential(PayloadModule):
     maskers and a leaf table (``_leaves``), and binds each gated layer's
     input side, so a model whose widths cannot be protected is refused
     right here, as is one that mixes member modules with others or member
-    counts, or that reaches one trainable parameter twice (a ``ReLU`` or a
-    function may repeat). A module with parameters belongs to one model:
+    counts, that reaches one trainable parameter twice (a ``ReLU`` or a
+    function may repeat), whose parts write one checkpoint entry name twice,
+    or whose weighted plain module skips ``Module.__call__`` and with it
+    ``_protect``. A module with parameters belongs to one model:
     one that another live model holds is refused, while a nested
     ``Sequential`` hands its modules up to the pipeline built around it.
-    Shared modules get its maskers as ``guards``, and so does every
+    Weighted plain modules get its maskers as ``guards``, and so does every
     trainable leaf but the embedding rows, for ``training.SGD`` to see when
     their records change; ``members`` is the member count.
     """
@@ -646,6 +666,11 @@ class Sequential(PayloadModule):
                 reached[leaf] = where
                 table.append(row)
             if isinstance(module, Module):
+                if (module._leaf_names and not isinstance(module, _GatedWeightedLayer)
+                        and type(module).__call__ is not Module.__call__):
+                    raise UsageError(f"step {name}'s {type(module).__name__} has trainable "
+                                     f"leaves but its own __call__; implement forward, "
+                                     f"which Module.__call__ runs under protection")
                 counts.add(module.members)
                 indexed = module.submodules if isinstance(module, TaskIndexed) else []
                 for part in [module] + indexed:
@@ -662,10 +687,18 @@ class Sequential(PayloadModule):
                              + ", ".join(sorted(map(str, counts))))
         self.members = counts.pop() if counts else None
         maskers = tuple(m for _, m, _ in walked if isinstance(m, HATMasker))
+        written = {}  # checkpoint entry name -> the step writing it
+        for where, entry in ([(w, e) for w, e, _, _ in table if e is not None]
+                             + [(n, f"{m.layer_tag}/embeddings") for n, m, _ in walked
+                                if isinstance(m, HATMasker)]):
+            if entry in written:
+                raise UsageError(f"steps {written[entry]} and {where} both write checkpoint "
+                                 f"entry '{entry}'; give each layer a tag of its own")
+            written[entry] = where
         for _, module, side in walked:
             if side is not None:
                 module.input_side = side
-            elif isinstance(module, _Shared):
+            elif isinstance(module, Module) and module._leaf_names:
                 module.guards = maskers
         for _, entry, leaf, _ in table:
             if entry is not None:  # an embedding row would hold its masker: a cycle
@@ -820,8 +853,8 @@ def walk(model: Sequential) -> tuple:
     output masker, under the same name, and is the only module with an
     ``InputSide`` (None for the rest), the one bound to it: the most recent
     masker before it in run order with only functions between them, or none
-    when a weighted module (``Linear``, ``LayerNorm``, ``TaskIndexed``) sits
-    there or the layer comes first.
+    when a weighted module (a ``Linear``, a ``TaskIndexed``, a module of the
+    user's own) sits there or the layer comes first.
     """
     return model._parts
 

@@ -6,6 +6,8 @@
 * conv: HATConv2d -> ReLU -> flatten -> HATLinear -> ReLU -> per-task head
 * linear_first: a shared Linear -> ReLU -> HATLinear -> ReLU -> per-task head
 * shared_head: HATLinear -> ReLU -> HATLinear -> ReLU -> a shared Linear head
+* user_module: HATLinear -> ReLU -> Rescale, a module of the user's own ->
+  HATLinear -> ReLU -> per-task head
 """
 
 import numpy as np
@@ -74,8 +76,32 @@ def shared_head_model(rng, task_count):
     )
 
 
+class Rescale(tg.layers.Module):
+    """A module of the user's own: a trainable gain on each feature."""
+
+    _leaf_names = ("gain",)
+
+    def __init__(self, n):
+        self.gain = tg.Tensor(np.ones(n), requires_grad=True)
+
+    def forward(self, x):
+        return tg.mul(x, self.gain)
+
+
+def user_module_model(rng, task_count):
+    return Sequential(
+        HATLinear(4, 6, task_count, "l1", rng),
+        ReLU(),
+        Rescale(6),
+        HATLinear(6, 5, task_count, "l2", rng),
+        ReLU(),
+        tg.task_indexed_linear(5, 2, task_count, "head", rng),
+    )
+
+
 BUILDERS = {"flat": flat_model, "nested": nested_model, "conv": conv_model,
-            "linear_first": linear_first_model, "shared_head": shared_head_model}
+            "linear_first": linear_first_model, "shared_head": shared_head_model,
+            "user_module": user_module_model}
 
 
 def inputs(kind, n, rng):
@@ -88,9 +114,9 @@ def gated_layers(model):
 
 
 def shared_modules(model):
-    """The Linear and LayerNorm modules every task trains (none of them
-    inside a task-indexed module)."""
-    return [m for _, m, _ in walk(model) if isinstance(m, (Linear, LayerNorm))]
+    """The Linear, LayerNorm and Rescale modules every task trains (none of
+    them inside a task-indexed module)."""
+    return [m for _, m, _ in walk(model) if isinstance(m, (Linear, LayerNorm, Rescale))]
 
 
 def set_binary_row(masker, task, on_units):

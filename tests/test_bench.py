@@ -124,6 +124,11 @@ class TestConfig:
         with pytest.raises(tg.UsageError):
             bench.config_from_text("seed=banana\n")
 
+    def test_repeated_key_rejected(self):
+        # unrefused, the last line won: seed=2
+        with pytest.raises(tg.UsageError, match="config line 3: key 'seed' given twice"):
+            bench.parse_config_mapping("seed=1\n# again\n seed = 2\n")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(tg.UsageError):
             bench.parse_config_mapping("seed 5\n")

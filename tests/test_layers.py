@@ -20,8 +20,8 @@ from taskgate.checkpoint import load_model_state, model_state
 from taskgate.forgetting import forget_task
 from taskgate.layers import COSH_CLAMP, E_MAX, InputSide, Linear, ReLU, walk
 
-from gated_models import (claim_binary, flat_model, gated_layers, logits, set_binary_row,
-                          sgd_steps)
+from gated_models import (Rescale, claim_binary, flat_model, gated_layers, logits,
+                          set_binary_row, sgd_steps)
 from gradcheck import assert_grads_match
 
 
@@ -880,7 +880,7 @@ class TestTaskIndexed:
     @pytest.mark.parametrize("submodules", [
         lambda rng: [Sequential(Linear(4, 2, rng))],
         lambda rng: [ReLU()],
-        lambda rng: [_Rescale(4)],
+        lambda rng: [Rescale(4)],
         lambda rng: [],
         lambda rng: [Linear(4, 2, rng), ReLU()],
     ], ids=["sequential", "relu", "custom-module", "empty", "linear-and-relu"])
@@ -904,18 +904,6 @@ def test_task_counts_must_be_ints(build, count):
     with pytest.raises(tg.UsageError, match="task_count") as err:
         build(count, np.random.default_rng(0))
     assert "\n" not in str(err.value)
-
-
-class _Rescale(tg.layers.Module):
-    """A module of the user's own: elementwise trainable scale."""
-
-    _leaf_names = ("w",)
-
-    def __init__(self, n):
-        self.w = Tensor(np.ones(n), requires_grad=True)
-
-    def __call__(self, x):
-        return tg.mul(x, self.w)
 
 
 class TestSequential:

@@ -6,44 +6,24 @@ forgotten slot is reset the same way, so the masks ``train_task`` finalizes
 need not be exactly binary. Training is ``train_task`` or a few steps of a
 hand-written loop on raw tapes, with or without the payload's ``training``
 flag. Across each operation, every task completed both before and after it
-keeps the bytes of its test-set logits, every weight or bias entry whose
-nullify factor is exactly 0 stays bit-identical (all of a shared module's
-entries, once any task is complete), and no operation touches the per-task
-head of a task it is not about.
+keeps the bytes of its test-set logits, every entry ``held_entries`` names
+stays bit-identical (all of a shared module's entries, once any task is
+complete), and no operation touches the per-task head of a task it is not
+about.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taskgate import (TrainerConfig, forget_task, grad_nullify, init_embeddings,
-                      train_task)
-from taskgate.layers import EMBEDDING_INITS, walk
+from taskgate import TrainerConfig, forget_task, init_embeddings, train_task
+from taskgate.layers import EMBEDDING_INITS, Module, held_entries, walk
 
 from gated_models import BUILDERS, gated_layers, inputs, logits, sgd_steps, shared_modules
 
 TASKS = 3
 CFG = TrainerConfig(task_count=TASKS, epochs=1, batch_size=8, lr=0.1,
                     momentum=0.5, reg_lambda=0.075)
-
-
-def frozen_entries(model):
-    """(tensor, boolean selection of entries whose nullify factor is 0): a
-    shared module's every entry once the model has a completed task."""
-    out = []
-    if any(m.completed_tasks() for m in model.maskers()):
-        out += [(p, np.ones(p.shape, dtype=bool))
-                for m in shared_modules(model) for p in m.local_parameters()]
-    for _, layer, side in walk(model):
-        if side is None:
-            continue
-        a_out = layer.output_masker.cumulative_mask
-        a_in = (None if side.masker is None
-                else side.expand(side.masker.cumulative_mask))
-        ones = np.ones(layer.weight.shape)
-        out.append((layer.weight, grad_nullify(ones, a_out, a_in) == 0.0))
-        out.append((layer.bias, grad_nullify(np.ones(layer.bias.shape), a_out) == 0.0))
-    return out
 
 
 def head_parameters(model, task):
@@ -81,7 +61,12 @@ def test_protected_entries_never_move(kind, seed, init, data):
         if op == "forget":
             forget_task(model, task, init, rng)
         else:
-            frozen = [(t, sel, t.data.copy()) for t, sel in frozen_entries(model)]
+            frozen = [(t, sel, t.data.copy()) for _, m, _ in walk(model)
+                      if isinstance(m, Module) for t, sel in held_entries(m)]
+            if any(m.completed_tasks() for m in model.maskers()):
+                held = {t: sel for t, sel, _ in frozen}
+                assert all(held[p].all() for m in shared_modules(model)
+                           for p in m.local_parameters())
             if op == "train":
                 train_task(model, datasets[task], task, CFG)
             else:

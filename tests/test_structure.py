@@ -14,10 +14,11 @@ import taskgate as tg
 from taskgate import (HATConv2d, HATLinear, HATMasker, Linear, ReLU, Sequential, TrainerConfig,
                       bench, init_embeddings, train_task)
 from taskgate.checkpoint import load_model_state, model_state, read_entries, write_entries
+from taskgate.data import continual_tasks
 from taskgate.forgetting import forget_task
 from taskgate.layers import InputSide, walk
 
-from gated_models import (BUILDERS, IMAGE, claim_binary, conv_model, flatten,
+from gated_models import (BUILDERS, IMAGE, Rescale, claim_binary, conv_model, flatten,
                           gated_layers, inputs, logits, nested_model,
                           set_binary_row, sgd_steps, shared_modules)
 
@@ -170,6 +171,63 @@ class TestWalk:
         assert all(m.input_side is side for m, side in sides) and lin.guards is guards
         assert l2.input_side.masker is gate and a.steps[0] is inner
 
+    def test_a_weighted_module_with_its_own_call_is_refused(self):
+        # its __call__ would skip Module.__call__, and with it the protection
+        class Bypass(Rescale):
+            def __call__(self, x):
+                return self.forward(x)
+
+        rng = np.random.default_rng(114)
+        l1, lin = HATLinear(4, 6, 2, "l1", rng), Linear(6, 6, rng)
+        with pytest.raises(tg.UsageError, match="step 2's Bypass has trainable leaves "
+                                                "but its own __call__") as err:
+            Sequential(l1, ReLU(), Bypass(6), lin)
+        assert "\n" not in str(err.value)
+        assert lin.guards == () and tg.layers._MODEL_OF.get(l1) is None
+        Sequential(l1, ReLU(), Rescale(6), lin)  # forward alone is welcome
+
+    @pytest.mark.parametrize("case", ["two_gated", "gated_step_name", "two_maskers",
+                                      "masker_named_as_output_masker", "two_heads"])
+    def test_layers_writing_one_checkpoint_entry_are_refused(self, case):
+        # unrefused, each trained and only model_state refused them
+        rng = np.random.default_rng(115)
+        l1, lin = HATLinear(4, 6, 2, "l1", rng), Linear(6, 6, rng)
+        steps, where, entry = {
+            "two_gated": ([l1, ReLU(), HATLinear(6, 6, 2, "l1", rng)], "0 and 2",
+                          "l1/weight"),
+            "gated_step_name": ([l1, ReLU(), lin, HATLinear(6, 6, 2, "step2", rng)],
+                                "2 and 3", "step2/weight"),
+            "two_maskers": ([HATMasker(4, 2, "gate"), l1, HATMasker(6, 2, "gate")],
+                            "0 and 2", "gate/embeddings"),
+            "masker_named_as_output_masker": ([l1, HATMasker(6, 2, "l1.mask")], "0 and 1",
+                                              "l1.mask/embeddings"),
+            "two_heads": ([l1, ReLU(), tg.task_indexed_linear(6, 6, 2, "head", rng), ReLU(),
+                           tg.task_indexed_linear(6, 2, 2, "head", rng)], "2[0] and 4[0]",
+                          "head/0/weight"),
+        }[case]
+        with pytest.raises(tg.UsageError, match=re.escape(
+                f"steps {where} both write checkpoint entry '{entry}'")) as err:
+            Sequential(*steps)
+        assert "\n" not in str(err.value)
+        assert l1.input_side == InputSide() and tg.layers._MODEL_OF.get(l1) is None
+
+    @pytest.mark.parametrize("build", [
+        lambda rng: HATLinear(4, 3, 2, "m/stored/0", rng),
+        lambda rng: HATMasker(4, 2, "a/b"),
+        lambda rng: tg.task_indexed_linear(4, 2, 2, "head/0", rng),
+        lambda rng: HATLinear(4, 3, 2, 5, rng),
+        lambda rng: HATMasker(4, 2, None),
+        lambda rng: HATConv2d(2, 3, 3, 2, b"c1", rng),
+        lambda rng: tg.task_indexed_layer_norm(4, 2, ("norm",)),
+    ], ids=["linear_slash", "masker_slash", "indexed_slash", "linear_int", "masker_none",
+            "conv_bytes", "indexed_tuple"])
+    def test_a_tag_that_names_no_entry_stem_is_refused(self, build):
+        # a '/' let a checkpoint be written that load_model_state refused;
+        # a non-str tag raised a raw TypeError, or went through as None
+        with pytest.raises(tg.UsageError, match="layer tag must be a str without '/'") as err:
+            build(np.random.default_rng(116))
+        assert "\n" not in str(err.value)
+
     def test_a_dropped_model_frees_its_modules(self):
         rng = np.random.default_rng(113)
         l1, l2 = HATLinear(4, 5, 2, "l1", rng), HATLinear(5, 3, 2, "l2", rng)
@@ -230,6 +288,7 @@ def test_a_weighted_module_before_a_gated_layer_claims_its_inputs(middle):
 SHARED_SHAPES = {  # (builder, input features)
     "linear_first": (BUILDERS["linear_first"], 4),
     "shared_head": (BUILDERS["shared_head"], 4),
+    "user_module": (BUILDERS["user_module"], 4),
     "toy": (lambda rng, task_count: bench.build_toy_model(
         rng, bench.ExperimentConfig(experiment="toy-init", tasks=task_count)), 5),
 }
@@ -247,7 +306,23 @@ def test_shared_modules_keep_completed_tasks_bit_exact(shape):
     train_three_tasks_then_forget_one(model, features, rng)
 
 
-@pytest.mark.parametrize("kind", ["nested", "conv"])  # flat: test_layers
+def test_a_module_of_the_users_own_keeps_completed_tasks_bit_exact():
+    # every task trains the gain between l1 and the head; unprotected, task
+    # 1's training moved task 0's logits
+    rng = np.random.default_rng(0)
+    model = Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(), Rescale(6),
+                       tg.task_indexed_linear(6, 2, 2, "head", rng))
+    tasks = continual_tasks(2, rng, dim=4)
+    cfg = TrainerConfig(task_count=2, epochs=3, batch_size=32, momentum=0.5,
+                        reg_lambda=0.075)
+    x = tasks[0].test[0]
+    train_task(model, tasks[0].train, 0, cfg)
+    before = logits(model, x, 0)
+    train_task(model, tasks[1].train, 1, cfg)
+    assert logits(model, x, 0).tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["nested", "conv", "user_module"])  # flat: test_layers
 def test_completed_task_bit_exact_while_next_trains(kind):
     rng = np.random.default_rng(110)
     model = BUILDERS[kind](rng, task_count=2)
@@ -280,7 +355,7 @@ class TestForget:
         np.testing.assert_array_equal(dense.weight.data[~erased], before[~erased])
         assert report.weight_counts["fc"] == 2 * pixels
 
-    @pytest.mark.parametrize("kind", ["nested", "conv"])  # flat: test_forgetting
+    @pytest.mark.parametrize("kind", ["nested", "conv", "user_module"])  # flat: test_forgetting
     def test_other_task_bit_exact(self, kind):
         rng = np.random.default_rng(121)
         model = BUILDERS[kind](rng, task_count=2)
@@ -293,7 +368,7 @@ class TestForget:
 
 
 class TestCheckpoint:
-    @pytest.mark.parametrize("kind", ["nested", "conv"])
+    @pytest.mark.parametrize("kind", ["nested", "conv", "user_module"])
     def test_round_trip_bit_exact(self, kind, tmp_path):
         rng = np.random.default_rng(130)
         model = BUILDERS[kind](rng, task_count=3)
