@@ -83,9 +83,9 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
     input j reads are exclusive (the whole row when its inputs count as
     claimed), bias i when unit i is. Shared modules belong to no one task and
     are left alone. The task's task-indexed submodules are zeroed or reset,
-    and every masker resets the task's slot (``HATMasker.reset_task``) so it
-    can be retrained. A refused call changes nothing; a member model is
-    refused (see ``refuse_members``).
+    their gradients dropped, and every masker resets the task's slot
+    (``HATMasker.reset_task``) so it can be retrained. A refused call
+    changes nothing; a member model is refused (see ``refuse_members``).
     """
     refuse_members(model, "forget_task")
     task = check_task_id(task)
@@ -115,7 +115,6 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
             # leaving the forgotten slot with constant (all-zero) outputs
             weights = _zero_counting(sub.weight.data, ...)
             biases = _zero_counting(sub.bias.data, ...)
-            sub.weight.grad = sub.bias.grad = None
             report.add_layer(module.layer_tag, weights, biases)
         elif sub is not None:
             # a LayerNorm: fresh normalization state; the shift lands on
@@ -123,6 +122,9 @@ def forget_task(model: Sequential, task: int, embedding_init: str = "ones",
             biases = _zero_counting(sub.shift.data, ...)
             sub.reset()
             report.add_layer(module.layer_tag, 0, biases)
+        if sub is not None:  # a stale gradient would move the emptied slot
+            for leaf in sub.local_parameters():
+                leaf.grad = None
     for masker in maskers:
         masker.reset_task(task, embedding_init, rng)
     return report

@@ -13,8 +13,9 @@ The pieces:
   masker's units, its input ends those of the most recent masker if only
   functions sit between them (else claimed). Any other weighted module
   outside a task slot has every end claimed once its model has a completed
-  task. Each kind's ``_held`` says which entries are held: in any training
-  loop a forward on a tape, task id or not, hooks their gradients by
+  task, and a task slot's module once its own task is complete. Each
+  kind's ``_held`` says which entries are held: in any training loop a
+  forward on a tape, task id or not, hooks their gradients by
   ``1 - min(out_i, in_j)`` (once per tape, ``_protect``); ``forget_task``
   and ``held_entries`` read it too.
 * Applying a training mask records one ``gate`` node, ``data * sigmoid(s * e)``.
@@ -75,10 +76,12 @@ class Module:
 
     ``members`` is None for an ordinary module and M for one that
     ``stack_members`` built, whose parameters carry a leading member axis.
+    ``slot`` is the task a task-indexed submodule serves, None elsewhere.
     """
 
     members: Optional[int] = None
     guards: tuple = ()
+    slot: Optional[int] = None
     _leaf_names: tuple = ()
 
     def local_parameters(self) -> list:
@@ -87,8 +90,11 @@ class Module:
     def _held(self, units) -> list:
         """``(leaf, a_out, a_in)`` per leaf with held entries (see ``grad_nullify``),
         ``units(masker)`` giving a masker's claimed units. A plain module claims
-        all its ends once a masker of its model (``guards``) has a completed task."""
-        if not any(m.stored_task_masks for m in self.guards):
+        all its ends once a masker of its model (``guards``) has a completed
+        task; a task-indexed submodule once its own task (``slot``) is one."""
+        slot = self.slot
+        if not any(m.stored_task_masks if slot is None else slot in m.stored_task_masks
+                   for m in self.guards):
             return []  # no numpy work while nothing is claimed
         lead = 1 if self.members is None else 2
         return [(leaf, np.ones(leaf.shape[:lead]), None) for leaf in self.local_parameters()]
@@ -590,7 +596,8 @@ class HATConv2d(_GatedWeightedLayer):
 class TaskIndexed(PayloadModule):
     """One isolated ``Linear`` or ``LayerNorm`` per task, dispatched by the
     payload's task id. Only these can be trained, checkpointed and forgotten
-    slot by slot, so any other submodule is refused when built."""
+    slot by slot, so any other submodule is refused when built. Within a
+    model, a slot's entries are all held once its task is complete."""
 
     def __init__(self, submodules: list, layer_tag: str):
         self.submodules = list(submodules)
@@ -700,6 +707,9 @@ class Sequential(PayloadModule):
                 module.input_side = side
             elif isinstance(module, Module) and module._leaf_names:
                 module.guards = maskers
+            elif isinstance(module, TaskIndexed):
+                for t, sub in enumerate(module.submodules):
+                    sub.guards, sub.slot = maskers, t
         for _, entry, leaf, _ in table:
             if entry is not None:  # an embedding row would hold its masker: a cycle
                 leaf.guards = maskers

@@ -45,6 +45,14 @@ its slices. The elementwise ops serve members as they are; ``matmul``,
 ``layer_norm`` and ``conv2d`` refuse a member axis through their shape
 checks.
 
+An op's result keeps its operands' memory order: elementwise ops follow
+numpy's K order, so C-order operands give C-order results. Other orders
+start at ``conv2d``, whose [B,Cout,Ho,Wo] output is a permuted view laid
+out [Cout,Ho,Wo,B], batch innermost, as it computes it. A gate or ReLU on
+it keeps that order and a flatten is a view of it, so the next conv reads
+it with no transposing copy. ``permute`` copies into a fresh C-order
+array, and a leaf's ``.grad`` is always C-order.
+
 Everything defaults to double precision. Single precision is available by
 constructing tensors with ``dtype=np.float32``.
 """
@@ -196,10 +204,12 @@ class Tape:
                     g = self._hooked(parent, g)
                 parent.grad = g if parent.grad is None else parent.grad + g
 
-        for node in nodes:  # only leaves keep a gradient
+        for node in nodes:  # only leaves keep a gradient, always in C order
             if node.op == "leaf" and node.grad is not None:
-                t = node.tensor
-                t.grad = node.grad if t.grad is None else t.grad + node.grad
+                t, g = node.tensor, node.grad
+                if not g.flags.c_contiguous:
+                    g = np.ascontiguousarray(g)
+                t.grad = g if t.grad is None else t.grad + g
 
 
 class Tensor:
@@ -288,13 +298,11 @@ def _recording_tape(inputs: Sequence[Tensor]) -> Optional[Tape]:
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
-    """Wrap an op's result as ``Tensor()`` would (an ndarray of the op's
-    dtype, 0-d for a numpy scalar, C-contiguous) and, on an active tape with
-    an input that requires a gradient, append its node."""
+    """Wrap an op's result as a ``Tensor`` (an ndarray of the op's dtype, 0-d
+    for a numpy scalar, in the memory order the op left it) and, on an
+    active tape with an input that requires a gradient, append its node."""
     if type(out_data) is not np.ndarray:
         out_data = np.asarray(out_data)
-    if not out_data.flags.c_contiguous:
-        out_data = np.ascontiguousarray(out_data)  # never 0-d: those are contiguous
     out = object.__new__(Tensor)  # the fields Tensor.__init__ sets
     out.data = out_data
     out.grad = None
@@ -479,8 +487,15 @@ def reshape(x: Tensor, shape) -> Tensor:
     except ValueError:
         raise ShapeError(f"cannot reshape {old} into {shape}") from None
 
+    x_data = x.data
+
     def backward_fn(g):
-        return (g.reshape(old),)
+        g = g.reshape(old)
+        if x_data.flags.c_contiguous:
+            return (g,)
+        kept = np.empty_like(x_data)  # in x's memory order, as its other consumers
+        kept[...] = g
+        return (kept,)
 
     return _record("reshape", (x,), out, backward_fn)
 
@@ -494,7 +509,7 @@ def permute(x: Tensor, axes) -> Tensor:
     def backward_fn(g):
         return (g.transpose(inverse),)
 
-    return _record("permute", (x,), x.data.transpose(axes), backward_fn)
+    return _record("permute", (x,), x.data.transpose(axes).copy(), backward_fn)
 
 
 def _pair(v, name: str, least: int) -> tuple:
@@ -529,7 +544,7 @@ def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, sh: int, sw: int, 
 def _conv_tile(x: np.ndarray, wflat: np.ndarray, bias: Optional[np.ndarray],
                geometry: tuple) -> tuple:
     """The columns of the [b,Cin,H,W] samples ``x``, and their convolution
-    as a [b,Cout,Ho,Wo] view of the product, bias added."""
+    as the [Cout,Ho,Wo,b] product, bias added."""
     kh, kw, sh, sw, ph, pw, ho, wo = geometry
     bsz, cin, h, w = x.shape
     xp = np.zeros((cin, h + 2 * ph, w + 2 * pw, bsz), dtype=x.dtype)
@@ -538,7 +553,7 @@ def _conv_tile(x: np.ndarray, wflat: np.ndarray, bias: Optional[np.ndarray],
     y = wflat @ cols                                     # [Cout, Ho*Wo*b]
     if bias is not None:
         y += bias[:, None]
-    return cols, y.reshape(len(wflat), ho, wo, bsz).transpose(3, 0, 1, 2)
+    return cols, y.reshape(len(wflat), ho, wo, bsz)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -552,6 +567,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     [Cout, Cin*kh*kw] kernel matrix. When ``x`` does not require a
     gradient (raw images into a first layer), backward computes no input
     gradient and skips the fold back to image shape.
+
+    Results stay in that batch-innermost order: the output's ``.data`` is
+    the [B,Cout,Ho,Wo] permuted view of a [Cout,Ho,Wo,B] array, and the
+    input gradient the same view of the folded columns' interior. An input
+    in that order (a conv's output, gated and through a ReLU) is then
+    padded by one contiguous copy, and a gradient in it is read in place;
+    only another order pays a transposing copy.
 
     A call that is not recorded (no active tape, or no input requires a
     gradient) keeps no columns, so it runs in tiles of samples, each
@@ -586,18 +608,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     depth, positions = wflat.shape[1], ho * wo
     unit = _COLUMN_BLOCK // math.gcd(positions, _COLUMN_BLOCK)  # samples in whole blocks
     if depth <= _TILE_DEPTH and bsz % unit == 0 and _recording_tape(inputs) is None:
-        out = np.empty((bsz, cout, ho, wo), dtype=np.result_type(wflat, x.data))
+        out = np.empty((cout, ho, wo, bsz), dtype=np.result_type(wflat, x.data))
         unit_bytes = unit * depth * positions * x.data.itemsize
         tile = unit * max(1, _TILE_BYTES // unit_bytes)
         for start in range(0, bsz, tile):
-            out[start:start + tile] = _conv_tile(x.data[start:start + tile], wflat, b,
-                                                 geometry)[1]
-        return _record("conv2d", inputs, out, None)
+            out[..., start:start + tile] = _conv_tile(x.data[start:start + tile], wflat, b,
+                                                      geometry)[1]
+        return _record("conv2d", inputs, out.transpose(3, 0, 1, 2), None)
 
     cols, out = _conv_tile(x.data, wflat, b, geometry)   # backward needs all the columns
-    # the output allocated after the temporaries, as before tiling: a
-    # training step's heap, and so the allocator's trims, stay as they were
-    out = np.ascontiguousarray(out)
     need_gx = x.requires_grad  # decided when recorded, as the tape's parent ids are
 
     def backward_fn(g):
@@ -606,12 +625,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         gx = None
         if need_gx:
             gxp = _col2im(wflat.T @ gt, (cin, hp, wp, bsz), kh, kw, sh, sw, ho, wo)
-            gx = np.ascontiguousarray(gxp[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2))
+            gx = gxp[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2)
         if b is None:
             return gx, gw
         return gx, gw, gt.sum(axis=1)
 
-    return _record("conv2d", inputs, out, backward_fn)
+    return _record("conv2d", inputs, out.transpose(3, 0, 1, 2), backward_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:

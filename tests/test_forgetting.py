@@ -8,6 +8,7 @@ from taskgate import (
     HATPayload,
     ReLU,
     Sequential,
+    Tape,
     Tensor,
 )
 from taskgate.checkpoint import model_state
@@ -300,6 +301,25 @@ class TestForgetTask:
         np.testing.assert_array_equal(norm.submodules[0].gain.data, np.ones(6))
         np.testing.assert_array_equal(norm.submodules[0].shift.data, np.zeros(6))
         assert report.bias_counts["norm"] == 4  # entries that moved onto zero
+
+    @pytest.mark.parametrize("slot", ["linear", "layer_norm"])
+    def test_forget_clears_the_slots_gradients(self, slot):
+        # else the next optimizer step would move the emptied slot by them
+        rng = np.random.default_rng(83)
+        indexed = (tg.task_indexed_linear(6, 2, 2, "head", rng) if slot == "linear"
+                   else tg.task_indexed_layer_norm(6, 2, "norm"))
+        model = Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(), indexed)
+        with Tape() as tape:
+            out = model.forward(HATPayload(Tensor(rng.standard_normal((4, 4))), task=0,
+                                           scale=30.0)).masked_data()
+            loss = tg.reduce_sum(tg.mul(out, out))
+        tape.backward(loss)
+        leaves = indexed.submodules[0].local_parameters()
+        assert all(leaf.grad is not None for leaf in leaves)
+        set_binary_row(model.maskers()[0], 0, [0, 1])
+        finalize(model, 0)
+        forget_task(model, 0)
+        assert all(leaf.grad is None for leaf in leaves)
 
     def test_report_lines_format(self):
         report = ForgetReport()

@@ -331,6 +331,18 @@ class TestMaskerLifecycle:
         m.reset_task(1, "ones")  # a slot without a stored mask keeps the records
         np.testing.assert_array_equal(m.cumulative_mask, m.mask_values(0))
 
+    def test_reset_task_clears_the_rows_gradient(self):
+        # else the next optimizer step would move the fresh row by it
+        m = HATMasker(3, 2, "m")
+        with Tape() as tape:
+            out = m.apply(HATPayload(Tensor(np.ones((2, 3))), task=1, scale=1.0))
+            loss = tg.reduce_sum(out)
+        tape.backward(loss)
+        row = m.embedding_rows[1]
+        assert row.grad is not None
+        m.reset_task(1, "ones")
+        assert row.grad is None
+
     @pytest.mark.parametrize("init", ["zeros", "gaussian"])  # gaussian: no rng
     def test_reset_task_refuses_bad_init(self, init):
         m = HATMasker(3, 2, "m")
@@ -1033,6 +1045,20 @@ class TestProtection:
         before = logits(model, x_eval, 2)
         sgd_steps(model, rng.standard_normal((16, 4)), rng.integers(0, 2, 16), 0)
         assert np.array_equal(before, logits(model, x_eval, 2))
+
+    def test_a_frozen_leaf_of_a_gated_layer_is_left_unhooked(self):
+        # a bias the user froze never joins a tape, so no hook goes on it
+        rng = np.random.default_rng(52)
+        model = flat_model(rng, task_count=2)
+        bias = gated_layers(model)[0].bias
+        bias.requires_grad = False
+        frozen = bias.data.copy()
+        claim_binary(model, 0, rng)
+        x_eval = rng.standard_normal((8, 4))
+        before = logits(model, x_eval, 0)
+        sgd_steps(model, rng.standard_normal((16, 4)), rng.integers(0, 2, 16), 1)
+        assert np.array_equal(before, logits(model, x_eval, 0))
+        assert bias.grad is None and np.array_equal(bias.data, frozen)
 
     def test_retraining_forgotten_slot_keeps_other_tasks_bit_exact(self):
         rng = np.random.default_rng(51)

@@ -16,7 +16,7 @@ from taskgate import (HATConv2d, HATLinear, HATMasker, Linear, ReLU, Sequential,
 from taskgate.checkpoint import load_model_state, model_state, read_entries, write_entries
 from taskgate.data import continual_tasks
 from taskgate.forgetting import forget_task
-from taskgate.layers import InputSide, walk
+from taskgate.layers import InputSide, held_entries, walk
 
 from gated_models import (BUILDERS, IMAGE, Rescale, claim_binary, conv_model, flatten,
                           gated_layers, inputs, logits, nested_model,
@@ -279,9 +279,12 @@ def test_a_weighted_module_before_a_gated_layer_claims_its_inputs(middle):
     rng = np.random.default_rng(105)
     model = weighted_between_model(middle, rng, task_count=3)
     assert gated_layers(model)[-1].input_side == InputSide()
-    indexed = [sub for _, m, _ in walk(model) if isinstance(m, tg.TaskIndexed)
-               for sub in m.submodules]
-    assert indexed and all(sub.guards == () for sub in indexed)
+    # a task-indexed submodule is held by its own task alone, not by any
+    # completed task as a shared module is
+    indexed = [(t, sub) for _, m, _ in walk(model) if isinstance(m, tg.TaskIndexed)
+               for t, sub in enumerate(m.submodules)]
+    assert indexed and all(sub.slot == t and sub.guards == tuple(model.maskers())
+                           for t, sub in indexed)
     train_three_tasks_then_forget_one(model, 4, rng)
 
 
@@ -331,6 +334,33 @@ def test_completed_task_bit_exact_while_next_trains(kind):
     before = logits(model, x_eval, 0)
     sgd_steps(model, inputs(kind, 12, rng), rng.integers(0, 2, 12), 1)
     assert np.array_equal(before, logits(model, x_eval, 0))
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_steps_on_a_completed_tasks_own_id_keep_it_bit_exact(kind):
+    # its task-indexed slot is held as the trunk is; unheld, three steps
+    # moved task 0's logits by up to 0.08
+    rng = np.random.default_rng(1)
+    model = BUILDERS[kind](rng, 3)
+    x, y = inputs(kind, 32, rng), rng.integers(0, 2, 32)
+    train_task(model, (x, y), 0, TrainerConfig(task_count=3, epochs=1, batch_size=8))
+    before = logits(model, x, 0)
+    sgd_steps(model, x, y, 0, steps=3)
+    assert logits(model, x, 0).tobytes() == before.tobytes()
+
+
+def test_a_task_slot_is_held_from_completion_until_forgotten():
+    rng = np.random.default_rng(2)
+    model = BUILDERS["flat"](rng, 3)
+    slots = model.steps[-1].submodules
+    claim_binary(model, 0, rng)
+    held = [held_entries(sub) for sub in slots]
+    assert [len(h) for h in held] == [2, 0, 0]
+    assert all(selection.all() for _, selection in held[0])
+    forget_task(model, 0)
+    assert not any(held_entries(sub) for sub in slots)
+    sgd_steps(model, inputs("flat", 16, rng), rng.integers(0, 2, 16), 0, steps=1)
+    assert slots[0].weight.data.any()  # the zeroed slot trains again
 
 
 class TestForget:

@@ -9,6 +9,7 @@ import pytest
 import taskgate as tg
 from taskgate import Tape, Tensor
 
+from gated_models import IMAGE, conv_model
 from gradcheck import assert_grads_match, numeric_grad, relative_error
 
 
@@ -554,6 +555,91 @@ class TestConv2dTiles:
         assert peak < columns
 
 
+def conv_stack(rng, channels=(3, 8, 16), side=12):
+    """HATConv2d -> ReLU -> HATConv2d (stride 2) -> ReLU -> flatten -> a per-task
+    head, on [B, channels[0], side, side] images: perfbench's conv model."""
+    c0, c1, c2 = channels
+    out_side = (side - 1) // 2 + 1
+    return tg.Sequential(
+        tg.HATConv2d(c0, c1, 3, 2, "c1", rng, padding=1),
+        tg.ReLU(),
+        tg.HATConv2d(c1, c2, 3, 2, "c2", rng, stride=2, padding=1),
+        tg.ReLU(),
+        lambda x: tg.reshape(x, (x.shape[0], -1)),
+        tg.task_indexed_linear(c2 * out_side * out_side, 2, 2, "head", rng),
+    )
+
+
+def batch_innermost(a):
+    """Whether [B,C,H,W] ``a`` is laid out as conv2d computes, batch innermost."""
+    return a.strides[0] == a.itemsize and a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+class TestConvLayout:
+    """Conv activations stay in conv2d's [C,H,W,B] memory order, so a conv ->
+    gate -> ReLU -> conv step makes no transposing copy."""
+
+    def test_a_recorded_step_makes_no_transposing_copy_between_convs(self):
+        rng = np.random.default_rng(40)
+        model = conv_stack(rng, channels=(3, 4, 6), side=6)
+        x, y = rng.standard_normal((8, 3, 6, 6)), rng.integers(0, 2, 8)
+        with Tape() as tape:
+            out = model.forward(tg.HATPayload(Tensor(x), task=0, scale=30.0,
+                                              training=True)).masked_data()
+            loss = tg.softmax_cross_entropy(out, y)
+        nodes = [n for n in tape.nodes if n.op != "leaf"]
+        assert [n.op for n in nodes] == ["conv2d", "gate", "relu", "conv2d", "gate", "relu",
+                                         "reshape", "linear", "softmax_cross_entropy"]
+        arriving = {}
+        for i, node in enumerate(nodes[:6]):
+            node.tensor.register_hook(lambda g, i=i: arriving.setdefault(i, g))
+        tape.backward(loss)
+        # conv1's output, its gate and its ReLU are views conv2 reads in place
+        for node in nodes[:6]:
+            assert batch_innermost(node.tensor.data), node.op
+        # conv2's output gradient is read as [Cout, Ho*Wo*B] without a copy
+        assert all(batch_innermost(arriving[i]) for i in (3, 4, 5))
+        # conv2's input gradient is a view of its folded columns' interior
+        g = arriving[2]
+        assert g.base is not None and not g.flags.c_contiguous and g.strides[0] == g.itemsize
+
+    @pytest.mark.parametrize("shape, tiles, convs", [
+        ("perfbench", [32] * 4 + [48, 48, 32], 2),  # two convs -> flatten -> head
+        ("conv_flatten_dense", [452, 452, 120], 1),  # gated_models' conv model
+    ])
+    def test_taped_and_tape_free_forwards_agree_bit_for_bit(self, monkeypatch, shape, tiles,
+                                                           convs):
+        rng = np.random.default_rng(41)
+        if shape == "perfbench":
+            model, x = conv_stack(rng), rng.standard_normal((128, 3, 12, 12))
+        else:
+            model, x = conv_model(rng, 2), rng.standard_normal((1024,) + IMAGE)
+        for masker in model.maskers():
+            masker.embedding_rows[0].data[...] = rng.standard_normal(masker.n_features)
+            masker.finalize_task(0)
+        sizes = tile_sizes(monkeypatch)
+        # evaluate's forward: no tape, each conv in tiles
+        free = model.forward(tg.HATPayload(Tensor(x), task=0)).masked_data().data
+        assert sizes == tiles
+        with Tape():
+            taped = model.forward(tg.HATPayload(Tensor(x), task=0)).masked_data()
+        assert taped.requires_grad and sizes[len(tiles):] == [len(x)] * convs
+        assert free.tobytes() == taped.data.tobytes()
+
+    def test_a_leafs_gradient_is_c_order(self):
+        rng = np.random.default_rng(42)
+        model = conv_stack(rng, channels=(3, 4, 6), side=6)
+        x = Tensor(rng.standard_normal((8, 3, 6, 6)), requires_grad=True)
+        with Tape() as tape:
+            out = model.forward(tg.HATPayload(x, task=0, scale=30.0)).masked_data()
+            loss = tg.softmax_cross_entropy(out, rng.integers(0, 2, 8))
+        tape.backward(loss)
+        leaves = [x] + model.task_parameters(0)
+        assert all(t.grad is not None and t.grad.flags.c_contiguous for t in leaves)
+        # the raw input's gradient reached it as a view of conv1's fold
+        assert tape.nodes[x.node_id].grad.base is not None
+
+
 class TestReductionsAndLoss:
     def test_mean_hand_value(self):
         assert tg.reduce_mean(Tensor([2.0, 4.0, 6.0])).item() == 4.0
@@ -736,6 +822,22 @@ class TestShapeOps:
         tape.backward(loss)
         np.testing.assert_array_equal(y.data, x.data)
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
+
+    def test_reshape_grad_keeps_a_permuted_inputs_order(self):
+        # a flatten after a conv hands its gradient back batch innermost, in
+        # the order of the conv's output (and of a gate or ReLU on it)
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((5, 2, 4, 4)))
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        seen = []
+        with Tape() as tape:
+            h = tg.conv2d(x, w, padding=1)
+            h.register_hook(lambda g: seen.append(g) or g)
+            flat = tg.reshape(h, (5, -1))
+            loss = tg.reduce_sum(tg.mul(flat, flat))
+        tape.backward(loss)
+        assert not h.data.flags.c_contiguous and seen[0].strides == h.data.strides
+        np.testing.assert_array_equal(seen[0], 2.0 * h.data)
 
     def test_permute_invalid_axes(self):
         with pytest.raises(tg.ShapeError):
@@ -1007,10 +1109,12 @@ class TestTensorBasics:
     @pytest.mark.parametrize("taped", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_op_results_are_contiguous_arrays_of_the_op_dtype(self, dtype, taped):
+        # an op keeps its operands' memory order, so C-order operands give
+        # C-order results; permute copies into a fresh C-order array
         x = Tensor(np.arange(6.0, dtype=dtype).reshape(2, 3), requires_grad=True)
         with Tape() if taped else contextlib.nullcontext() as tape:
             outs = {
-                "permute": tg.permute(x, (1, 0)),         # a strided view
+                "permute": tg.permute(x, (1, 0)),         # a strided view, copied
                 "sum": tg.reduce_sum(x),                  # a 0-d array
                 "scale": tg.scale(tg.reduce_sum(x), 2.0),  # a numpy scalar
                 "relu": tg.relu(x),
@@ -1024,3 +1128,4 @@ class TestTensorBasics:
             else:
                 assert out.node_id is None and out._node_tape is None
         assert outs["permute"].shape == (3, 2) and outs["scale"].shape == ()
+        assert not np.shares_memory(outs["permute"].data, x.data)
