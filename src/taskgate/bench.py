@@ -24,11 +24,11 @@ from .checkpoint import config_text, load_model_state, model_state, read_entries
 from .data import TOY_USEFUL, TOY_USELESS, continual_tasks, toy_dataset
 from .forgetting import forget_task
 from .layers import EMBEDDING_INITS, HATLinear, HATMasker, Linear, ReLU, Sequential
-from .layers import (_real, _width, check_scale, stack_members, task_indexed_layer_norm,
+from .layers import (_real, _width, stack_members, task_indexed_layer_norm,
                      task_indexed_linear)
 from .tensor import UsageError
-from .training import (SCHEDULES, TrainerConfig, check_trainer_numbers, evaluate,
-                       init_embeddings, train_task)
+from .training import (SCHEDULES, TrainerConfig, check_s_max, check_trainer_numbers,
+                       evaluate, init_embeddings, train_task)
 
 __all__ = [
     "AccuracyMatrix",
@@ -107,7 +107,7 @@ class ExperimentConfig:
         for name in ("repeats", "batch_cap", "toy_samples", "toy_hidden",
                      "toy_batch_size", "dim", "train_n", "test_n", "trunk_width"):
             _width(getattr(self, name), name)
-        check_scale(self.s_max, "s_max")
+        check_s_max(self.s_max)
         lo, hi = self.theta_lo, self.theta_hi
         if not (_real(lo) and _real(hi) and 0.0 <= lo < hi <= 1.0):
             raise UsageError(f"theta_lo and theta_hi must satisfy 0 <= theta_lo "
@@ -135,9 +135,8 @@ def parse_config_mapping(text: str) -> dict:
     return mapping
 
 
-def config_from_mapping(mapping: dict, base: ExperimentConfig = None) -> ExperimentConfig:
-    values = {f.name: getattr(base, f.name)
-              for f in fields(ExperimentConfig)} if base else {}
+def config_from_mapping(mapping: dict) -> ExperimentConfig:
+    values = {}
     casts = {f.name: type(f.default) for f in fields(ExperimentConfig)}
     for key, raw in mapping.items():
         if key not in casts:

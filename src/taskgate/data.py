@@ -15,10 +15,10 @@ TOY_USEFUL = (0, 1, 2)
 TOY_USELESS = (3, 4)
 
 
-def toy_dataset(n: int, rng: np.random.Generator, noise: float = 0.1):
-    """Five standard-normal features; the label reads only the first three."""
+def toy_dataset(n: int, rng: np.random.Generator):
+    """Five standard-normal features; the label reads the first three, plus noise."""
     x = rng.standard_normal((n, 5))
-    margin = x[:, :3] @ TOY_TEACHER + noise * rng.standard_normal(n)
+    margin = x[:, :3] @ TOY_TEACHER + 0.1 * rng.standard_normal(n)
     return x, (margin > 0).astype(np.int64)
 
 

@@ -6,8 +6,8 @@ The pieces:
   masks a training task's units. A completed task runs on its stored binary
   mask. The cumulative mask, their OR, is rebuilt only where those records
   change; ``reset_task`` frees a slot.
-* ``HATLinear`` / ``HATConv2d`` wrap a weighted base layer and gate its
-  output through an output masker.
+* ``HATLinear`` / ``HATConv2d`` are a dense layer and a convolution whose
+  output units an output masker gates; one constructor makes their leaves.
 * One rule protects completed tasks: an entry stops moving once a completed
   task claims both of its ends. A gated layer's output ends are its output
   masker's units, its input ends those of the most recent masker if only
@@ -22,8 +22,9 @@ The pieces:
   With the payload's ``training`` flag it also hooks the task's embedding
   row (once per tape): each gradient reaching the row is rescaled to undo
   the vanishing sigmoid derivative at large mask scales, then clipped to a
-  magnitude rail. A live mask is ``attention``, or part of ``train_task``'s
-  ``objective``; on a training tape the row's hook takes its gradient too.
+  magnitude rail. A live mask is ``attention`` over the row, or part of
+  ``train_task``'s ``objective``; on a training tape the row's hook takes
+  its gradient too.
 * Per-recording state (hooks registered, the gate's scale and mask) is
   noted in ``Tape.notes`` and dropped with the tape; modules keep none.
 * ``TaskIndexed`` holds one isolated ``Linear`` or ``LayerNorm`` per task and
@@ -129,17 +130,14 @@ def check_scale(value, name: str = "mask scale") -> float:
 
 
 def _check_member_scale(value, members: int):
-    """``value`` as a member masker's mask scale: one real number for every
-    member (as ``check_scale``), or an [M,1] float64 column with one for
-    each, finite and > 0. Anything else is refused."""
-    if _real(value):
-        return check_scale(value)
+    """``value`` as a member masker's mask scale: an [M,1] float64 column
+    with one for each member, finite and > 0. Anything else is refused."""
     if (isinstance(value, np.ndarray) and value.dtype == np.float64
             and value.shape == (members, 1)
             and np.logical_and.reduce((value > 0.0) & (value < math.inf), axis=None)):
         return value
-    raise UsageError(f"mask scale must be finite and > 0 for each of {members} "
-                     f"members, got {value!r}")
+    raise UsageError(f"mask scale must be a [{members},1] float64 column, finite and > 0 "
+                     f"for each of {members} members, got {' '.join(repr(value).split())}")
 
 
 def _same_scale(a, b) -> bool:
@@ -260,8 +258,8 @@ class HATMasker(PayloadModule):
 
     A member masker (``stack_members``) holds an [M,F] row per task, one
     row per member, and gates [M,B,F] data along its last axis; its mask
-    scale is one float or an [M,1] column (``_check_member_scale``), and its
-    stored masks and cumulative mask are [M,F] too.
+    scale is an [M,1] column (``_check_member_scale``), and its stored masks
+    and cumulative mask are [M,F] too.
     """
 
     def __init__(self, n_features: int, task_count: int, layer_tag: str,
@@ -300,28 +298,14 @@ class HATMasker(PayloadModule):
         claimed.flags.writeable = False
         self._cumulative = claimed
 
-    def current_mask(self, task: int, scale: Optional[float]) -> Tensor:
-        """The live (differentiable) mask for a task at a given scale.
-
-        ``attention`` over the task's embedding row; on a training tape the
-        row's hook compensates its gradient (see ``apply``). A completed
-        task's mask is its stored one, a constant with no embedding parent.
-        """
-        if self.members is not None:
-            raise UsageError(f"masker '{self.layer_tag}' has {self.members} members; "
-                             f"current_mask serves unstacked maskers only")
-        task, s = self._check_task(task), self.resolve_scale(scale)
-        if task in self.stored_task_masks:
-            return Tensor(self.mask_values(task))
-        return attention(self.embedding_rows[task], s)
-
-    def mask_values(self, task: int, scale: Optional[float] = None) -> np.ndarray:
-        """Mask as plain numbers, no tape; a completed task's stored one."""
-        task, s = self._check_task(task), self.resolve_scale(scale)
+    def mask_values(self, task: int) -> np.ndarray:
+        """Mask at ``s_max`` as plain numbers, no tape; a completed task's
+        stored one."""
+        task = self._check_task(task)
         stored = self.stored_task_masks.get(task)
         if stored is not None:
             return stored.astype(np.float64)
-        return sigmoid_values(s * self.embedding_rows[task].data)
+        return sigmoid_values(self.s_max * self.embedding_rows[task].data)
 
     def apply(self, payload: HATPayload) -> Tensor:
         """The payload's data with this masker's mask for its task applied.
@@ -464,6 +448,13 @@ def _dense(x: Tensor, weight: Tensor, bias: Tensor, who: str) -> Tensor:
     return ops.linear(x, weight, bias)
 
 
+def _fresh_leaves(shape: tuple, fan_in: int, rng: np.random.Generator) -> tuple:
+    """A weighted layer's ``(weight, bias)``: standard-normal draws times
+    sqrt(1/fan_in), and zeros over the output units (``shape[0]``)."""
+    weight = Tensor(rng.standard_normal(shape) * np.sqrt(1.0 / fan_in), requires_grad=True)
+    return weight, Tensor(np.zeros(shape[0]), requires_grad=True)
+
+
 class Linear(Module):
     """Plain dense layer y = x Wᵀ + b on bare tensors."""
 
@@ -472,10 +463,7 @@ class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.in_features = in_features = _width(in_features, "in_features")
         self.out_features = out_features = _width(out_features, "out_features")
-        bound = np.sqrt(1.0 / in_features)
-        self.weight = Tensor(rng.standard_normal((out_features, in_features)) * bound,
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
+        self.weight, self.bias = _fresh_leaves((out_features, in_features), in_features, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return _dense(x, self.weight, self.bias, "linear")
@@ -501,7 +489,7 @@ class LayerNorm(Module):
         self.shift.data[...] = 0.0
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.layer_norm(x, self.gain, self.shift)  # eps 1e-5
+        return ops.layer_norm(x, self.gain, self.shift)
 
 
 class InputSide(NamedTuple):
@@ -519,21 +507,20 @@ class InputSide(NamedTuple):
 
 
 class _GatedWeightedLayer(PayloadModule):
-    """Shared plumbing for weighted layers with an output masker."""
+    """A weighted layer with an output masker over its ``shape[0]`` output
+    units; a kind checks its geometry, then builds its leaves here."""
 
-    weight: Tensor
-    bias: Tensor
-    output_masker: HATMasker
-    layer_tag: str
     _leaf_names = ("weight", "bias")
 
-    def __init__(self):
+    def __init__(self, shape: tuple, fan_in: int, task_count: int, layer_tag: str,
+                 rng: np.random.Generator, s_max: float):
+        self.layer_tag = layer_tag = _tag(layer_tag)
+        self.weight, self.bias = _fresh_leaves(shape, fan_in, rng)
+        self.output_masker = HATMasker(shape[0], task_count, layer_tag + ".mask",
+                                       s_max=s_max)
         # alone, a layer is a first layer; every Sequential holding it
         # rebinds this from the model's structure (see walk)
         self.input_side = InputSide()
-
-    def _weighted(self, x: Tensor) -> Tensor:
-        raise NotImplementedError
 
     def _held(self, units) -> list:
         a_out, side = units(self.output_masker), self.input_side
@@ -552,16 +539,10 @@ class HATLinear(_GatedWeightedLayer):
 
     def __init__(self, in_features: int, out_features: int, task_count: int,
                  layer_tag: str, rng: np.random.Generator, s_max: float = 400.0):
-        super().__init__()
         self.in_features = in_features = _width(in_features, "in_features")
         self.out_features = out_features = _width(out_features, "out_features")
-        self.layer_tag = layer_tag = _tag(layer_tag)
-        bound = np.sqrt(1.0 / in_features)
-        self.weight = Tensor(rng.standard_normal((out_features, in_features)) * bound,
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
-        self.output_masker = HATMasker(out_features, task_count,
-                                       layer_tag + ".mask", s_max=s_max)
+        super().__init__((out_features, in_features), in_features, task_count,
+                         layer_tag, rng, s_max)
 
     def _weighted(self, x: Tensor) -> Tensor:
         return _dense(x, self.weight, self.bias, f"'{self.layer_tag}'")
@@ -573,20 +554,13 @@ class HATConv2d(_GatedWeightedLayer):
     def __init__(self, in_channels: int, out_channels: int, kernel_size,
                  task_count: int, layer_tag: str, rng: np.random.Generator,
                  stride=1, padding=0, s_max: float = 400.0):
-        super().__init__()
         self.in_channels = in_channels = _width(in_channels, "in_channels")
         self.out_channels = out_channels = _width(out_channels, "out_channels")
         kh, kw = ops._pair(kernel_size, "kernel_size", 1)
         self.stride = ops._pair(stride, "stride", 1)
         self.padding = ops._pair(padding, "padding", 0)
-        self.layer_tag = layer_tag = _tag(layer_tag)
-        bound = np.sqrt(1.0 / (in_channels * kh * kw))
-        self.weight = Tensor(
-            rng.standard_normal((out_channels, in_channels, kh, kw)) * bound,
-            requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
-        self.output_masker = HATMasker(out_channels, task_count,
-                                       layer_tag + ".mask", s_max=s_max)
+        super().__init__((out_channels, in_channels, kh, kw), in_channels * kh * kw,
+                         task_count, layer_tag, rng, s_max)
 
     def _weighted(self, x: Tensor) -> Tensor:
         return ops.conv2d(x, self.weight, self.bias,
@@ -630,13 +604,8 @@ def task_indexed_linear(in_features: int, out_features: int, task_count: int,
     # indistinguishable until their task trains them apart
     task_count = _width(task_count, "task_count")
     first = Linear(in_features, out_features, rng)
-    rest = []
-    for _ in range(task_count - 1):
-        twin = Linear(in_features, out_features, rng)
-        twin.weight.data[...] = first.weight.data
-        twin.bias.data[...] = first.bias.data
-        rest.append(twin)
-    return TaskIndexed([first] + rest, layer_tag)
+    return TaskIndexed([first] + [copy.deepcopy(first) for _ in range(task_count - 1)],
+                       layer_tag)
 
 
 class Sequential(PayloadModule):

@@ -54,7 +54,8 @@ it with no transposing copy. ``permute`` copies into a fresh C-order
 array, and a leaf's ``.grad`` is always C-order.
 
 Everything defaults to double precision. Single precision is available by
-constructing tensors with ``dtype=np.float32``.
+constructing tensors with ``dtype=np.float32``, but a completed task's
+outputs still widen to float64: its stored mask is read as float64.
 """
 
 from __future__ import annotations
@@ -633,7 +634,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     return _record("conv2d", inputs, out.transpose(3, 0, 1, 2), backward_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     """Per-row normalization of [B,F] with learnable gain and shift.
 
     Centres each row once and reuses it for the variance (over F, not F-1)
@@ -649,7 +650,7 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Ten
         return np.add.reduce(v, axis=1, keepdims=True) / nfeat
 
     d = x.data - row_mean(x.data)
-    inv = 1.0 / np.sqrt(row_mean(d * d) + eps)
+    inv = 1.0 / np.sqrt(row_mean(d * d) + 1e-5)  # eps: a constant row stays finite
     xhat = d * inv
     out = gain.data * xhat + shift.data
 

@@ -29,11 +29,19 @@ from .tensor import ShapeError, StateError, Tape, Tensor, UsageError, sigmoid_va
 SCHEDULES = ("linear", "cosine")  # how the mask scale moves within an epoch
 
 
+def check_s_max(value) -> float:
+    """``value`` as a schedule's ``s_max``: a real number, finite and >= 1,
+    since both schedules span [1/s_max, s_max]. Anything else is refused."""
+    if _real(value) and 1.0 <= value < math.inf:
+        return float(value)
+    raise UsageError(f"s_max must be finite and >= 1, got {value!r}")
+
+
 def scale_linear(b: int, B: int, s_max: float) -> float:
     """Within-epoch linear ramp: batch 1 maps to 1/s_max, batch B >= 1 to s_max.
     The batch index ``b`` must be an int in [1, B] (a numpy int included;
-    a float or a bool is refused)."""
-    s_max = check_scale(s_max, "s_max")
+    a float or a bool is refused), and ``s_max`` as ``check_s_max``."""
+    s_max = check_s_max(s_max)
     B = _width(B, "batches per epoch")
     if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or not 1 <= b <= B:
         raise UsageError(f"batch index must be an int in [1, {B}], got {b!r}")
@@ -49,12 +57,12 @@ def scale_cosine(p: float, s_max: float, s_min: Optional[float] = None) -> float
 
     s(0) = s(1) = s_max; the raw curve touches zero at p = 0.5, where the
     floor (default 1/s_max) takes over. The progress ``p`` must be a real
-    number in [0, 1] (a bool or a string is refused), and ``s_min`` no
-    larger than ``s_max``.
+    number in [0, 1] (a bool or a string is refused), ``s_max`` as
+    ``check_s_max`` and ``s_min`` no larger than ``s_max``.
     """
     if not (_real(p) and 0.0 <= p <= 1.0):
         raise UsageError(f"progress must lie in [0,1], got {p!r}")
-    s_max = check_scale(s_max, "s_max")
+    s_max = check_s_max(s_max)
     s_min = 1.0 / s_max if s_min is None else check_scale(s_min, "s_min")
     if s_min > s_max:  # the floor would lift s(0) and s(1) off s_max
         raise UsageError(f"s_min must not exceed s_max, got {s_min!r} > {s_max!r}")
@@ -247,7 +255,7 @@ class TrainerConfig:
             raise UsageError(f"unknown schedule '{self.schedule}'")
         if self.init not in EMBEDDING_INITS:
             raise UsageError(f"unknown init '{self.init}'")
-        check_scale(self.s_max, "s_max")
+        check_s_max(self.s_max)
 
 
 @dataclass
@@ -365,13 +373,15 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     frees its graph and detaches every parameter from it.
     A task already finalized, or whose embedding row at some masker is not
     finite, is refused with ``StateError`` before training and again
-    before any masker finalizes it. A batch whose loss is not finite is
-    refused with ``StateError`` before its optimizer step, leaving no
-    gradient behind, so the task can be trained again on finite data. A
-    dataset with no samples, with a label count that differs from its
-    sample count, with samples that hold NaN or ±inf, or with labels that
-    are not integers, is refused before anything is touched, as is a
-    ``cfg.task_count`` or ``cfg.s_max`` other than some masker's.
+    before any masker finalizes it. A batch whose loss, or whose gradient
+    of the task's embedding rows (``relu`` hides a NaN from the loss, not
+    from the gate's backward), is not finite is refused with ``StateError``
+    before its optimizer step, leaving no gradient behind, so the task can
+    be trained again on finite data. A dataset with no samples, with a label
+    count that differs from its sample count, with samples that hold NaN or
+    ±inf, or with labels that are not integers, is refused before anything
+    is touched, as is a ``cfg.task_count`` or ``cfg.s_max`` other than some
+    masker's.
 
     A member model (``layers.stack_members``) trains its M independent runs
     in lockstep along the leading member axis: one tape, one backward and
@@ -384,7 +394,8 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     array of them; a member stops at its first True and takes no further
     optimizer step, and training ends once every member has stopped. A
     member's non-finite loss refuses the whole group's batch as above,
-    naming the member. Returns one list of EpochMetrics per member.
+    naming the member; so does a non-finite row gradient. Returns one list
+    of EpochMetrics per member.
     """
     members = model.members
     cfgs = _member_configs(cfg, members)
@@ -430,6 +441,7 @@ def train_task(model: Sequential, dataset, task: Optional[int],
                            for b in batch_indices])  # [B,M,1]: row b - 1 is batch b's column
         scales.flags.writeable = False
         active = np.ones(members, dtype=bool)
+    rows = [] if task is None else [m.embedding_rows[task] for m in maskers]
     metrics = [[] for _ in cfgs]
     global_batch = 0
     stopped = False
@@ -464,6 +476,12 @@ def train_task(model: Sequential, dataset, task: Optional[int],
                     raise StateError(f"{refused}loss of epoch {epoch} batch {b} is not "
                                      f"finite; refused before its optimizer step")
                 tape.backward(total)
+                refused = _row_refusal(rows, active)
+                if refused is not None:
+                    optimizer.zero_grad()
+                    raise StateError(f"{refused}gradient of task {task}'s embedding rows "
+                                     f"in epoch {epoch} batch {b} is not finite; "
+                                     f"refused before its optimizer step")
             finally:
                 del tape  # frees the graph, even while a refusal's traceback lives
             optimizer.step(live)
@@ -519,6 +537,16 @@ def _non_finite(loss, active: Optional[np.ndarray]) -> Optional[str]:
         return None
     bad = np.flatnonzero(active & ~finite)
     return f"member {bad[0]}'s " if len(bad) else None
+
+
+def _row_refusal(rows: list, active: Optional[np.ndarray]) -> Optional[str]:
+    """As ``_non_finite`` for the rows' gradients: a sum over them all is
+    not finite where an entry is NaN or ±inf; only then are they summed
+    per member, to name one."""
+    grads = [row.grad for row in rows if row.grad is not None]
+    if math.isfinite(sum(np.add.reduce(g, axis=None) for g in grads)):
+        return None
+    return _non_finite(sum(np.add.reduce(g, axis=-1) for g in grads), active)
 
 
 def _stop_flags(stop, members: Optional[int]) -> np.ndarray:

@@ -143,7 +143,7 @@ class TestConfig:
         for name in SIZE_FIELDS:
             with pytest.raises(tg.UsageError, match=name):
                 bench.ExperimentConfig(**{name: 0})
-        for s_max in (0.0, -1.0, float("inf"), float("nan")):
+        for s_max in (0.0, -1.0, float("inf"), float("nan"), 0.5):
             with pytest.raises(tg.UsageError, match="s_max"):
                 bench.ExperimentConfig(s_max=s_max)
         nan = float("nan")
@@ -283,6 +283,7 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [(name, "0") for name in SIZE_FIELDS]
                              + [("s_max", "0"), ("s_max", "nan"), ("s_max", "-inf"),
+                                ("s_max", "0.5"),
                                 ("reg_lambda", "nan"), ("lr", "nan"),
                                 ("momentum", "1"), ("theta_hi", "2")])
     def test_degenerate_config_is_one_line_error(self, tmp_path, capsys, key, value):

@@ -216,65 +216,67 @@ class TestMaskerLifecycle:
         np.testing.assert_array_equal(out.data, x.data * [1.0, 0.0])
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [1.0, 0.0]])
         assert m.embedding_rows[0].grad is None
-        np.testing.assert_array_equal(m.mask_values(0, 2.0), [1.0, 0.0])
-
-    def test_current_mask_of_a_completed_task_is_its_stored_mask(self):
-        # a soft finalized (0.9, 0.3) runs on (1, 0); current_mask says so
-        # too, as a constant that gives the embedding row no gradient
-        m = HATMasker(2, 2, "m")
-        soft = np.array([0.9, 0.3])
-        m.embedding_rows[0].data[...] = np.log(soft / (1.0 - soft)) / 400.0
-        m.finalize_task(0)
-        with Tape() as tape:
-            mask = m.current_mask(0, 2.0)
-            recorded = len(tape.nodes)
-        np.testing.assert_array_equal(mask.data, [1.0, 0.0])
-        assert mask.node_id is None and not mask.requires_grad
-        assert recorded == 0
-        np.testing.assert_array_equal(m.current_mask(0, None).data, m.mask_values(0))
+        np.testing.assert_array_equal(m.mask_values(0), [1.0, 0.0])
 
     @pytest.mark.parametrize("gate", [None, "eval", "other scale"])
     @pytest.mark.parametrize("s", [1.0 / 400.0, 2.5, 400.0])
     def test_live_mask_is_attention(self, s, gate):
-        # current_mask records attention's scale and sigmoid nodes, with its
-        # value and row gradient; after a training gate at another scale the
-        # row's hook compensates both at the gate's scale
+        # a live mask is attention over the row: scale and sigmoid nodes
+        # whose value is the masker's sigmoid at that scale. An eval gate
+        # before it hooks nothing; after a training gate at another scale
+        # the row's hook compensates attention's contribution at the gate's
+        # scale
         rng = np.random.default_rng(44)
         e = np.concatenate([rng.uniform(-1, 1, 5), [0.0, -0.0, 3.0, -3.0]])
         w = rng.standard_normal(len(e))
         x = rng.standard_normal((2, len(e)))
+        training = gate == "other scale"
+        gate_s = 2.0 * s if training else s
 
-        def mask_and_grad(live):
+        def mask_and_grad(gated, attend, training=False):
             m = HATMasker(len(e), 2, "m")
             row = m.embedding_rows[0]
             row.data[...] = e
+            mask = None
             with Tape() as tape:
                 terms = []
-                if gate is not None:  # an eval gate hooks nothing; a training
-                    # gate at another scale hooks the row
-                    training = gate == "other scale"
-                    p = m(HATPayload(Tensor(x), task=0, scale=2.0 * s if training else s,
-                                     training=training))
+                if gated:
+                    p = m(HATPayload(Tensor(x), task=0, scale=gate_s, training=training))
                     terms.append(tg.reduce_sum(p.masked_data()))
-                recorded = len(tape.nodes)
-                mask = m.current_mask(0, s) if live else attention(row, s)
-                ops = [n.op for n in tape.nodes[recorded:] if n.op != "leaf"]
-                terms.append(tg.reduce_sum(tg.mul(mask, Tensor(w))))
+                if attend:
+                    recorded = len(tape.nodes)
+                    mask = attention(row, s)
+                    ops = [n.op for n in tape.nodes[recorded:] if n.op != "leaf"]
+                    assert ops == ["scale", "sigmoid"]
+                    scaled = tape.nodes[mask.node_id].parents[0]
+                    assert tape.nodes[scaled].parents == (row.node_id,)
+                    terms.append(tg.reduce_sum(tg.mul(mask, Tensor(w))))
                 loss = terms[0] if len(terms) == 1 else tg.add(*terms)
             tape.backward(loss)
-            if live:
-                assert ops == ["scale", "sigmoid"]
-                scaled = tape.nodes[mask.node_id].parents[0]
-                assert tape.nodes[scaled].parents == (row.node_id,)
-            return mask.data.tobytes(), row.grad.tobytes()
+            return mask, row.grad.copy()
 
-        assert mask_and_grad(live=True) == mask_and_grad(live=False)
+        mask, grad = mask_and_grad(gate is not None, True, training)
+        assert mask.data.tobytes() == tg.sigmoid_values(s * e).tobytes()
+        if gate is None:
+            return
+        raw_gate, raw_attention = mask_and_grad(True, False)[1], mask_and_grad(False, True)[1]
+        if training:
+            def protect(raw):
+                return grad_rail(grad_compensate(raw, e, gate_s, 400.0),
+                                 float(np.max(np.abs(raw))))
+            assert not np.array_equal(protect(raw_attention), raw_attention)
+            raw_gate, raw_attention = protect(raw_gate), protect(raw_attention)
+        np.testing.assert_array_equal(grad, raw_gate + raw_attention)
 
     def test_stored_mask_binarized_at_half(self):
-        m = HATMasker(2, 2, "m")
-        m.embedding_rows[0].data[...] = [1.0, -1.0]
+        # saturated units, and units whose sigmoid(s_max * e) is 0.55 and
+        # 0.45: the threshold is 0.5, not elsewhere between them
+        m = HATMasker(4, 2, "m")
+        soft = np.array([0.55, 0.45])
+        m.embedding_rows[0].data[...] = np.r_[1.0, -1.0, np.log(soft / (1.0 - soft)) / 400.0]
+        np.testing.assert_allclose(m.mask_values(0)[2:], soft, atol=1e-12)
         m.finalize_task(0)
-        np.testing.assert_array_equal(m.stored_task_masks[0], [True, False])
+        np.testing.assert_array_equal(m.stored_task_masks[0], [True, False, True, False])
 
     def test_first_task_saturated_ones(self):
         m = HATMasker(4, 2, "m")  # embeddings start at 1
@@ -391,8 +393,7 @@ class TestScaleChecks:
         if completed:
             set_binary_row(m, 0, [1])
             m.finalize_task(0)
-        calls = [lambda: m.resolve_scale(bad), lambda: m.mask_values(0, bad),
-                 lambda: m.current_mask(0, bad),
+        calls = [lambda: m.resolve_scale(bad),
                  lambda: m.apply(_payload(np.ones((2, 3)), 0, bad)),
                  lambda: attention(m.embedding_rows[0], bad)]
         for call in calls:
@@ -404,9 +405,10 @@ class TestScaleChecks:
         m = HATMasker(3, 2, "m", s_max=np.float32(8.0))
         assert type(m.s_max) is float and m.s_max == 8.0
         m.embedding_rows[0].data[...] = [0.5, -0.25, 1.0]
+        want = m.apply(_payload(np.ones((2, 3)), 0, 2.0)).data
         for s in (np.float64(2.0), np.int64(2), 2):
             assert m.resolve_scale(s) == 2.0
-            np.testing.assert_array_equal(m.mask_values(0, s), m.mask_values(0, 2.0))
+            np.testing.assert_array_equal(m.apply(_payload(np.ones((2, 3)), 0, s)).data, want)
 
 
 class TestCumulativeMaskRecord:
@@ -422,8 +424,8 @@ class TestCumulativeMaskRecord:
         # leave the records, and so the object, as they are
         with Tape():
             m.apply(_payload(np.ones((2, 3)), 0, 2.0))
-            m.current_mask(0, 2.0)
-        m.mask_values(0, 2.0)
+            attention(m.embedding_rows[0], 2.0)
+        m.mask_values(0)
         m.clamp_embeddings(0)
         m.reset_task(1, "ones")
         assert m.cumulative_mask is first
@@ -664,7 +666,7 @@ class TestGatedForward:
                     p = m(HATPayload(Tensor(x), task=0, scale=s, training=training))
                     terms.append(tg.reduce_sum(p.masked_data()))
                 if penalty:
-                    live = m.current_mask(0, s) if gate else attention(row, s)
+                    live = attention(row, s)
                     terms.append(tg.regularizer([live], [cum], tasks))
                 loss = terms[0] if len(terms) == 1 else tg.add(*terms)
             if gate and penalty:
@@ -848,6 +850,27 @@ class TestTaskIndexed:
         ti.submodules[1].shift.data[...] = 2.0
         out1b = ti.forward(HATPayload(Tensor(x), task=1, scale=1.0))
         assert not np.array_equal(out0.data.data, out1b.data.data)
+
+    @pytest.mark.parametrize("task_count", [1, 2, 4])
+    def test_linear_slots_start_bit_equal_and_share_no_array(self, task_count):
+        # the first slot's draw, copied: one weight draw for every slot
+        rng = np.random.default_rng(47)
+        ti = tg.task_indexed_linear(5, 3, task_count, "head", rng)
+        want = Linear(5, 3, np.random.default_rng(47))
+        leaves = [leaf for sub in ti.submodules for leaf in sub.local_parameters()]
+        for sub in ti.submodules:
+            assert sub.weight.data.tobytes() == want.weight.data.tobytes()
+            assert sub.bias.data.tobytes() == want.bias.data.tobytes()
+            assert sub.weight.requires_grad and sub.bias.requires_grad
+        arrays = [leaf.data for leaf in leaves]
+        assert len({id(a) for a in arrays}) == len({id(leaf) for leaf in leaves}) \
+            == 2 * task_count
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+        # what follows on the rng is the draw after one Linear's
+        after = np.random.default_rng(47)
+        Linear(5, 3, after)
+        assert rng.standard_normal() == after.standard_normal()
 
     def test_fresh_submodules_agree_on_any_input(self):
         rng = np.random.default_rng(42)

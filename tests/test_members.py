@@ -63,7 +63,7 @@ def locked(masker):
     """A lock-in test on the first masker's softened mask, unit 0 on and
     the last unit short of fully on, that some gaussian-init members meet
     mid-run and the ones-init members never do."""
-    mask = masker.mask_values(0, scale=10.0)
+    mask = tg.sigmoid_values(10.0 * masker.embedding_rows[0].data)
     return (mask[..., 0] > 0.95) & (mask[..., -1] < 0.99)
 
 
@@ -381,14 +381,43 @@ class TestRefusals:
                              on_batch_end=stop_member_1)
         assert [len(runs) for runs in metrics] == [1, 1]
 
+    def test_a_live_members_non_finite_embedding_gradient_refuses_the_batch(self):
+        # a NaN in member 1's l1 output reaches no loss past relu, but the
+        # gate's backward writes it into member 1's task-0 rows
+        def gated_group():
+            group = stack_members([build("gated", seed, "ones") for seed in range(2)])
+            return group, group.steps[0].weight
+
+        group, weight = gated_group()
+        weight.data[1, 0, 0] = np.nan
+        before = [a.tobytes() for a in arrays(group)]
+        with np.errstate(invalid="ignore"), pytest.raises(
+                tg.StateError, match="member 1's gradient of task 0's embedding rows "
+                                     "in epoch 0 batch 1 is not finite") as err:
+            train_task(group, group_data(), 0, group_configs())
+        assert "\n" not in str(err.value)
+        assert [a.tobytes() for a in arrays(group)] == before
+
+        # a member that has stopped no longer counts
+        group, weight = gated_group()
+
+        def stop_member_1(index, _model):
+            weight.data[1, 0, 0] = np.nan
+            return np.array([False, True])
+
+        with np.errstate(invalid="ignore"):
+            metrics = train_task(group, group_data(), 0, group_configs(),
+                                 on_batch_end=stop_member_1)
+        assert [len(runs) for runs in metrics] == [1, 1]
+
     def test_member_mask_scales(self):
         masker = toy_group().maskers()[0]
         data = Tensor(np.ones((2, 3, 5)))
         for scale in (np.array([[1.0], [-1.0]]), np.array([[np.inf], [1.0]]),
-                      np.array([1.0, 2.0]), [[1.0], [2.0]], "1"):
-            with pytest.raises(tg.UsageError, match="for each of 2 members"):
+                      np.array([1.0, 2.0]), [[1.0], [2.0]], "1",
+                      1.0, np.float64(2.0), 3):  # one scale for every member
+            with pytest.raises(tg.UsageError, match="for each of 2 members") as err:
                 masker.apply(HATPayload(data, task=0, scale=scale))
+            assert "\n" not in str(err.value)
         with pytest.raises(tg.ShapeError, match="needs \\[2,B,F\\] data"):
             masker.apply(HATPayload(Tensor(np.ones((3, 5))), task=0, scale=1.0))
-        with pytest.raises(tg.UsageError, match="unstacked maskers only"):
-            masker.current_mask(0, 1.0)

@@ -44,7 +44,7 @@ class TestTaskIds:
     USES = {
         "payload": lambda model, t: HATPayload(Tensor(np.ones((1, 3))), task=t, scale=1.0),
         "mask_values": lambda model, t: model.maskers()[0].mask_values(t),
-        "current_mask": lambda model, t: model.maskers()[0].current_mask(t, 2.0),
+        "clamp_embeddings": lambda model, t: model.maskers()[0].clamp_embeddings(t),
         "submodule": lambda model, t: model.steps[2].submodule(t),
         "forget_task": lambda model, t: tg.forget_task(model, t),
         "task_parameters": lambda model, t: model.task_parameters(t),

@@ -180,8 +180,9 @@ def generic_regularizer(current_masks, cumulative, task_count):
 
 def penalty_and_grads(regularize, rows, cums, weight, live, tasks=4, s=2.5):
     """The penalty's value and each masker's embedding gradient when the
-    loss is ``weight * penalty``; ``live`` asks for the gates' live masks,
-    as train_task does, instead of plain sigmoids."""
+    loss is ``weight * penalty`` over ``attention`` masks; ``live`` runs
+    each masker's training gate first, as train_task does, so the rows'
+    hooks compensate the penalty's gradients."""
     maskers = [HATMasker(len(e), tasks, f"m{i}") for i, e in enumerate(rows)]
     for m, e in zip(maskers, rows):
         m.embedding_rows[0].data[...] = e
@@ -190,9 +191,7 @@ def penalty_and_grads(regularize, rows, cums, weight, live, tasks=4, s=2.5):
             for m in maskers:
                 m.apply(HATPayload(Tensor(np.ones((3, m.n_features))), task=0,
                                    scale=s, training=True))
-            masks = [m.current_mask(0, s) for m in maskers]
-        else:
-            masks = [tg.attention(m.embedding_rows[0], s) for m in maskers]
+        masks = [tg.attention(m.embedding_rows[0], s) for m in maskers]
         penalty = regularize(masks, cums, tasks)
         loss = tg.scale(penalty, weight)
     if loss.node_id is not None:
@@ -267,17 +266,28 @@ class TestPenaltyNode:
     (lambda: scale_cosine(True, 400.0), "progress"),
     (lambda: scale_cosine(float("nan"), 400.0), "progress"),
     (lambda: scale_cosine(0.0, 400.0, 1000.0), "s_min must not exceed s_max"),
+    (lambda: scale_cosine(0.0, 0.5), r"s_max must be finite and >= 1, got 0\.5"),
+    (lambda: scale_linear(1, 4, 0.999), r"s_max must be finite and >= 1, got 0\.999"),
 ], ids=["regularizer", "regularizer saturated", "regularizer float", "cosine zero",
         "cosine nan", "cosine s_min zero", "cosine s_min nan", "linear zero",
         "linear nan", "linear inf", "linear no batches", "linear negative batches",
         "cosine string progress", "cosine none progress", "cosine bool progress",
-        "cosine nan progress", "cosine s_min above s_max"])
+        "cosine nan progress", "cosine s_min above s_max", "cosine s_max below one",
+        "linear s_max below one"])
 def test_degenerate_penalty_and_schedule_arguments_refused(call, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(tg.UsageError, match=name) as err:
             call()
     assert "\n" not in str(err.value)
+
+
+def test_s_max_of_one_is_a_flat_schedule():
+    # the least s_max: both schedules span [1/s_max, s_max], and below 1
+    # the cosine's floor exceeded s_max while the linear ramp fell
+    assert [scale_linear(b, 4, 1.0) for b in range(1, 5)] == [1.0] * 4
+    assert [scale_cosine(p, 1) for p in (0.0, 0.25, 0.5, 1.0)] == [1.0, 1.0, 1.0, 1.0]
+    assert TrainerConfig(s_max=1.0).s_max == bench.ExperimentConfig(s_max=1).s_max == 1
 
 
 def objective_and_grads(fused, rows, cums, weight, gated, tasks=4, s=2.5):
@@ -307,7 +317,7 @@ def objective_and_grads(fused, rows, cums, weight, gated, tasks=4, s=2.5):
             node = tape.nodes[out.node_id]
             assert node.op == "objective" and node.parents[0] == loss.node_id
         else:
-            masks = [m.current_mask(0, s) for m in maskers]
+            masks = [tg.attention(m.embedding_rows[0], s) for m in maskers]
             out = tg.add(loss, tg.scale(regularizer(masks, cums, tasks), weight))
     tape.backward(out)
     grads = [m.embedding_rows[0].grad for m in maskers]
@@ -472,16 +482,16 @@ def two_cluster_task(rng, n=120, dim=6, sep=6.0):
     return x[order], y[order]
 
 
-def spiked_continual_model(rng, tasks):
+def spiked_continual_model(rng, tasks, value=np.inf):
     """The continual model (dim 6, width 8) behind a function step, and
     that step: once its ``on`` is set it turns entry [0, 2] of each batch
-    into inf, a non-finite input that ``train_task``'s dataset check
-    cannot see."""
+    into ``value`` (inf, or NaN), a non-finite input that ``train_task``'s
+    dataset check cannot see."""
     def spike(x):
         if not spike.on:
             return x
         bump = np.zeros(x.shape)
-        bump[0, 2] = np.inf
+        bump[0, 2] = value
         return tg.add(x, Tensor(bump))
 
     spike.on = False
@@ -689,6 +699,31 @@ class TestTrainTask:
         spike.on = True
         with np.errstate(invalid="ignore", over="ignore"), \
                 pytest.raises(tg.StateError, match="not finite") as info:
+            train_task(model, data, 1, cfg)
+        spike.on = False
+        assert "\n" not in str(info.value)
+        params = model.task_parameters(1)
+        assert all(p.grad is None and np.isfinite(p.data).all() for p in params)
+        train_task(model, two_cluster_task(rng), 1, cfg)
+        assert all(m.completed_tasks() == [0, 1] for m in model.maskers())
+        assert np.isfinite(logits_of(model, test_x, 1)).all()
+        assert logits_of(model, test_x, 0).tobytes() == before.tobytes()
+
+    def test_a_nan_that_relu_hides_is_refused_before_the_step(self):
+        # relu maps the NaN to 0, so the loss stays finite, but the gate's
+        # backward wrote 0 * NaN into task 1's embedding row; the row stayed
+        # NaN, and retraining the task on finite data was refused too
+        rng = np.random.default_rng(62)
+        model, spike = spiked_continual_model(rng, 3, value=np.nan)
+        data = two_cluster_task(rng)
+        test_x = two_cluster_task(rng, n=40)[0]
+        cfg = TrainerConfig(task_count=3, epochs=2, batch_size=30, seed=1)
+        train_task(model, data, 0, cfg)
+        before = logits_of(model, test_x, 0)
+        spike.on = True
+        with np.errstate(invalid="ignore"), pytest.raises(
+                tg.StateError, match="gradient of task 1's embedding rows in epoch 0 "
+                                     "batch 1 is not finite") as info:
             train_task(model, data, 1, cfg)
         spike.on = False
         assert "\n" not in str(info.value)
@@ -1175,7 +1210,7 @@ class TestEvaluate:
             TrainerConfig(reg_lambda=-0.1)
         nan, inf = float("nan"), float("inf")
         for name, value in [("batch_size", 0), ("batch_size", -3), ("s_max", 0.0),
-                            ("s_max", -1.0), ("s_max", inf),
+                            ("s_max", -1.0), ("s_max", inf), ("s_max", 0.5),
                             ("s_max", nan), ("epochs", 0), ("epochs", -1),
                             ("schedule", "cosin"), ("schedule", "step"),
                             ("schedule", ""), ("init", "zeros"), ("init", ""),
