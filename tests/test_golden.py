@@ -1,9 +1,9 @@
 """Golden bytes of the command line's default outputs.
 
 Pins the SHA-256 of every file that `taskgate continual`, `taskgate forget`
-and `taskgate toy-init --repeats 3` write at their defaults, and of the
-files `continual --init gaussian` followed by `forget` write. A speed-up must
-leave all of them unchanged. A change that alters a default output on
+and `taskgate toy-init --repeats 3` write at their defaults, of the files
+`continual --init gaussian` followed by `forget` write, and of a short conv
+run's logits and leaves. A speed-up must leave all of them unchanged. A change that alters a default output on
 purpose updates its hash here and says in CHANGES.md what changed and why.
 
 The hashes were taken with Python 3.11, numpy 2.4.6 and OpenBLAS 0.3.31 on
@@ -13,9 +13,12 @@ differently and so fail every case here while the other tests pass.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from taskgate import cli
+from taskgate import cli, layers, training
+from taskgate import tensor as ops
+from taskgate.payload import HATPayload
 
 GOLDEN = {
     "continual_matrix.csv":
@@ -85,3 +88,50 @@ def test_default_output_bytes(outputs, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_GAUSSIAN))
 def test_gaussian_init_output_bytes(gaussian_outputs, name):
     assert _digest(gaussian_outputs / name) == GOLDEN_GAUSSIAN[name], f"{name} changed"
+
+
+# conv(3->4, pad 1) -> ReLU -> conv(4->8, stride 2, pad 1) -> ReLU -> flatten
+# -> task-indexed head on 3x12x12 images, 2 tasks of 64 samples, one epoch
+# at batch 32: every task's logits on its test images, then every leaf. Its
+# convolutions are BLAS products too, so the caveat above holds here as well.
+GOLDEN_CONV = "67a2be1dbe4ff4815bc8b355a53c9681b4921a1efec9fb69561c24a81eb3d3fe"
+
+
+def _conv_run():
+    rng = np.random.default_rng(2026)
+    count, shape = 2, (3, 12, 12)
+    model = layers.Sequential(
+        layers.HATConv2d(3, 4, 3, count, "conv1", rng, padding=1),
+        layers.ReLU(),
+        layers.HATConv2d(4, 8, 3, count, "conv2", rng, stride=2, padding=1),
+        layers.ReLU(),
+        lambda x: ops.reshape(x, (x.shape[0], -1)),
+        layers.task_indexed_linear(8 * 6 * 6, 2, count, "head", rng),
+    )
+    training.init_embeddings(model.maskers(), "ones")
+    cfg = training.TrainerConfig(task_count=count, s_max=400.0, schedule="cosine",
+                                 init="ones", lr=0.05, momentum=0.5, reg_lambda=0.075,
+                                 epochs=1, batch_size=32, seed=3)
+    tests = []
+    for t in range(count):
+        template = rng.standard_normal(shape)
+        y = rng.permutation(np.arange(96) % 2)
+        x = (rng.standard_normal((96,) + shape)
+             + (2 * y - 1).reshape(-1, 1, 1, 1) * 0.15 * template)
+        training.train_task(model, (x[:64], y[:64]), t, cfg)
+        tests.append(x[64:])
+    digest = hashlib.sha256()
+    for t, x in enumerate(tests):
+        logits = model.forward(HATPayload(ops.Tensor(x), task=t)).masked_data().data
+        digest.update(np.ascontiguousarray(logits).tobytes())
+    seen = set()
+    for t in range(count):
+        for leaf in model.task_parameters(t):
+            if id(leaf) not in seen:
+                seen.add(id(leaf))
+                digest.update(np.ascontiguousarray(leaf.data).tobytes())
+    return digest.hexdigest()
+
+
+def test_conv_run_bytes():
+    assert _conv_run() == GOLDEN_CONV, "conv logits or leaves changed"
