@@ -50,8 +50,10 @@ numpy's K order, so C-order operands give C-order results. Other orders
 start at ``conv2d``, whose [B,Cout,Ho,Wo] output is a permuted view laid
 out [Cout,Ho,Wo,B], batch innermost, as it computes it. A gate or ReLU on
 it keeps that order and a flatten is a view of it, so the next conv reads
-it with no transposing copy. ``permute`` copies into a fresh C-order
-array, and a leaf's ``.grad`` is always C-order.
+it with no transposing copy. Its input gradient is the same view of a dense
+[Cin,H,W,B] array, so the backward of a ReLU or gate before it multiplies
+dense arrays. ``permute`` copies into a fresh C-order array, and a leaf's
+``.grad`` is always C-order.
 
 Everything defaults to double precision. Single precision is available by
 constructing tensors with ``dtype=np.float32``, but a completed task's
@@ -532,14 +534,39 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, ho: int, wo: int
     return cols.reshape(c * kh * kw, ho * wo * b)
 
 
-def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, sh: int, sw: int, ho: int, wo: int) -> np.ndarray:
-    c, b = shape[0], shape[3]
-    xp = np.zeros(shape, dtype=cols.dtype)
-    cols = cols.reshape(c, kh, kw, ho, wo, b)
+def _col2im(cols: np.ndarray, shape: tuple, geometry: tuple) -> np.ndarray:
+    """The [Cin*kh*kw, Ho*Wo*B] columns summed back onto the [Cin,H,W,B]
+    ``shape``, as the [B,Cin,H,W] view of a dense array.
+
+    Padded row r lies in stride phase r % sh at row r // sh (columns alike),
+    so tap (i, j) lands on one phase plane as a shifted block: it is copied
+    into a zeroed stage and added to the plane as one contiguous run, since
+    a strided add costs several times a contiguous one. The plane entries
+    the stage's zeros reach start at +0.0 and only ever take sums, so they
+    are never -0.0 and adding +0.0 leaves their bits: each entry gets the
+    bits of adding the taps in (i, j) order into the padded image.
+    """
+    kh, kw, sh, sw, ph, pw, ho, wo = geometry
+    c, h, w, b = shape
+    qh, qw = -(-(h + 2 * ph) // sh), -(-(w + 2 * pw) // sw)
+    planes = np.zeros((sh, sw, c, qh, qw, b), dtype=cols.dtype)
+    stage = np.zeros((c, qh, qw, b), dtype=cols.dtype)
+    flat, size = stage.reshape(-1), stage.size
+    taps = cols.reshape(c, kh, kw, ho, wo, b)
     for i in range(kh):
         for j in range(kw):
-            xp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += cols[:, i, j]
-    return xp
+            stage[:, :ho, :wo] = taps[:, i, j]
+            off = ((i // sh) * qw + j // sw) * b
+            planes[i % sh, j % sw].reshape(-1)[off:] += flat[:size - off]
+    gx = np.empty(shape, dtype=cols.dtype)
+    for a in range(sh):
+        r = (a - ph) % sh  # the first image row in phase a, at plane row top
+        top, rows = (r + ph) // sh, len(range(r, h, sh))
+        for e in range(sw):
+            s = (e - pw) % sw
+            left, width = (s + pw) // sw, len(range(s, w, sw))
+            gx[:, r::sh, s::sw] = planes[a, e, :, top:top + rows, left:left + width]
+    return gx.transpose(3, 0, 1, 2)
 
 
 def _conv_tile(x: np.ndarray, wflat: np.ndarray, bias: Optional[np.ndarray],
@@ -571,8 +598,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     Results stay in that batch-innermost order: the output's ``.data`` is
     the [B,Cout,Ho,Wo] permuted view of a [Cout,Ho,Wo,B] array, and the
-    input gradient the same view of the folded columns' interior. An input
-    in that order (a conv's output, gated and through a ReLU) is then
+    input gradient the same view of a dense [Cin,H,W,B] array, which the
+    fold back from columns writes without the padding. An input in that
+    order (a conv's output, gated and through a ReLU) is then
     padded by one contiguous copy, and a gradient in it is read in place;
     only another order pays a transposing copy.
 
@@ -625,8 +653,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         gw = (gt @ cols.T).reshape(wshape)
         gx = None
         if need_gx:
-            gxp = _col2im(wflat.T @ gt, (cin, hp, wp, bsz), kh, kw, sh, sw, ho, wo)
-            gx = gxp[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2)
+            gx = _col2im(wflat.T @ gt, (cin, h, w, bsz), geometry)
         if b is None:
             return gx, gw
         return gx, gw, gt.sum(axis=1)

@@ -394,12 +394,12 @@ class TestConv2dReference:
     @pytest.mark.parametrize("with_bias", [True, False])
     @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
     @pytest.mark.parametrize("padding", [0, 1, (1, 0)])
-    @pytest.mark.parametrize("stride", [1, 2, (2, 1)])
+    @pytest.mark.parametrize("stride", [1, 2, (2, 1), 3, (1, 3)])
     def test_matches_loop_reference(self, stride, padding, kernel, with_bias, dtype):
         check_against_loop((2, 2, 5, 6), 3, kernel, stride, padding, with_bias, dtype)
 
     @pytest.mark.parametrize("padding", [0, 1])
-    @pytest.mark.parametrize("stride", [1, 2, (2, 1)])
+    @pytest.mark.parametrize("stride", [1, 2, (2, 1), 3, (1, 3)])
     def test_distinct_extents_batch_over_channels(self, stride, padding):
         # B=3, Cin=2, H=5, W=6, Cout=4: a mixed-up axis cannot go unnoticed,
         # and the batch is larger than the channel count.
@@ -466,6 +466,72 @@ def tile_sizes(monkeypatch):
 
     monkeypatch.setattr(tg.tensor, "_conv_tile", spy)
     return sizes
+
+
+def scatter_add_fold(cols, shape, geometry):
+    """The fold as a strided scatter-add: every tap added, in (i, j) order,
+    into a zeroed padded image, whose interior is the input gradient."""
+    kh, kw, sh, sw, ph, pw, ho, wo = geometry
+    c, h, w, b = shape
+    xp = np.zeros((c, h + 2 * ph, w + 2 * pw, b), dtype=cols.dtype)
+    cols = cols.reshape(c, kh, kw, ho, wo, b)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += cols[:, i, j]
+    return xp[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2)
+
+
+def fold_case(rng, stride, kernel, padding, image, batch, dtype, channels=2):
+    """Columns for one geometry, with -0.0, +-inf and NaN among finite
+    values (a few hundred random entries each)."""
+    (sh, sw), (kh, kw), (ph, pw), (h, w) = stride, kernel, padding, image
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    cols = rng.standard_normal((channels * kh * kw, ho * wo * batch)).astype(dtype)
+    flat = cols.reshape(-1)
+    for special in (-0.0, np.inf, -np.inf, np.nan):
+        flat[rng.integers(0, flat.size, max(1, flat.size // 50))] = special
+    return cols, (channels, h, w, batch), (kh, kw, sh, sw, ph, pw, ho, wo)
+
+
+class TestCol2im:
+    """conv2d's fold gives the strided scatter-add's bits, sign bits and NaNs
+    included, in a dense batch-innermost array."""
+
+    @staticmethod
+    def check(cols, shape, geometry):
+        with np.errstate(invalid="ignore"):  # inf + -inf where taps overlap
+            got = tg.tensor._col2im(cols, shape, geometry)
+            want = scatter_add_fold(cols, shape, geometry)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.transpose(1, 2, 3, 0).flags.c_contiguous
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), \
+            (shape, geometry)
+
+    @pytest.mark.parametrize("stride, kernel, padding, image, batch, dtype", [
+        ((3, 3), (2, 2), (0, 0), (7, 8), 4, np.float64),   # phases that get no tap
+        ((3, 3), (2, 2), (1, 1), (6, 6), 1, np.float64),
+        ((1, 3), (3, 2), (2, 0), (5, 9), 3, np.float64),   # asymmetric stride, padding
+        ((2, 1), (3, 3), (0, 2), (6, 4), 1, np.float32),
+        ((2, 2), (3, 3), (1, 1), (12, 12), 32, np.float32),  # perfbench's conv2
+        ((1, 1), (3, 3), (1, 1), (12, 12), 32, np.float64),  # perfbench's conv1
+        ((4, 4), (1, 1), (0, 0), (5, 5), 2, np.float64),   # kernel 1: one tap
+        ((2, 2), (5, 5), (2, 2), (5, 5), 3, np.float64),   # kernel as tall as the image
+    ])
+    def test_named_geometries(self, stride, kernel, padding, image, batch, dtype):
+        rng = np.random.default_rng(38)
+        self.check(*fold_case(rng, stride, kernel, padding, image, batch, dtype))
+
+    def test_random_geometries(self):
+        rng = np.random.default_rng(39)
+        for _ in range(200):
+            stride, kernel, padding = (tuple(int(v) for v in rng.integers(lo, hi, 2))
+                                       for lo, hi in ((1, 5), (1, 6), (0, 3)))
+            image = tuple(int(rng.integers(max(1, k - 2 * p), k + 8))
+                          for k, p in zip(kernel, padding))
+            batch = int(rng.choice([1, 2, 3, 8, 32]))
+            dtype = np.float32 if rng.random() < 0.5 else np.float64
+            self.check(*fold_case(rng, stride, kernel, padding, image, batch, dtype,
+                                  channels=int(rng.integers(1, 4))))
 
 
 def recorded_conv2d(x, w, b, **kwargs):
@@ -599,9 +665,9 @@ class TestConvLayout:
             assert batch_innermost(node.tensor.data), node.op
         # conv2's output gradient is read as [Cout, Ho*Wo*B] without a copy
         assert all(batch_innermost(arriving[i]) for i in (3, 4, 5))
-        # conv2's input gradient is a view of its folded columns' interior
-        g = arriving[2]
-        assert g.base is not None and not g.flags.c_contiguous and g.strides[0] == g.itemsize
+        # conv2's input gradient arrives dense in [C,H,W,B] order, so conv1's
+        # ReLU and gate multiply dense arrays and pass dense products on
+        assert all(batch_innermost(arriving[i]) for i in (0, 1, 2))
 
     @pytest.mark.parametrize("shape, tiles, convs", [
         ("perfbench", [32] * 4 + [48, 48, 32], 2),  # two convs -> flatten -> head
@@ -636,8 +702,9 @@ class TestConvLayout:
         tape.backward(loss)
         leaves = [x] + model.task_parameters(0)
         assert all(t.grad is not None and t.grad.flags.c_contiguous for t in leaves)
-        # the raw input's gradient reached it as a view of conv1's fold
-        assert tape.nodes[x.node_id].grad.base is not None
+        # the raw input's gradient reached it as the [B,C,H,W] view of conv1's
+        # dense fold, and its .grad is a C-order copy of that
+        assert batch_innermost(tape.nodes[x.node_id].grad)
 
 
 class TestReductionsAndLoss:
