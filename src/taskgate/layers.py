@@ -122,11 +122,20 @@ def _real(value) -> bool:
 
 
 def check_scale(value, name: str = "mask scale") -> float:
-    """``value`` as a mask scale or ``s_max``: a real number, finite and > 0.
+    """``value`` as a mask scale: a real number, finite and > 0.
     Anything else (NaN, an infinity, a bool, a string) is refused."""
     if _real(value) and 0.0 < value < math.inf:
         return float(value)
     raise UsageError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def check_s_max(value) -> float:
+    """``value`` as a masker's or a schedule's ``s_max``: a real number,
+    finite and >= 1, since both schedules span [1/s_max, s_max]. Anything
+    else is refused."""
+    if _real(value) and 1.0 <= value < math.inf:
+        return float(value)
+    raise UsageError(f"s_max must be finite and >= 1, got {value!r}")
 
 
 def _check_member_scale(value, members: int):
@@ -267,7 +276,7 @@ class HATMasker(PayloadModule):
         self.n_features = n_features = _width(n_features, "n_features")
         self.task_count = task_count = _width(task_count, "task_count")
         self.layer_tag = _tag(layer_tag)
-        self.s_max = check_scale(s_max, "s_max")
+        self.s_max = check_s_max(s_max)
         self.embedding_rows = [Tensor(np.ones(n_features), requires_grad=True)
                                for _ in range(task_count)]
         self.restore_stored_masks({})

@@ -22,19 +22,11 @@ import numpy as np
 
 from . import tensor as ops
 from .layers import (EMBEDDING_INITS, Sequential, _embedding_grad, _real, _same_scale,
-                     _width, check_embedding_init, check_scale)
+                     _width, check_embedding_init, check_s_max, check_scale)
 from .payload import HATPayload
 from .tensor import ShapeError, StateError, Tape, Tensor, UsageError, sigmoid_values
 
 SCHEDULES = ("linear", "cosine")  # how the mask scale moves within an epoch
-
-
-def check_s_max(value) -> float:
-    """``value`` as a schedule's ``s_max``: a real number, finite and >= 1,
-    since both schedules span [1/s_max, s_max]. Anything else is refused."""
-    if _real(value) and 1.0 <= value < math.inf:
-        return float(value)
-    raise UsageError(f"s_max must be finite and >= 1, got {value!r}")
 
 
 def scale_linear(b: int, B: int, s_max: float) -> float:

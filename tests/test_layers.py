@@ -376,15 +376,23 @@ BAD_SCALES = [0.0, -1.0, -5.0, float("nan"), float("inf"), -float("inf"), True,
 
 
 class TestScaleChecks:
-    @pytest.mark.parametrize("bad", BAD_SCALES + [None], ids=repr)
-    def test_bad_s_max_refused_when_built(self, bad):
+    @staticmethod
+    def builders(s_max):
         rng = np.random.default_rng(0)
-        for build in (lambda: HATMasker(3, 2, "m", s_max=bad),
-                      lambda: HATLinear(3, 2, 2, "l", rng, s_max=bad),
-                      lambda: HATConv2d(2, 3, 3, 2, "c", rng, s_max=bad)):
+        return (lambda: HATMasker(3, 2, "m", s_max=s_max),
+                lambda: HATLinear(3, 2, 2, "l", rng, s_max=s_max).output_masker,
+                lambda: HATConv2d(2, 3, 3, 2, "c", rng, s_max=s_max).output_masker)
+
+    # below 1 no training schedule can reach the masker's s_max
+    @pytest.mark.parametrize("bad", BAD_SCALES + [None, 0.5, 0.999], ids=repr)
+    def test_bad_s_max_refused_when_built(self, bad):
+        for build in self.builders(bad):
             with pytest.raises(tg.UsageError, match="s_max") as err:
                 build()
             assert "\n" not in str(err.value)
+
+    def test_s_max_of_one_is_accepted(self):
+        assert [build().s_max for build in self.builders(1.0)] == [1.0] * 3
 
     @pytest.mark.parametrize("completed", [False, True])
     @pytest.mark.parametrize("bad", BAD_SCALES, ids=repr)
