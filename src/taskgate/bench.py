@@ -24,11 +24,11 @@ from .checkpoint import config_text, load_model_state, model_state, read_entries
 from .data import TOY_USEFUL, TOY_USELESS, continual_tasks, toy_dataset
 from .forgetting import forget_task
 from .layers import EMBEDDING_INITS, HATLinear, HATMasker, Linear, ReLU, Sequential
-from .layers import (_real, _width, stack_members, task_indexed_layer_norm,
+from .layers import (_real, _width, check_s_max, stack_members, task_indexed_layer_norm,
                      task_indexed_linear)
 from .tensor import UsageError
-from .training import (SCHEDULES, TrainerConfig, check_s_max, check_trainer_numbers,
-                       evaluate, init_embeddings, train_task)
+from .training import (SCHEDULES, TrainerConfig, check_trainer_numbers, evaluate,
+                       init_embeddings, train_task)
 
 __all__ = [
     "AccuracyMatrix",

@@ -483,7 +483,7 @@ def scatter_add_fold(cols, shape, geometry):
 
 def fold_case(rng, stride, kernel, padding, image, batch, dtype, channels=2):
     """Columns for one geometry, with -0.0, +-inf and NaN among finite
-    values (a few hundred random entries each)."""
+    values (each at about 2 % of the entries)."""
     (sh, sw), (kh, kw), (ph, pw), (h, w) = stride, kernel, padding, image
     ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
     cols = rng.standard_normal((channels * kh * kw, ho * wo * batch)).astype(dtype)
