@@ -94,38 +94,40 @@ def read_entries(path) -> dict:
     """Read a checkpoint back into {name: array}.
 
     A corrupt or truncated file, or one whose names are out of order or
-    repeated, raises UsageError, whatever its header says.
+    repeated, raises UsageError naming the file, whatever its header says.
     """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    rd = _Reader(buf)
-    if rd.take(len(MAGIC)) != MAGIC:
-        raise UsageError(f"{path} is not a checkpoint file (bad magic)")
-    (count,) = rd.unpack("<Q")
-    entries, previous = {}, None
-    for _ in range(count):
-        (name_len,) = rd.unpack("<I")
-        name = _utf8(rd.take(name_len), "an entry name")
-        if previous is not None and name <= previous:
-            raise UsageError(f"entry '{name}' follows '{previous}'; entries must be "
-                             f"sorted by name, each name once")
-        previous = name
-        (code,) = rd.unpack("<B")
-        if code not in _CODE_TO_DTYPE:
-            raise UsageError(f"unknown dtype code {code} for entry '{name}'")
-        (rank,) = rd.unpack("<Q")
-        # sizes are Python ints checked by take() before any is used, so a
-        # corrupt rank or extent cannot overflow or allocate
-        shape = struct.unpack(f"<{rank}Q", rd.take(8 * rank))
-        dtype = _CODE_TO_DTYPE[code]
-        payload = rd.take(math.prod(shape) * dtype.itemsize)
-        try:
-            entries[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-        except ValueError:  # a rank or extent numpy cannot represent
-            raise UsageError(f"entry '{name}' has unsupported shape "
-                             f"{shape}") from None
-    if rd.pos != len(buf):
-        raise UsageError(f"{path} has {len(buf) - rd.pos} trailing bytes")
+        rd = _Reader(fh.read())
+    try:
+        if rd.take(len(MAGIC)) != MAGIC:
+            raise UsageError("not a checkpoint file (bad magic)")
+        (count,) = rd.unpack("<Q")
+        entries, previous = {}, None
+        for _ in range(count):
+            (name_len,) = rd.unpack("<I")
+            name = _utf8(rd.take(name_len), "an entry name")
+            if previous is not None and name <= previous:
+                raise UsageError(f"entry '{name}' follows '{previous}'; entries must "
+                                 f"be sorted by name, each name once")
+            previous = name
+            (code,) = rd.unpack("<B")
+            if code not in _CODE_TO_DTYPE:
+                raise UsageError(f"unknown dtype code {code} for entry '{name}'")
+            (rank,) = rd.unpack("<Q")
+            # sizes are Python ints checked by take() before any is used, so a
+            # corrupt rank or extent cannot overflow or allocate
+            shape = struct.unpack(f"<{rank}Q", rd.take(8 * rank))
+            dtype = _CODE_TO_DTYPE[code]
+            payload = rd.take(math.prod(shape) * dtype.itemsize)
+            try:
+                entries[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+            except ValueError:  # a rank or extent numpy cannot represent
+                raise UsageError(f"entry '{name}' has unsupported shape "
+                                 f"{shape}") from None
+        if rd.pos != len(rd.buf):
+            raise UsageError(f"{len(rd.buf) - rd.pos} trailing bytes after the last entry")
+    except UsageError as err:
+        raise UsageError(f"{path}: {err}") from None
     return entries
 
 

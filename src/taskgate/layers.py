@@ -308,13 +308,14 @@ class HATMasker(PayloadModule):
         self._cumulative = claimed
 
     def mask_values(self, task: int) -> np.ndarray:
-        """Mask at ``s_max`` as plain numbers, no tape; a completed task's
-        stored one."""
+        """Mask at ``s_max`` as plain numbers in the embedding row's dtype,
+        no tape; a completed task's stored one."""
         task = self._check_task(task)
         stored = self.stored_task_masks.get(task)
+        row = self.embedding_rows[task].data
         if stored is not None:
-            return stored.astype(np.float64)
-        return sigmoid_values(self.s_max * self.embedding_rows[task].data)
+            return stored.astype(row.dtype)
+        return sigmoid_values(self.s_max * row)
 
     def apply(self, payload: HATPayload) -> Tensor:
         """The payload's data with this masker's mask for its task applied.
@@ -325,8 +326,9 @@ class HATMasker(PayloadModule):
         one hook per tape that compensates each contribution reaching it at
         this scale and rails it to that contribution's own raw maximum (per
         member for a member masker); a training gate for the task at
-        another scale on that tape is refused. A completed task's data is a
-        plain ``mul`` by its stored mask.
+        another scale on that tape is refused. A completed task's gate
+        multiplies by its stored mask (``mask_values``) the same way, as a
+        node over the data alone: no row, no hook.
         """
         data = payload.data
         if payload.task is None:
@@ -344,23 +346,21 @@ class HATMasker(PayloadModule):
             raise ShapeError(f"masker '{self.layer_tag}' covers {self.n_features} "
                              f"features but data has {x.shape[feature_axis]}")
         s = self.resolve_scale(payload.scale)
-        if task in self.stored_task_masks:  # no gradient to its embedding
-            mask = self.mask_values(task)
-            if members is not None:  # mul broadcasts vectors over axis 1 alone
-                mask = np.broadcast_to(mask[:, None, :], x.shape)
-            return ops.mul(data, Tensor(mask))
+        completed = task in self.stored_task_masks  # no gradient to its embedding
         row = self.embedding_rows[task]
-        tape = Tape.current() if payload.training else None
+        tape = Tape.current() if payload.training and not completed else None
         note = None if tape is None else tape.notes.get(row)
         if note is not None and not _same_scale(note[0], s):
             raise UsageError(f"task {task} trains at masker '{self.layer_tag}' "
                              f"at scale {note[0]!r} on this tape, not {s!r}")
-        mask = sigmoid_values(row.data * s)
+        mask = self.mask_values(task) if completed else sigmoid_values(row.data * s)
         if members is None:  # the mask along axis 1 (elementwise for a vector)
             shaped = mask if x.ndim == 1 else mask.reshape((1, -1) + (1,) * (x.ndim - 2))
             axes = (0,) + tuple(range(2, x.ndim))
         else:  # member m's mask along the last axis of its [B,F] slice
             shaped, axes = mask[:, None, :], (1,)
+        if completed:
+            return ops._record("gate", (data,), x * shaped, lambda g: (g * shaped,))
         need_gx = data.requires_grad  # decided when recorded, as the parent ids are
 
         def backward_fn(g):

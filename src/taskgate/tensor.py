@@ -56,8 +56,8 @@ dense arrays. ``permute`` copies into a fresh C-order array, and a leaf's
 ``.grad`` is always C-order.
 
 Everything defaults to double precision. Single precision is available by
-constructing tensors with ``dtype=np.float32``, but a completed task's
-outputs still widen to float64: its stored mask is read as float64.
+constructing tensors with ``dtype=np.float32``; a completed task's outputs
+keep it, since its stored mask is read in its embedding row's dtype.
 """
 
 from __future__ import annotations

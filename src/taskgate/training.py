@@ -338,9 +338,11 @@ def _mask_scale(linear, b: int, batches: int, s_max: float):
     return np.where(linear, scale_linear(b, batches, s_max), cosine)
 
 
-def _epoch_metrics(epoch: int, loss, correct, seen: int, b: int) -> EpochMetrics:
-    return EpochMetrics(epoch=epoch, loss=float(loss) / max(b, 1),
-                        accuracy=int(correct) / max(seen, 1))
+def _close_epoch(metrics: list, runs: np.ndarray, epoch: int, loss, accuracy) -> None:
+    """Append an epoch's figures to the books of each run ``runs`` picks."""
+    for m in np.flatnonzero(runs):
+        metrics[m].append(EpochMetrics(epoch=epoch, loss=float(loss[m]),
+                                       accuracy=float(accuracy[m])))
 
 
 def train_task(model: Sequential, dataset, task: Optional[int],
@@ -369,11 +371,15 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     of the task's embedding rows (``relu`` hides a NaN from the loss, not
     from the gate's backward), is not finite is refused with ``StateError``
     before its optimizer step, leaving no gradient behind, so the task can
-    be trained again on finite data. A dataset with no samples, with a label
-    count that differs from its sample count, with samples that hold NaN or
-    ±inf, or with labels that are not integers, is refused before anything
-    is touched, as is a ``cfg.task_count`` or ``cfg.s_max`` other than some
-    masker's.
+    be trained again on finite data. The loss is checked before backward and
+    the rows after it, each by one ``math.isfinite`` on a sum of all its
+    values; only when that sum is NaN or ±inf are the values looked at one
+    run at a time, so a sum that overflows from finite values refuses
+    nothing. A model with no parameters to train for the task, a dataset
+    with no samples, with a label count that differs from its sample count,
+    with samples that hold NaN or ±inf, or with labels that are not
+    integers, is refused before anything is touched, as is a
+    ``cfg.task_count`` or ``cfg.s_max`` other than some masker's.
 
     A member model (``layers.stack_members``) trains its M independent runs
     in lockstep along the leading member axis: one tape, one backward and
@@ -388,10 +394,17 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     member's non-finite loss refuses the whole group's batch as above,
     naming the member; so does a non-finite row gradient. Returns one list
     of EpochMetrics per member.
+
+    Both kinds of model keep one set of books: each batch's losses, hit
+    counts, stop flags and epoch figures are arrays with an entry per run,
+    one for an unstacked model and M for a member model.
     """
     members = model.members
     cfgs = _member_configs(cfg, members)
     cfg = cfgs[0]  # what the members share
+    params = model.task_parameters(task)
+    if not params:  # backward would find no loss on the tape
+        raise UsageError(f"the model has no parameters to train for task {task}")
     x, y = _samples(dataset, members)
     n = y.shape[-1]
     maskers = model.maskers()
@@ -406,7 +419,7 @@ def train_task(model: Sequential, dataset, task: Optional[int],
         for masker in maskers:
             masker.check_finalizable(task)
 
-    optimizer = SGD(model.task_parameters(task), cfg.lr, cfg.momentum)
+    optimizer = SGD(params, cfg.lr, cfg.momentum)
     # capacity only changes when a task is finalized, so each layer's free
     # capacity is worked out once; a layer with none left pays no penalty
     # and asks for no live mask, and with none anywhere there is no term
@@ -423,7 +436,7 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     # each value checked here, before the first batch
     batch_indices = range(1, total_batches + 1)
     if members is None:
-        lanes, active = None, None
+        lanes = None
         scales = [_mask_scale(cfg.schedule == "linear", b, total_batches, cfg.s_max)
                   for b in batch_indices]
     else:  # member m reads row m of every stacked array
@@ -432,20 +445,19 @@ def train_task(model: Sequential, dataset, task: Optional[int],
         scales = np.stack([_mask_scale(linear, b, total_batches, cfg.s_max)
                            for b in batch_indices])  # [B,M,1]: row b - 1 is batch b's column
         scales.flags.writeable = False
-        active = np.ones(members, dtype=bool)
+    # the books keep one entry per run: one for an unstacked model, one per member
+    active = np.ones(len(cfgs), dtype=bool)
     rows = [] if task is None else [m.embedding_rows[task] for m in maskers]
     metrics = [[] for _ in cfgs]
     global_batch = 0
-    stopped = False
     live = None  # the members that step: all until one stops, then ``active``
 
     for epoch in range(cfg.epochs):
         orders = [np.random.default_rng([c.seed, 0 if task is None else task + 1, epoch])
                   .permutation(n) for c in cfgs]
         order = orders[0] if lanes is None else np.stack(orders)
-        epoch_loss = 0.0
-        correct = seen = 0
-        b = 0
+        epoch_loss, correct = np.zeros((2, len(cfgs)))  # the sums over its batches
+        seen = 0
         for b, start in enumerate(range(0, n, cfg.batch_size), start=1):
             idx = order[..., start:start + cfg.batch_size]
             key = idx if lanes is None else (lanes, idx)
@@ -461,14 +473,15 @@ def train_task(model: Sequential, dataset, task: Optional[int],
                         loss = _objective(loss, penalized, capacity, task, s,
                                           cfg.reg_lambda, neg_quota)
                     total = loss if lanes is None else ops.reduce_sum(loss)
-                batch_loss = loss.item() if lanes is None else loss.data
-                refused = _non_finite(batch_loss, active)
+                batch_loss = loss.data.reshape(-1)
+                refused = _refusal([batch_loss], active, members)
                 if refused is not None:
                     optimizer.zero_grad()
                     raise StateError(f"{refused}loss of epoch {epoch} batch {b} is not "
                                      f"finite; refused before its optimizer step")
                 tape.backward(total)
-                refused = _row_refusal(rows, active)
+                refused = _refusal([r.grad for r in rows if r.grad is not None],
+                                   active, members)
                 if refused is not None:
                     optimizer.zero_grad()
                     raise StateError(f"{refused}gradient of task {task}'s embedding rows "
@@ -482,33 +495,20 @@ def train_task(model: Sequential, dataset, task: Optional[int],
                 for masker in maskers:
                     masker.clamp_embeddings(task)
             epoch_loss += batch_loss
-            hits = logits.data.argmax(axis=-1) == labels
-            correct += (int(np.count_nonzero(hits)) if lanes is None
-                        else np.add.reduce(hits, axis=-1))
+            correct += np.add.reduce(logits.data.argmax(axis=-1) == labels, axis=-1)
             seen += idx.shape[-1]
             global_batch += 1
             if on_batch_end is None:
                 continue
-            flags = _stop_flags(on_batch_end(global_batch, model), members)
-            if lanes is None:
-                stopped = bool(flags)
-            else:
-                ended = active & flags
-                if np.logical_or.reduce(ended):
-                    for m in np.flatnonzero(ended):
-                        metrics[m].append(_epoch_metrics(epoch, epoch_loss[m], correct[m],
-                                                         seen, b))
-                    active &= ~ended
-                    live = active
-                    stopped = not np.logical_or.reduce(active)
-            if stopped:
-                break
-        if lanes is None:
-            metrics[0].append(_epoch_metrics(epoch, epoch_loss, correct, seen, b))
-        else:
-            for m in np.flatnonzero(active):
-                metrics[m].append(_epoch_metrics(epoch, epoch_loss[m], correct[m], seen, b))
-        if stopped:
+            ended = active & _stop_flags(on_batch_end(global_batch, model), members)
+            if np.logical_or.reduce(ended):
+                _close_epoch(metrics, ended, epoch, epoch_loss / b, correct / seen)
+                active &= ~ended
+                live = active
+                if not np.logical_or.reduce(active):
+                    break
+        _close_epoch(metrics, active, epoch, epoch_loss / b, correct / seen)
+        if not np.logical_or.reduce(active):
             break
 
     if task is not None:
@@ -519,26 +519,20 @@ def train_task(model: Sequential, dataset, task: Optional[int],
     return metrics[0] if lanes is None else metrics
 
 
-def _non_finite(loss, active: Optional[np.ndarray]) -> Optional[str]:
-    """None when the batch loss of every member still training is finite;
-    else how a refusal names the loss: "" unstacked, else its first member."""
-    if active is None:
-        return None if math.isfinite(loss) else ""
-    finite = np.isfinite(loss)
-    if np.logical_and.reduce(finite):
+def _refusal(values: list, active: np.ndarray, members: Optional[int]) -> Optional[str]:
+    """None when the ``values`` (arrays, a member's along the leading axis)
+    of every ``active`` run are finite, else how a refusal names them: ""
+    unstacked, else the first such member. Only a sum of them all that is
+    NaN or ±inf, as one of finite values can be, is looked at per run."""
+    if math.isfinite(sum(np.add.reduce(v, axis=None) for v in values)):
         return None
+    finite = np.ones(len(active), dtype=bool)
+    for v in values:
+        finite &= np.isfinite(v.reshape(len(active), -1)).all(axis=-1)
     bad = np.flatnonzero(active & ~finite)
-    return f"member {bad[0]}'s " if len(bad) else None
-
-
-def _row_refusal(rows: list, active: Optional[np.ndarray]) -> Optional[str]:
-    """As ``_non_finite`` for the rows' gradients: a sum over them all is
-    not finite where an entry is NaN or ±inf; only then are they summed
-    per member, to name one."""
-    grads = [row.grad for row in rows if row.grad is not None]
-    if math.isfinite(sum(np.add.reduce(g, axis=None) for g in grads)):
+    if not len(bad):
         return None
-    return _non_finite(sum(np.add.reduce(g, axis=-1) for g in grads), active)
+    return "" if members is None else f"member {bad[0]}'s "
 
 
 def _stop_flags(stop, members: Optional[int]) -> np.ndarray:

@@ -273,13 +273,19 @@ class TestCli:
         assert code == 1
         assert err.startswith("taskgate: error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("case", sorted(CORRUPT_ENTRIES))
+    @pytest.mark.parametrize("case", sorted(CORRUPT_ENTRIES) + ["seven_bytes"])
     def test_corrupt_checkpoint_diagnostic(self, tmp_path, capsys, case):
-        write_corrupt(tmp_path / bench.CHECKPOINT_NAME, case)
+        path = tmp_path / bench.CHECKPOINT_NAME
+        if case == "seven_bytes":
+            path.write_bytes(b"HATCKPT")
+        else:
+            write_corrupt(path, case)
         code = cli.main(["forget", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("taskgate: error:") and err.count("\n") == 1
+        if case != "config_not_utf8":  # the file read; its config text is checked later
+            assert str(path) in err
 
     @pytest.mark.parametrize("key, value", [(name, "0") for name in SIZE_FIELDS]
                              + [("s_max", "0"), ("s_max", "nan"), ("s_max", "-inf"),

@@ -224,6 +224,24 @@ class TestCorruptFiles:
         with pytest.raises(tg.UsageError) as info:
             config_text(read_entries(path))
         assert "\n" not in str(info.value)
+        if case != "config_not_utf8":  # refused by read_entries, not config_text
+            assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("blob, reason", [
+        (MAGIC[:7], "truncated checkpoint file"),
+        (b"NOTACKPT" + bytes(8), "not a checkpoint file (bad magic)"),
+        (MAGIC + struct.pack("<Q", 0) + b"zz", "2 trailing bytes after the last entry"),
+        (MAGIC + struct.pack("<Q", 1) + raw_entry(b"x", (1,), code=9, payload=bytes(8)),
+         "unknown dtype code 9 for entry 'x'"),
+        (MAGIC + struct.pack("<Q", 2) + raw_entry(b"x", (0,)) + raw_entry(b"x", (0,)),
+         "entry 'x' follows 'x'"),
+    ], ids=["seven_bytes", "bad_magic", "trailing", "dtype_code", "repeated_name"])
+    def test_every_read_refusal_names_the_file(self, tmp_path, blob, reason):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(tg.UsageError) as info:
+            read_entries(path)
+        assert str(info.value).startswith(f"{path}: {reason}")
 
     @pytest.mark.parametrize("key, stored, error", [
         ("l1.mask/stored/x", np.ones(8, dtype=np.uint8), tg.UsageError),

@@ -20,8 +20,8 @@ from taskgate.checkpoint import load_model_state, model_state
 from taskgate.forgetting import forget_task
 from taskgate.layers import COSH_CLAMP, E_MAX, InputSide, Linear, ReLU, walk
 
-from gated_models import (Rescale, claim_binary, flat_model, gated_layers, logits,
-                          set_binary_row, sgd_steps)
+from gated_models import (BUILDERS, Rescale, claim_binary, flat_model, gated_layers, inputs,
+                          logits, set_binary_row, sgd_steps)
 from gradcheck import assert_grads_match
 
 
@@ -212,11 +212,27 @@ class TestMaskerLifecycle:
         with Tape() as tape:
             out = m(HATPayload(x, task=0, scale=2.0, training=True)).masked_data()
             loss = tg.reduce_sum(out)
+        node = tape.nodes[out.node_id]  # a gate over the data alone
+        assert node.op == "gate" and node.parents == (x.node_id,) and not node.hooks
         tape.backward(loss)
         np.testing.assert_array_equal(out.data, x.data * [1.0, 0.0])
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [1.0, 0.0]])
         assert m.embedding_rows[0].grad is None
         np.testing.assert_array_equal(m.mask_values(0), [1.0, 0.0])
+
+    @pytest.mark.parametrize("kind", ["flat", "conv"])
+    def test_a_float32_models_completed_task_keeps_float32(self, kind):
+        # a stored mask is read in its row's dtype: the completed task's
+        # logits used to widen to float64
+        model = BUILDERS[kind](np.random.default_rng(71), 2)
+        for _, _, leaf, _ in model._leaf_table:
+            leaf.data = leaf.data.astype(np.float32)
+        for m in model.maskers():
+            m.finalize_task(0)
+            assert m.mask_values(0).dtype == np.float32
+        x = inputs(kind, 3, np.random.default_rng(72)).astype(np.float32)
+        for task in (0, 1):  # completed and untrained
+            assert logits(model, x, task).dtype == np.float32
 
     @pytest.mark.parametrize("gate", [None, "eval", "other scale"])
     @pytest.mark.parametrize("s", [1.0 / 400.0, 2.5, 400.0])

@@ -410,6 +410,27 @@ class TestRefusals:
                                  on_batch_end=stop_member_1)
         assert [len(runs) for runs in metrics] == [1, 1]
 
+    def test_finite_member_losses_whose_sum_overflows_train_on(self):
+        # each member's one-sample loss is about 1.2e308, finite; their sum
+        # is inf, which alone must refuse nothing
+        def wrong_by_far(bias, label):
+            bias[:] = 6e307
+            bias[label] = -6e307
+
+        x, y = group_data(n=1)
+        cfgs = group_configs(batch_size=1)
+        group = toy_group()
+        for m in range(2):
+            wrong_by_far(group.steps[-1].bias.data[m], y[m, 0])
+        with np.errstate(over="ignore"):  # the summed objective is inf
+            metrics = train_task(group, (x, y), 0, cfgs)
+        losses = [runs[0].loss for runs in metrics]
+        assert all(np.isfinite(losses)) and sum(losses) == np.inf
+        for m, cfg in enumerate(cfgs):  # as each member trains alone
+            alone = build("toy", m, "ones")
+            wrong_by_far(alone.steps[-1].bias.data, y[m, 0])
+            assert train_task(alone, (x[m], y[m]), 0, cfg) == metrics[m]
+
     def test_member_mask_scales(self):
         masker = toy_group().maskers()[0]
         data = Tensor(np.ones((2, 3, 5)))

@@ -1120,6 +1120,20 @@ class TestDatasetChecks:
             assert p.grad is None and p.node_id is None
         assert [m.completed_tasks() for m in model.maskers()] == [[], []]
 
+    @pytest.mark.parametrize("steps", [(), (ReLU(),), (lambda t: t,)],
+                             ids=["empty", "relu", "function"])
+    @pytest.mark.parametrize("task", [0, None])
+    def test_a_model_with_nothing_to_train_is_refused_before_the_data(self, steps, task):
+        # backward used to fail on such a model: its loss was never recorded
+        class Untouchable:
+            def __iter__(self):
+                raise AssertionError("the dataset was read")
+
+        with pytest.raises(tg.UsageError, match=re.escape(
+                f"the model has no parameters to train for task {task}")) as err:
+            train_task(Sequential(*steps), Untouchable(), task, TrainerConfig(epochs=1))
+        assert "\n" not in str(err.value)
+
     def test_list_samples_train_as_arrays(self):
         x, y = two_cluster_task(np.random.default_rng(66))
         cfg = TrainerConfig(task_count=2, epochs=2, batch_size=30)
