@@ -108,6 +108,8 @@ class ExperimentConfig:
                      "toy_batch_size", "dim", "train_n", "test_n", "trunk_width"):
             _width(getattr(self, name), name)
         check_s_max(self.s_max)
+        if not (_real(self.separation) and math.isfinite(self.separation)):
+            raise UsageError(f"separation must be finite, got {self.separation!r}")
         lo, hi = self.theta_lo, self.theta_hi
         if not (_real(lo) and _real(hi) and 0.0 <= lo < hi <= 1.0):
             raise UsageError(f"theta_lo and theta_hi must satisfy 0 <= theta_lo "

@@ -14,10 +14,10 @@ The pieces:
   functions sit between them (else claimed). Any other weighted module
   outside a task slot has every end claimed once its model has a completed
   task, and a task slot's module once its own task is complete. Each
-  kind's ``_held`` says which entries are held: in any training loop a
-  forward on a tape, task id or not, hooks their gradients by
-  ``1 - min(out_i, in_j)`` (once per tape, ``_protect``); ``forget_task``
-  and ``held_entries`` read it too.
+  trainable leaf carries the rule as data (``Protection``), which hooks its
+  gradient by ``1 - min(out_i, in_j)`` whenever the leaf joins a tape, by a
+  forward or any other op; ``held_entries``, ``forget_task`` and
+  ``training.SGD`` read it too.
 * Applying a training mask records one ``gate`` node, ``data * sigmoid(s * e)``.
   With the payload's ``training`` flag it also hooks the task's embedding
   row (once per tape): each gradient reaching the row is rescaled to undo
@@ -25,8 +25,8 @@ The pieces:
   magnitude rail. A live mask is ``attention`` over the row, or part of
   ``train_task``'s ``objective``; on a training tape the row's hook takes
   its gradient too.
-* Per-recording state (hooks registered, the gate's scale and mask) is
-  noted in ``Tape.notes`` and dropped with the tape; modules keep none.
+* Per-recording state (a row's hook, the gate's scale and mask) is noted
+  in ``Tape.notes`` and dropped with the tape; modules keep none.
 * ``TaskIndexed`` holds one isolated ``Linear`` or ``LayerNorm`` per task and
   dispatches on the payload's task id.
 * ``stack_members`` turns M models of one structure into one member model:
@@ -73,35 +73,21 @@ _MODEL_OF: "weakref.WeakKeyDictionary[Module, weakref.ref]" = weakref.WeakKeyDic
 class Module:
     """Minimal parameter container; ``_leaf_names`` names the attributes
     holding a kind's trainable leaves. A plain module implements ``forward``
-    on bare tensors, which calling it runs under ``_protect``.
+    on bare tensors, which calling it runs; its leaves carry their own
+    protection (``Protection``), so a module may define its own ``__call__``.
 
     ``members`` is None for an ordinary module and M for one that
     ``stack_members`` built, whose parameters carry a leading member axis.
-    ``slot`` is the task a task-indexed submodule serves, None elsewhere.
     """
 
     members: Optional[int] = None
-    guards: tuple = ()
-    slot: Optional[int] = None
     _leaf_names: tuple = ()
 
     def local_parameters(self) -> list:
         return [getattr(self, name) for name in self._leaf_names]
 
-    def _held(self, units) -> list:
-        """``(leaf, a_out, a_in)`` per leaf with held entries (see ``grad_nullify``),
-        ``units(masker)`` giving a masker's claimed units. A plain module claims
-        all its ends once a masker of its model (``guards``) has a completed
-        task; a task-indexed submodule once its own task (``slot``) is one."""
-        slot = self.slot
-        if not any(m.stored_task_masks if slot is None else slot in m.stored_task_masks
-                   for m in self.guards):
-            return []  # no numpy work while nothing is claimed
-        lead = 1 if self.members is None else 2
-        return [(leaf, np.ones(leaf.shape[:lead]), None) for leaf in self.local_parameters()]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return _protect(self, self.forward(x))
+    def __call__(self, x):
+        return self.forward(x)
 
 
 class PayloadModule(Module):
@@ -109,9 +95,6 @@ class PayloadModule(Module):
 
     def forward(self, p: HATPayload) -> HATPayload:
         raise NotImplementedError
-
-    def __call__(self, p: HATPayload) -> HATPayload:
-        return self.forward(p)
 
 
 def _real(value) -> bool:
@@ -430,22 +413,13 @@ class HATMasker(PayloadModule):
 
 
 def held_entries(module: Module, units=_CLAIMED) -> list:
-    """``(leaf, selection)`` per leaf ``module._held(units)`` names: the entries
-    whose ``grad_nullify`` factor is 0, held by default by completed tasks."""
-    return [(leaf, grad_nullify(np.ones(leaf.shape), a_out, a_in) == 0.0)
-            for leaf, a_out, a_in in module._held(units)]
-
-
-def _protect(module: Module, out: Tensor) -> Tensor:
-    """``out``, just recorded by ``module``'s forward. On a tape, once per tape,
-    each leaf ``module._held`` names that is on it gets a ``grad_nullify`` hook."""
-    tape = Tape.current()
-    if tape is not None and module not in tape.notes:
-        for leaf, a_out, a_in in module._held(_CLAIMED):
-            if leaf._node_tape is tape:
-                leaf.register_hook(lambda g, a_out=a_out, a_in=a_in: grad_nullify(g, a_out, a_in))
-                tape.notes[module] = True  # hooks are on this tape
-    return out
+    """``(leaf, selection)`` per leaf of ``module`` whose rule holds entries:
+    those whose ``grad_nullify`` factor is 0, held by default by completed
+    tasks (``units(masker)`` gives the units a masker counts as claimed)."""
+    rules = [(leaf, leaf.on_join._factors(leaf, units))
+             for leaf in module.local_parameters() if leaf.on_join is not None]
+    return [(leaf, grad_nullify(np.ones(leaf.shape), *factors) == 0.0)
+            for leaf, factors in rules if factors is not None]
 
 
 def _dense(x: Tensor, weight: Tensor, bias: Tensor, who: str) -> Tensor:
@@ -515,6 +489,45 @@ class InputSide(NamedTuple):
         return per_unit if self.taps == 1 else np.repeat(per_unit, self.taps, axis=-1)
 
 
+class Protection(NamedTuple):
+    """A trainable leaf's protection rule, as plain data: maskers and a task,
+    never the leaf's own module, so a deep copy of a model copies its rules
+    along and a dropped model leaves no cycle. Run as the leaf joins a tape
+    (``Tensor.on_join``), it hooks the leaf's gradient by ``grad_nullify``
+    while some entry is held. A gated layer's leaf reads its output masker
+    ``out`` and, for the weight, the input ``side``; any other leaf has all
+    its ends claimed once a masker of its model (``maskers``) has a
+    completed task, or, serving a task ``slot``, once that task is one."""
+
+    out: Optional[HATMasker] = None
+    side: InputSide = InputSide()
+    maskers: tuple = ()
+    slot: Optional[int] = None
+
+    @property
+    def sources(self) -> tuple:  # every masker the rule reads
+        return tuple(m for m in (self.out, self.side.masker) + self.maskers if m is not None)
+
+    def _factors(self, leaf: Tensor, units=_CLAIMED) -> Optional[tuple]:
+        """``grad_nullify``'s ``(a_out, a_in)`` for ``leaf``, or None while no
+        entry is held; ``units(masker)`` gives a masker's claimed units."""
+        if self.out is not None:
+            a_out, side = units(self.out), self.side
+            if not a_out.any():  # every factor 1 - min(out, in) is 1
+                return None
+            return a_out, side.masker and side.expand(units(side.masker))
+        slot = self.slot
+        for m in self.maskers:  # a loop, not any(): this runs as each leaf joins a tape
+            if m.stored_task_masks if slot is None else slot in m.stored_task_masks:
+                return np.ones(leaf.shape[:1]), None
+        return None  # no numpy work while nothing is claimed
+
+    def __call__(self, leaf: Tensor) -> None:
+        factors = self._factors(leaf)
+        if factors is not None:
+            leaf.register_hook(lambda g: grad_nullify(g, *factors))
+
+
 class _GatedWeightedLayer(PayloadModule):
     """A weighted layer with an output masker over its ``shape[0]`` output
     units; a kind checks its geometry, then builds its leaves here."""
@@ -527,20 +540,11 @@ class _GatedWeightedLayer(PayloadModule):
         self.weight, self.bias = _fresh_leaves(shape, fan_in, rng)
         self.output_masker = HATMasker(shape[0], task_count, layer_tag + ".mask",
                                        s_max=s_max)
-        # alone, a layer is a first layer; every Sequential holding it
-        # rebinds this from the model's structure (see walk)
-        self.input_side = InputSide()
-
-    def _held(self, units) -> list:
-        a_out, side = units(self.output_masker), self.input_side
-        if not a_out.any():  # every factor 1 - min(out, in) is 1
-            return []
-        a_in = side.masker and side.expand(units(side.masker))
-        return [(self.weight, a_out, a_in), (self.bias, a_out, None)]
+        # alone, a first layer; a Sequential rebinds its weight's input side (walk)
+        self.weight.on_join = self.bias.on_join = Protection(self.output_masker)
 
     def forward(self, p: HATPayload) -> HATPayload:
-        h = _protect(self, self._weighted(p.data))
-        return self.output_masker.forward(p.with_data(h))
+        return self.output_masker.forward(p.with_data(self._weighted(p.data)))
 
 
 class HATLinear(_GatedWeightedLayer):
@@ -625,14 +629,13 @@ class Sequential(PayloadModule):
     input side, so a model whose widths cannot be protected is refused
     right here, as is one that mixes member modules with others or member
     counts, that reaches one trainable parameter twice (a ``ReLU`` or a
-    function may repeat), whose parts write one checkpoint entry name twice,
-    or whose weighted plain module skips ``Module.__call__`` and with it
-    ``_protect``. A module with parameters belongs to one model:
-    one that another live model holds is refused, while a nested
-    ``Sequential`` hands its modules up to the pipeline built around it.
-    Weighted plain modules get its maskers as ``guards``, and so does every
-    trainable leaf but the embedding rows, for ``training.SGD`` to see when
-    their records change; ``members`` is the member count.
+    function may repeat), or whose parts write one checkpoint entry name
+    twice. A module with parameters belongs to one model: one that another
+    live model holds is refused, while a nested ``Sequential`` hands its
+    modules up to the pipeline built around it. Every trainable leaf but the
+    embedding rows then gets its ``Protection``: a gated layer's from its
+    maskers, any other from the model's maskers and its task slot.
+    ``members`` is the member count.
     """
 
     def __init__(self, *modules):
@@ -651,11 +654,6 @@ class Sequential(PayloadModule):
                 reached[leaf] = where
                 table.append(row)
             if isinstance(module, Module):
-                if (module._leaf_names and not isinstance(module, _GatedWeightedLayer)
-                        and type(module).__call__ is not Module.__call__):
-                    raise UsageError(f"step {name}'s {type(module).__name__} has trainable "
-                                     f"leaves but its own __call__; implement forward, "
-                                     f"which Module.__call__ runs under protection")
                 counts.add(module.members)
                 indexed = module.submodules if isinstance(module, TaskIndexed) else []
                 for part in [module] + indexed:
@@ -680,17 +678,13 @@ class Sequential(PayloadModule):
                 raise UsageError(f"steps {written[entry]} and {where} both write checkpoint "
                                  f"entry '{entry}'; give each layer a tag of its own")
             written[entry] = where
+        for _, entry, leaf, slot in table:
+            if entry is not None:  # rows need none: a completed task reads its stored mask
+                leaf.on_join = Protection(maskers=maskers, slot=slot)
         for _, module, side in walked:
             if side is not None:
-                module.input_side = side
-            elif isinstance(module, Module) and module._leaf_names:
-                module.guards = maskers
-            elif isinstance(module, TaskIndexed):
-                for t, sub in enumerate(module.submodules):
-                    sub.guards, sub.slot = maskers, t
-        for _, entry, leaf, _ in table:
-            if entry is not None:  # an embedding row would hold its masker: a cycle
-                leaf.guards = maskers
+                module.weight.on_join = Protection(module.output_masker, side)
+                module.bias.on_join = Protection(module.output_masker)
         for part in owned:
             _MODEL_OF[part] = weakref.ref(self)
         self._parts, self._maskers, self._leaf_table = walked, maskers, tuple(table)

@@ -17,9 +17,9 @@ Backward runs only as ``tape.backward(loss)``, and only leaves keep a
 transforms each gradient arriving there before it is accumulated; hooks on
 one tensor fire in registration order, so registering ``f`` then ``g``
 gives ``g(f(upstream))``. A hook is how to see an intermediate's gradient.
-What a module must remember about one recording (hooks it has registered,
-a mask a later op may reuse) goes in the tape's ``notes`` dict, so it
-lives and dies with the tape instead of on the module.
+A leaf's ``on_join`` callback, if set, runs as the leaf joins a tape. What
+a module notes about one recording (a mask a later op may reuse) goes in
+the tape's ``notes`` dict, so it lives and dies with the tape.
 
 Hot compositions get one node where the generic ops would record several,
 with the generic ops' arithmetic in their float order. The fused nodes are:
@@ -136,8 +136,8 @@ class Tape:
     tensor it recorded then reads ``node_id`` None, keeping its value and
     gradient. Keep the tape (``as tape``) until its backward has run.
 
-    ``notes`` maps a module or a parameter to what was noted about it in
-    this recording; it is dropped with the tape.
+    ``notes`` maps a parameter to what was noted about it in this
+    recording; it is dropped with the tape.
     """
 
     _tls = threading.local()
@@ -224,6 +224,8 @@ class Tensor:
     ``.grad``; ``register_hook`` shows an intermediate's gradient.
     """
 
+    on_join: Optional[Callable[["Tensor"], None]] = None
+
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is None and not (isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64)):
             dtype = DEFAULT_DTYPE
@@ -286,6 +288,8 @@ def _leaf_id(tape: Tape, t: Tensor) -> int:
     node = tape._add_node("leaf", (), None, t)
     t._tape_ref = tape._ref
     t._node_id = node.nid
+    if t.on_join is not None:
+        t.on_join(t)
     return node.nid
 
 

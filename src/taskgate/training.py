@@ -161,14 +161,13 @@ class SGD:
     """Plain stochastic gradient descent with classical momentum.
 
     Velocity buffers start at zero, and restart at zero on the first step
-    after the completed tasks of the parameters' model change (a task
-    finalized or forgotten, masks restored): velocity from before a
-    finalization cannot move an entry it claims, and one optimizer may serve
-    many tasks as a fresh one per task (``train_task``) does. The parameters
-    name their model's maskers (``guards``, set by ``Sequential``), so
-    finalizing one model leaves another's optimizer alone. ``lr`` and
-    ``momentum`` are checked as ``TrainerConfig`` checks them
-    (``check_trainer_numbers``).
+    after a masker some parameter's rule reads (``layers.Protection``)
+    changes its completed tasks: a task finalized or forgotten, masks
+    restored. So velocity from before a finalization cannot move an entry
+    it claims, a bare gated layer's included; one optimizer may serve many
+    tasks as a fresh one per task (``train_task``) does; and finalizing one
+    model leaves another's optimizer alone. ``lr`` and ``momentum`` are
+    checked as ``TrainerConfig`` checks them (``check_trainer_numbers``).
     """
 
     def __init__(self, params: list, lr: float, momentum: float = 0.9):
@@ -178,7 +177,7 @@ class SGD:
         self.momentum = momentum
         self.velocity = [np.zeros_like(p.data) for p in self.params]
         self._maskers = list(dict.fromkeys(m for p in self.params
-                                           for m in getattr(p, "guards", ())))
+                                           for m in getattr(p.on_join, "sources", ())))
         self._seen = [m.cumulative_mask for m in self._maskers]
 
     def step(self, live: Optional[np.ndarray] = None) -> None:

@@ -291,6 +291,7 @@ class TestCli:
                              + [("s_max", "0"), ("s_max", "nan"), ("s_max", "-inf"),
                                 ("s_max", "0.5"),
                                 ("reg_lambda", "nan"), ("lr", "nan"),
+                                ("separation", "nan"), ("separation", "inf"),
                                 ("momentum", "1"), ("theta_hi", "2")])
     def test_degenerate_config_is_one_line_error(self, tmp_path, capsys, key, value):
         cfgfile = tmp_path / "bad.cfg"

@@ -983,13 +983,13 @@ class TestSequential:
         assert [m for m, _ in gated] == [model.steps[0], model.steps[2]]
         assert gated[0][1] == InputSide()  # first layer: nothing below
         assert gated[1][1] == InputSide(model.steps[0].output_masker, 1)
-        assert model.steps[2].input_side == gated[1][1]
+        assert model.steps[2].weight.on_join.side == gated[1][1]
 
     def test_standalone_masker_feeds_first_weighted_layer(self):
         rng = np.random.default_rng(46)
         gate = HATMasker(3, 2, "in")
         model = Sequential(gate, HATLinear(3, 4, 2, "l1", rng))
-        assert model.steps[1].input_side == InputSide(gate, 1)
+        assert model.steps[1].weight.on_join.side == InputSide(gate, 1)
         assert model.maskers() == [gate, model.steps[1].output_masker]
 
     def test_task_parameters_pick_one_embedding_row(self):

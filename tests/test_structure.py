@@ -3,6 +3,7 @@ consumer of the model walk: maskers, trainable parameters, gradient
 protection, forgetting and checkpoints."""
 
 import ast
+import copy
 import gc
 import pathlib
 import re
@@ -16,7 +17,7 @@ from taskgate import (HATConv2d, HATLinear, HATMasker, Linear, ReLU, Sequential,
 from taskgate.checkpoint import load_model_state, model_state, read_entries, write_entries
 from taskgate.data import continual_tasks
 from taskgate.forgetting import forget_task
-from taskgate.layers import InputSide, held_entries, walk
+from taskgate.layers import InputSide, Protection, held_entries, walk
 
 from gated_models import (BUILDERS, IMAGE, Rescale, claim_binary, conv_model, flatten,
                           gated_layers, inputs, logits, nested_model,
@@ -43,7 +44,8 @@ class TestWalk:
         model = conv_model(rng, task_count=2)
         assert len(calls) == 1
         parts = walk(model)
-        assert all(side is layer.input_side for _, layer, side in parts if side is not None)
+        assert all(side is layer.weight.on_join.side
+                   for _, layer, side in parts if side is not None)
         assert len([side for _, _, side in parts if side is not None]) == 2
         claim_binary(model, 0, rng)
         model.task_parameters(1)
@@ -64,17 +66,17 @@ class TestWalk:
         assert l2.output_masker.embedding_rows[0] not in params
         # the nested layer reads the outer masker before it, and the layer
         # after the nested pipeline reads the nested layer's masker
-        assert l2.input_side == InputSide(l1.output_masker, 1)
-        assert l3.input_side == InputSide(l2.output_masker, 1)
+        assert l2.weight.on_join.side == InputSide(l1.output_masker, 1)
+        assert l3.weight.on_join.side == InputSide(l2.output_masker, 1)
 
     def test_flattened_conv_maps_channels_over_pixels(self):
         model = conv_model(np.random.default_rng(101), task_count=2)
         conv, dense = gated_layers(model)
         pixels = IMAGE[1] * IMAGE[2]
-        assert dense.input_side == InputSide(conv.output_masker, pixels)
+        assert dense.weight.on_join.side == InputSide(conv.output_masker, pixels)
         assert model.maskers() == [conv.output_masker, dense.output_masker]
         np.testing.assert_array_equal(
-            dense.input_side.expand(np.array([1.0, 0.0, 0.5])),
+            dense.weight.on_join.side.expand(np.array([1.0, 0.0, 0.5])),
             np.repeat([1.0, 0.0, 0.5], pixels))
 
     def test_width_mismatch_refused_at_build(self):
@@ -132,12 +134,12 @@ class TestWalk:
             "indexed_and_shared": ([l1, lin, tg.TaskIndexed([Linear(6, 6, rng), lin], "head")],
                                    "1 and 2[1]"),
         }[case]
-        sides = [(m, m.input_side) for m in (l1, l2, inner.steps[0])]
-        guards = lin.guards
+        rules = [(leaf, leaf.on_join) for leaf in (l1.weight, l2.weight,
+                                                   inner.steps[0].weight, lin.weight)]
         with pytest.raises(tg.ShapeError, match=re.escape(f"steps {where} reach")) as err:
             Sequential(*steps)
         assert "\n" not in str(err.value)
-        assert all(m.input_side is side for m, side in sides) and lin.guards is guards
+        assert all(leaf.on_join is rule for leaf, rule in rules)
 
     def test_a_relu_or_a_function_may_repeat(self):
         rng = np.random.default_rng(111)
@@ -149,7 +151,7 @@ class TestWalk:
         assert len(other.task_parameters(0)) == 3
 
     # unrefused, the last model built rebinds a module's input side and
-    # guards for every model holding it: after Sequential(l2) below, model
+    # rules for every model holding it: after Sequential(l2) below, model
     # a's l2 read no masker on its input side
     @pytest.mark.parametrize("case", ["gated_layer", "output_masker", "masker", "linear",
                                       "task_indexed_submodule", "nested_twice"])
@@ -164,27 +166,29 @@ class TestWalk:
                  "masker": [gate], "linear": [lin],
                  "task_indexed_submodule": [head.submodules[1]],
                  "nested_twice": [inner]}[case]
-        sides, guards = [(m, m.input_side) for m in (l1, l2)], lin.guards
+        rules = [(leaf, leaf.on_join) for leaf in (l1.weight, l2.weight, lin.weight)]
         with pytest.raises(tg.UsageError, match="belongs to another model") as err:
             Sequential(*steps)
         assert "\n" not in str(err.value)
-        assert all(m.input_side is side for m, side in sides) and lin.guards is guards
-        assert l2.input_side.masker is gate and a.steps[0] is inner
+        assert all(leaf.on_join is rule for leaf, rule in rules)
+        assert l2.weight.on_join.side.masker is gate and a.steps[0] is inner
 
-    def test_a_weighted_module_with_its_own_call_is_refused(self):
-        # its __call__ would skip Module.__call__, and with it the protection
+    def test_a_weighted_module_with_its_own_call_keeps_completed_tasks_bit_exact(self):
+        # its leaves carry their rule, so skipping Module.__call__ skips no
+        # protection: every task trains its gain until task 0 completes
         class Bypass(Rescale):
             def __call__(self, x):
-                return self.forward(x)
+                return tg.mul(x, self.gain)
 
         rng = np.random.default_rng(114)
-        l1, lin = HATLinear(4, 6, 2, "l1", rng), Linear(6, 6, rng)
-        with pytest.raises(tg.UsageError, match="step 2's Bypass has trainable leaves "
-                                                "but its own __call__") as err:
-            Sequential(l1, ReLU(), Bypass(6), lin)
-        assert "\n" not in str(err.value)
-        assert lin.guards == () and tg.layers._MODEL_OF.get(l1) is None
-        Sequential(l1, ReLU(), Rescale(6), lin)  # forward alone is welcome
+        model = Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(), Bypass(6),
+                           tg.task_indexed_linear(6, 2, 2, "head", rng))
+        cfg = TrainerConfig(task_count=2, epochs=2, batch_size=8, lr=0.1, momentum=0.5)
+        x = rng.standard_normal((12, 4))
+        train_task(model, (rng.standard_normal((24, 4)), rng.integers(0, 2, 24)), 0, cfg)
+        before = logits(model, x, 0)
+        train_task(model, (rng.standard_normal((24, 4)), rng.integers(0, 2, 24)), 1, cfg)
+        assert logits(model, x, 0).tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("case", ["two_gated", "gated_step_name", "two_maskers",
                                       "masker_named_as_output_masker", "two_heads"])
@@ -209,7 +213,7 @@ class TestWalk:
                 f"steps {where} both write checkpoint entry '{entry}'")) as err:
             Sequential(*steps)
         assert "\n" not in str(err.value)
-        assert l1.input_side == InputSide() and tg.layers._MODEL_OF.get(l1) is None
+        assert l1.weight.on_join.side == InputSide() and tg.layers._MODEL_OF.get(l1) is None
 
     @pytest.mark.parametrize("build", [
         lambda rng: HATLinear(4, 3, 2, "m/stored/0", rng),
@@ -233,7 +237,7 @@ class TestWalk:
         l1, l2 = HATLinear(4, 5, 2, "l1", rng), HATLinear(5, 3, 2, "l2", rng)
         a = Sequential(l1, ReLU(), l2)
         del a
-        assert Sequential(l2).steps == [l2] and l2.input_side.masker is None
+        assert Sequential(l2).steps == [l2] and l2.weight.on_join.side.masker is None
 
 
 def weighted_between_model(middle, rng, task_count):
@@ -278,13 +282,13 @@ def test_a_weighted_module_before_a_gated_layer_claims_its_inputs(middle):
     # freezes each claimed output unit's whole row, as a first layer does
     rng = np.random.default_rng(105)
     model = weighted_between_model(middle, rng, task_count=3)
-    assert gated_layers(model)[-1].input_side == InputSide()
+    assert gated_layers(model)[-1].weight.on_join.side == InputSide()
     # a task-indexed submodule is held by its own task alone, not by any
     # completed task as a shared module is
     indexed = [(t, sub) for _, m, _ in walk(model) if isinstance(m, tg.TaskIndexed)
                for t, sub in enumerate(m.submodules)]
-    assert indexed and all(sub.slot == t and sub.guards == tuple(model.maskers())
-                           for t, sub in indexed)
+    assert indexed and all(leaf.on_join == Protection(maskers=tuple(model.maskers()), slot=t)
+                           for t, sub in indexed for leaf in sub.local_parameters())
     train_three_tasks_then_forget_one(model, 4, rng)
 
 
@@ -305,8 +309,22 @@ def test_shared_modules_keep_completed_tasks_bit_exact(shape):
     build, features = SHARED_SHAPES[shape]
     model = build(rng, 3)
     shared = shared_modules(model)
-    assert shared and all(m.guards == tuple(model.maskers()) for m in shared)
+    assert shared and all(leaf.on_join == Protection(maskers=tuple(model.maskers()))
+                          for m in shared for leaf in m.local_parameters())
     train_three_tasks_then_forget_one(model, features, rng)
+
+
+def test_a_shared_module_is_held_once_any_masker_of_its_model_completes_a_task():
+    # the rule reads every masker of the model, not the first one alone
+    rng = np.random.default_rng(109)
+    lin = Linear(6, 6, rng)
+    model = Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(), lin, HATLinear(6, 3, 2, "l2", rng))
+    assert held_entries(lin) == []
+    set_binary_row(model.maskers()[-1], 0, [1])
+    model.maskers()[-1].finalize_task(0)
+    held = held_entries(lin)
+    assert [leaf for leaf, _ in held] == lin.local_parameters()
+    assert all(selection.all() for _, selection in held)
 
 
 def test_a_module_of_the_users_own_keeps_completed_tasks_bit_exact():
@@ -347,6 +365,69 @@ def test_steps_on_a_completed_tasks_own_id_keep_it_bit_exact(kind):
     before = logits(model, x, 0)
     sgd_steps(model, x, y, 0, steps=3)
     assert logits(model, x, 0).tobytes() == before.tobytes()
+
+
+def all_parameters(model, task_count):
+    return list(dict.fromkeys(p for t in range(task_count) for p in model.task_parameters(t)))
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_a_penalty_on_a_tape_of_its_own_keeps_completed_tasks_bit_exact(kind):
+    # a weight-decay step reaches every parameter with no forward on its
+    # tape; hooked by a module's forward alone, it moved task 0's logits
+    rng = np.random.default_rng(3)
+    model = BUILDERS[kind](rng, 3)
+    x, y = inputs(kind, 32, rng), rng.integers(0, 2, 32)
+    train_task(model, (x, y), 0, TrainerConfig(task_count=3, epochs=1, batch_size=8))
+    before = logits(model, x, 0)
+    frozen = [(leaf, sel, leaf.data.copy()) for _, m, _ in walk(model)
+              if isinstance(m, tg.layers.Module) for leaf, sel in held_entries(m)]
+    params = all_parameters(model, 3)
+    with tg.Tape() as tape:
+        terms = [tg.reduce_sum(tg.mul(p, p)) for p in params]
+        penalty = terms[0]
+        for term in terms[1:]:
+            penalty = tg.add(penalty, term)
+    tape.backward(penalty)
+    tg.SGD(params, lr=0.1).step()
+    assert frozen and all(np.array_equal(leaf.data[sel], b[sel]) for leaf, sel, b in frozen)
+    assert logits(model, x, 0).tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_a_deep_copy_of_a_trained_model_keeps_its_completed_tasks_bit_exact(kind):
+    # the copy's rules name the copy's maskers; a rule naming its module
+    # through a weak reference read the original's records instead
+    rng = np.random.default_rng(4)
+    data = [(inputs(kind, 24, rng), rng.integers(0, 2, 24)) for _ in range(3)]
+    cfg = TrainerConfig(task_count=3, epochs=2, batch_size=8, lr=0.1, momentum=0.5)
+    model = BUILDERS[kind](rng, 3)
+    init_embeddings(model.maskers(), "gaussian", rng)  # tasks claim units of their own
+    train_task(model, data[0], 0, cfg)
+    twin = copy.deepcopy(model)
+    seen = {}
+    for task in (1, 2):
+        seen[task - 1] = logits(twin, data[task - 1][0], task - 1)
+        train_task(twin, data[task], task, cfg)
+        for t, before in seen.items():
+            assert logits(twin, data[t][0], t).tobytes() == before.tobytes()
+    assert model.maskers()[0].completed_tasks() == [0]
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_a_dropped_trained_model_leaves_no_cyclic_garbage(kind):
+    # a rule holding its module would tie each leaf to it in a cycle
+    rng = np.random.default_rng(5)
+    model = BUILDERS[kind](rng, 2)
+    train_task(model, (inputs(kind, 16, rng), rng.integers(0, 2, 16)), 0,
+               TrainerConfig(task_count=2, epochs=1, batch_size=8))
+    gc.collect()
+    gc.disable()
+    try:
+        del model
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_task_slot_is_held_from_completion_until_forgotten():

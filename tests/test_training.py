@@ -455,6 +455,45 @@ class TestSGD:
                 before = logits_of(model, test_x, 0)
         assert np.abs(logits_of(model, test_x, 0) - before).max() == 0.0
 
+    def test_a_bare_gated_layers_optimizer_restarts_across_a_finalization(self):
+        # no Sequential binds the layer; its leaves' rules name its masker,
+        # so velocity from task 0 does not move the units task 0 claims
+        rng = np.random.default_rng(5)
+        layer = HATLinear(4, 6, 2, "l1", rng)
+        x, y = rng.standard_normal((16, 4)), rng.integers(0, 6, 16)
+        opt = SGD(layer.local_parameters() + layer.output_masker.embedding_rows,
+                  lr=0.01, momentum=0.9)
+
+        def outputs(task, steps=0):
+            for _ in range(steps):
+                with tg.Tape() as tape:
+                    out = layer.forward(HATPayload(Tensor(x), task=task, scale=50.0,
+                                                   training=True))
+                    loss = tg.softmax_cross_entropy(out.masked_data(), y)
+                tape.backward(loss)
+                opt.step()
+                opt.zero_grad()
+            return layer.forward(HATPayload(Tensor(x), task=0)).masked_data().data
+
+        outputs(0, steps=5)
+        layer.output_masker.finalize_task(0)
+        before = outputs(0)
+        assert np.abs(outputs(1, steps=3) - before).max() == 0.0
+
+    def test_finalizing_a_layers_input_side_alone_restarts_its_optimizer(self):
+        # the gate is no leaf's output masker, only l1's input side; its new
+        # claims hold more of l1's weight, so velocity restarts for them too
+        rng = np.random.default_rng(6)
+        gate, l1 = HATMasker(4, 2, "gate"), HATLinear(4, 6, 2, "l1", rng)
+        Sequential(gate, l1)
+        opt = SGD(l1.local_parameters(), lr=0.1, momentum=0.5)
+        for p in opt.params:
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        gate.finalize_task(0)
+        opt.step()  # v = 0 * 0.5 + 1: restarted
+        assert all((v == 1.0).all() for v in opt.velocity)
+
     def test_finalizing_one_model_leaves_another_models_optimizer_alone(self):
         a, b = self.continual_model(2), self.continual_model(3)
         params = a.task_parameters(0)
@@ -1018,9 +1057,8 @@ class TestTapeNotes:
             loss = tg.softmax_cross_entropy(out.masked_data(), y)
         tape.backward(loss)
         assert tape_references(model) == []
-        layers = [m for _, m, side in walk(model) if side is not None]
         rows = {m.embedding_rows[2] for m in model.maskers()}
-        assert set(tape.notes) == set(layers) | rows
+        assert set(tape.notes) == rows
 
 
 class TestIdentityReduction:
