@@ -11,13 +11,13 @@ The pieces:
 * One rule protects completed tasks: an entry stops moving once a completed
   task claims both of its ends. A gated layer's output ends are its output
   masker's units, its input ends those of the most recent masker if only
-  functions sit between them (else claimed). Any other weighted module
-  outside a task slot has every end claimed once its model has a completed
-  task, and a task slot's module once its own task is complete. Each
-  trainable leaf carries the rule as data (``Protection``), which hooks its
-  gradient by ``1 - min(out_i, in_j)`` whenever the leaf joins a tape, by a
-  forward or any other op; ``held_entries``, ``forget_task`` and
-  ``training.SGD`` read it too.
+  ``ReLU`` and ``Flatten`` sit between them (else claimed). Any other
+  weighted module outside a task slot has every end claimed once its model
+  has a completed task, and a task slot's module once its own task is
+  complete. Each trainable leaf carries the rule as data (``Protection``),
+  which hooks its gradient by ``1 - min(out_i, in_j)`` whenever the leaf
+  joins a tape, by a forward or any other op; ``held_entries``,
+  ``forget_task`` and ``training.SGD`` read it too.
 * Applying a training mask records one ``gate`` node, ``data * sigmoid(s * e)``.
   With the payload's ``training`` flag it also hooks the task's embedding
   row (once per tape): each gradient reaching the row is rescaled to undo
@@ -37,11 +37,12 @@ The pieces:
   ``HATConv2d``, ``LayerNorm`` and ``TaskIndexed`` when stacked, and
   checkpoints and ``forget_task`` (``refuse_members``).
 
-Plain modules and functions (``Linear``, ``ReLU``, a flatten) operate on
+Plain modules and functions (``Linear``, ``ReLU``, ``Flatten``) operate on
 bare tensors inside a ``Sequential``, which may nest. Building one is the
 one traversal of its model (``walk`` returns the parts it kept); it also
 decides which masker, if any, claims each gated layer's input features and
-how those features map onto its units.
+how those features map onto its units, and refuses a step of the user's
+own that hides a module or a trainable tensor from it.
 """
 
 from __future__ import annotations
@@ -190,11 +191,10 @@ def _compensation(e: np.ndarray, s: float, s_max: float) -> tuple:
     return s_max * num, s * den
 
 
-def grad_rail(q: np.ndarray, raw_abs_max,
-              factor: float = RAIL_FACTOR) -> np.ndarray:
-    """Clip a rescaled gradient to +/- factor times the raw gradient's max
-    (a float, or per member an [M,1] column of them)."""
-    return _clip(q, factor * raw_abs_max)
+def grad_rail(q: np.ndarray, raw_abs_max) -> np.ndarray:
+    """Clip a rescaled gradient to +/- RAIL_FACTOR times the raw gradient's
+    max (a float, or per member an [M,1] column of them)."""
+    return _clip(q, RAIL_FACTOR * raw_abs_max)
 
 
 def _width(v, name: str) -> int:
@@ -457,6 +457,14 @@ class ReLU:
         return ops.relu(x)
 
 
+class Flatten:
+    """[B, C, H, W] -> [B, C·H·W], channel-major: a channel's H·W pixels
+    become consecutive features, which the channel's mask unit covers."""
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return ops.reshape(x, (x.shape[0], -1))
+
+
 class LayerNorm(Module):
     """Per-sample feature normalization with learnable gain/shift."""
 
@@ -477,8 +485,8 @@ class LayerNorm(Module):
 
 class InputSide(NamedTuple):
     """The masker whose units are a gated layer's input ends (None when they count
-    as claimed: a first layer, or one reading a weighted module). Each unit covers
-    ``taps`` consecutive input features, a flattened convolution's channel-major pixels."""
+    as claimed: a first layer, or one reached through a step but ``ReLU`` and
+    ``Flatten``). Each unit covers ``taps`` consecutive features, a flattened channel."""
 
     masker: Optional[HATMasker] = None
     taps: int = 1
@@ -627,8 +635,9 @@ class Sequential(PayloadModule):
     Building a pipeline walks it once, keeping the parts (``walk``), the
     maskers and a leaf table (``_leaves``), and binds each gated layer's
     input side, so a model whose widths cannot be protected is refused
-    right here, as is one that mixes member modules with others or member
-    counts, that reaches one trainable parameter twice (a ``ReLU`` or a
+    right here, as is a step that hides a module or a trainable tensor from
+    the walk (``_refuse_hidden``), a model that mixes member modules with
+    others or member counts, that reaches one trainable parameter twice (a
     function may repeat), or whose parts write one checkpoint entry name
     twice. A module with parameters belongs to one model: one that another
     live model holds is refused, while a nested ``Sequential`` hands its
@@ -640,9 +649,9 @@ class Sequential(PayloadModule):
 
     def __init__(self, *modules):
         self.steps = list(modules)
-        # the masker whose units the next module reads, and its owner: a list
-        # handed down, not a closure cell, so the walk leaves no reference cycle
-        walked = tuple(_visit(self.steps, "", [None, None]))
+        # the masker the next module reads and whether a Flatten followed it:
+        # a list, not a closure cell, so the walk leaves no reference cycle
+        walked = tuple(_visit(self.steps, "", [None, False]))
         counts, reached, table = set(), {}, []
         nested, owned = list(_pipelines(self)), []
         for name, module, _ in walked:
@@ -807,20 +816,17 @@ def _stack_leaves(leaves: list) -> Tensor:
 
 
 def _input_side(layer: _GatedWeightedLayer, masker: Optional[HATMasker],
-                owner) -> InputSide:
-    """How `layer`'s input features map onto the units of `masker`, the most
-    recent masker before it with only functions in between, if any (`owner`
-    is the module it belongs to)."""
+                flattened: bool) -> InputSide:
+    """How `layer`'s input features map onto the units of `masker`, if any:
+    one feature per unit, or after a ``Flatten`` (`flattened`) as many
+    consecutive features per unit as the width allows."""
     if masker is None:
         return InputSide()
     # input features, or a conv's input channels
     width = layer.in_features if isinstance(layer, HATLinear) else layer.in_channels
     units = masker.n_features
-    if width == units:
-        return InputSide(masker)
-    if (isinstance(layer, HATLinear) and isinstance(owner, HATConv2d)
-            and width % units == 0):
-        return InputSide(masker, width // units)  # a flattened convolution
+    if width == units or (flattened and width % units == 0):
+        return InputSide(masker, width // units)
     raise ShapeError(f"'{layer.layer_tag}' reads {width} input features, which "
                      f"do not map onto the {units} units of masker "
                      f"'{masker.layer_tag}'")
@@ -834,9 +840,10 @@ def walk(model: Sequential) -> tuple:
     step 1 of a ``Sequential`` at step 3. A gated layer is followed by its
     output masker, under the same name, and is the only module with an
     ``InputSide`` (None for the rest), the one bound to it: the most recent
-    masker before it in run order with only functions between them, or none
-    when a weighted module (a ``Linear``, a ``TaskIndexed``, a module of the
-    user's own) sits there or the layer comes first.
+    masker before it in run order with only ``ReLU`` and ``Flatten`` steps
+    between them, the only steps known to keep each unit in place and 0 at
+    0. Any other step there (a function, a ``Linear``, a ``TaskIndexed``, a
+    module of the user's own), or none before, leaves its inputs claimed.
     """
     return model._parts
 
@@ -848,11 +855,32 @@ def _visit(steps, prefix: str, last: list):
             yield from _visit(module.steps, name + ".", last)
         elif isinstance(module, _GatedWeightedLayer):
             yield name, module, _input_side(module, *last)
-            last[:] = (module.output_masker, module)
+            last[:] = (module.output_masker, False)
             yield name, module.output_masker, None
         else:
             if isinstance(module, HATMasker):
-                last[:] = (module, module)
-            elif isinstance(module, Module):  # its outputs are no masker's units
-                last[:] = (None, None)
+                last[:] = (module, False)
+            elif type(module) is Flatten:
+                last[1] = True
+            elif type(module) is not ReLU:  # a subclass may compute anything
+                last[:] = (None, False)
+                if type(module) not in (TaskIndexed, Linear, LayerNorm):
+                    _refuse_hidden(name, module)
             yield name, module, None
+
+
+def _refuse_hidden(name: str, step) -> None:
+    """Refuse a step holding a module, or a trainable tensor its ``_leaf_names``
+    does not name, in an attribute or a list, tuple or dict attribute's items:
+    the model would never train, protect or checkpoint it."""
+    named = [getattr(step, attr) for attr in getattr(step, "_leaf_names", ())]
+    for attr, value in getattr(step, "__dict__", {}).items():
+        items = (value.items() if isinstance(value, dict) else enumerate(value)
+                 if isinstance(value, (list, tuple)) else [(None, value)])
+        for key, item in items:
+            if isinstance(item, Module) or (isinstance(item, Tensor) and item.requires_grad
+                                            and not any(item is t for t in named)):
+                where = attr if key is None else f"{attr}[{key!r}]"
+                raise UsageError(f"step {name}'s {type(step).__name__} holds a "
+                                 f"{type(item).__name__} at '{where}' that the model "
+                                 f"cannot see; make it a step of the Sequential")

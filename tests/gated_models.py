@@ -3,7 +3,7 @@
 * flat: HATLinear -> ReLU -> HATLinear -> ReLU -> per-task head
 * nested: a trunk of three HATLinear with the middle one inside a nested
   Sequential
-* conv: HATConv2d -> ReLU -> flatten -> HATLinear -> ReLU -> per-task head
+* conv: HATConv2d -> ReLU -> Flatten -> HATLinear -> ReLU -> per-task head
 * linear_first: a shared Linear -> ReLU -> HATLinear -> ReLU -> per-task head
 * shared_head: HATLinear -> ReLU -> HATLinear -> ReLU -> a shared Linear head
 * user_module: HATLinear -> ReLU -> Rescale, a module of the user's own ->
@@ -13,14 +13,10 @@
 import numpy as np
 
 import taskgate as tg
-from taskgate import E_MAX, HATConv2d, HATLinear, LayerNorm, Linear, ReLU, Sequential
+from taskgate import E_MAX, Flatten, HATConv2d, HATLinear, LayerNorm, Linear, ReLU, Sequential
 from taskgate.layers import walk
 
 IMAGE = (2, 4, 4)  # channels, height, width of the conv model's inputs
-
-
-def flatten(x):
-    return tg.reshape(x, (x.shape[0], -1))
 
 
 def flat_model(rng, task_count):
@@ -49,7 +45,7 @@ def conv_model(rng, task_count):
     return Sequential(
         HATConv2d(channels, 3, 3, task_count, "c1", rng, padding=1),
         ReLU(),
-        flatten,
+        Flatten(),
         HATLinear(3 * height * width, 5, task_count, "fc", rng),
         ReLU(),
         tg.task_indexed_linear(5, 2, task_count, "head", rng),

@@ -90,7 +90,7 @@ def test_gaussian_init_output_bytes(gaussian_outputs, name):
     assert _digest(gaussian_outputs / name) == GOLDEN_GAUSSIAN[name], f"{name} changed"
 
 
-# conv(3->4, pad 1) -> ReLU -> conv(4->8, stride 2, pad 1) -> ReLU -> flatten
+# conv(3->4, pad 1) -> ReLU -> conv(4->8, stride 2, pad 1) -> ReLU -> Flatten
 # -> task-indexed head on 3x12x12 images, 2 tasks of 64 samples, one epoch
 # at batch 32: every task's logits on its test images, then every leaf. Its
 # convolutions are BLAS products too, so the caveat above holds here as well.
@@ -105,7 +105,7 @@ def _conv_run():
         layers.ReLU(),
         layers.HATConv2d(4, 8, 3, count, "conv2", rng, stride=2, padding=1),
         layers.ReLU(),
-        lambda x: ops.reshape(x, (x.shape[0], -1)),
+        layers.Flatten(),
         layers.task_indexed_linear(8 * 6 * 6, 2, count, "head", rng),
     )
     training.init_embeddings(model.maskers(), "ones")

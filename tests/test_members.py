@@ -15,7 +15,7 @@ from taskgate.data import toy_dataset
 from taskgate.layers import Module, walk
 from taskgate.training import TrainerConfig, evaluate, init_embeddings, train_task
 
-from gated_models import conv_model, flatten, logits
+from gated_models import conv_model, logits
 
 TASKS = 2
 
@@ -281,7 +281,7 @@ class TestRefusals:
         (lambda rng: Sequential(tg.task_indexed_linear(5, 2, TASKS, "head", rng)), "TaskIndexed"),
         (lambda rng: conv_model(rng, TASKS), "HATConv2d"),
         (lambda rng: Sequential(tg.LayerNorm(5)), "LayerNorm"),
-        (lambda rng: Sequential(HATMasker(5, TASKS, "m"), flatten), "function"),
+        (lambda rng: Sequential(HATMasker(5, TASKS, "m"), tg.relu), "function"),
     ])
     def test_modules_without_a_member_form(self, build_model, kind):
         models = [build_model(np.random.default_rng(i)) for i in range(2)]

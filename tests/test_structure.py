@@ -19,7 +19,7 @@ from taskgate.data import continual_tasks
 from taskgate.forgetting import forget_task
 from taskgate.layers import InputSide, Protection, held_entries, walk
 
-from gated_models import (BUILDERS, IMAGE, Rescale, claim_binary, conv_model, flatten,
+from gated_models import (BUILDERS, IMAGE, Rescale, claim_binary, conv_model,
                           gated_layers, inputs, logits, nested_model,
                           set_binary_row, sgd_steps, shared_modules)
 
@@ -89,17 +89,34 @@ class TestWalk:
         rng = np.random.default_rng(103)
         with pytest.raises(tg.ShapeError, match="'fc'"):
             Sequential(HATConv2d(2, 3, 3, 2, "c1", rng, padding=1), ReLU(),
-                       flatten, HATLinear(47, 5, 2, "fc", rng))
+                       tg.Flatten(), HATLinear(47, 5, 2, "fc", rng))
 
     def test_dense_masker_never_repeats(self):
-        # only a flattened convolution's channels spread over input features;
-        # through a function (here one that repeats each feature) l2 still
-        # reads l1's masker, whose 3 units its 6 features do not map onto
+        # only a Flatten spreads a unit over input features; through a
+        # function (here one that repeats each feature) l2's inputs count as
+        # claimed, so it builds without reading l1's 3 units at all
         rng = np.random.default_rng(104)
         repeat = tg.Tensor(np.tile(np.eye(3), 2))
-        with pytest.raises(tg.ShapeError, match="'l2' reads 6 input features"):
-            Sequential(HATLinear(4, 3, 2, "l1", rng), ReLU(),
-                       lambda x: tg.matmul(x, repeat), HATLinear(6, 2, 2, "l2", rng))
+        model = Sequential(HATLinear(4, 3, 2, "l1", rng), ReLU(),
+                           lambda x: tg.matmul(x, repeat), HATLinear(6, 2, 2, "l2", rng))
+        assert gated_layers(model)[1].weight.on_join.side == InputSide()
+
+    @pytest.mark.parametrize("case", ["no_flatten", "past_a_gated_layer", "past_a_masker"])
+    def test_a_width_multiple_without_a_flatten_just_before_is_refused(self, case):
+        # a unit spreads over several features only across a Flatten that
+        # follows its masker with nothing but ReLU between
+        rng = np.random.default_rng(106)
+        conv = [HATConv2d(2, 3, 3, 2, "c1", rng, padding=1), ReLU(), tg.Flatten()]
+        steps, width = {"no_flatten": ([HATLinear(4, 3, 2, "l1", rng), ReLU()], 6),
+                        "past_a_gated_layer": (conv + [HATLinear(48, 3, 2, "l1", rng)], 6),
+                        "past_a_masker": (conv + [HATMasker(48, 2, "gate"), ReLU()], 96)}[case]
+        with pytest.raises(tg.ShapeError, match=f"'l2' reads {width} input features"):
+            Sequential(*steps, HATLinear(width, 2, 2, "l2", rng))
+
+    def test_flatten_is_channel_major(self):
+        x = np.arange(2 * 3 * 2 * 2.0).reshape(2, 3, 2, 2)
+        out = tg.Flatten()(tg.Tensor(x))
+        assert out.data.tobytes() == x.reshape(2, 12).tobytes()
 
     def test_weighted_layers_after_the_last_gated_layer_allowed(self):
         # the toy model: a standalone masker, then only plain layers
@@ -290,6 +307,119 @@ def test_a_weighted_module_before_a_gated_layer_claims_its_inputs(middle):
     assert indexed and all(leaf.on_join == Protection(maskers=tuple(model.maskers()), slot=t)
                            for t, sub in indexed for leaf in sub.local_parameters())
     train_three_tasks_then_forget_one(model, 4, rng)
+
+
+REVERSE = tg.Tensor(np.eye(12)[::-1].copy())
+
+
+def channel_last(x):
+    return tg.reshape(tg.permute(x, (0, 2, 3, 1)), (x.shape[0], -1))
+
+
+class ChannelLast(tg.Flatten):
+    """Not a Flatten, whatever its base: it flattens channel-last."""
+
+    def __call__(self, x):
+        return channel_last(x)
+
+
+class Reverse(ReLU):
+    """Not a ReLU, whatever its base: it reverses the features."""
+
+    def __call__(self, x):
+        return tg.matmul(x, REVERSE)
+
+
+def function_step_model(step, rng):
+    """A gated layer reading the one before it through a function ``step``
+    that moves units or maps 0 to a nonzero, and two tasks' data for it."""
+    if step in ("channel_last", "flatten_subclass"):
+        flatten = ChannelLast() if step == "flatten_subclass" else channel_last
+        model = Sequential(HATConv2d(3, 4, 3, 2, "c1", rng, padding=1), ReLU(), flatten,
+                           HATLinear(144, 16, 2, "fc", rng), ReLU(),
+                           tg.task_indexed_linear(16, 2, 2, "head", rng))
+        tasks = []
+        for _ in range(2):
+            template, y = rng.standard_normal((3, 6, 6)), rng.permutation(np.arange(96) % 2)
+            x = rng.standard_normal((96, 3, 6, 6)) + (y - 0.5).reshape(-1, 1, 1, 1) * template
+            tasks.append(((x[:64], y[:64]), x[64:]))
+        return model, tasks
+    f = {"reversal": lambda x: tg.matmul(x, REVERSE), "sigmoid": tg.sigmoid,
+         "relu_subclass": Reverse()}[step]
+    model = Sequential(HATLinear(16, 12, 2, "l1", rng), ReLU(), f,
+                       HATLinear(12, 12, 2, "l2", rng), ReLU(),
+                       tg.task_indexed_linear(12, 2, 2, "head", rng))
+    return model, [(t.train, t.test[0])
+                   for t in continual_tasks(2, rng, dim=16, train_n=128, test_n=32)]
+
+
+@pytest.mark.parametrize("step", ["reversal", "sigmoid", "channel_last", "relu_subclass",
+                                  "flatten_subclass"])
+def test_a_function_step_leaves_the_next_layers_inputs_claimed(step):
+    # bound to the masker before the function, task 1 moved task 0's logits
+    # here by 0.014 (reversal, and the ReLU subclass), 0.0047 (sigmoid) and
+    # 0.010 (channel-last flatten, as a function or a Flatten subclass)
+    rng = np.random.default_rng(1)
+    model, tasks = function_step_model(step, rng)
+    init_embeddings(model.maskers(), "gaussian", rng)
+    cfg = TrainerConfig(task_count=2, epochs=2, batch_size=32, momentum=0.5,
+                        reg_lambda=0.075)
+    train_task(model, tasks[0][0], 0, cfg)
+    before = logits(model, tasks[0][1], 0)
+    train_task(model, tasks[1][0], 1, cfg)
+    assert logits(model, tasks[0][1], 0).tobytes() == before.tobytes()
+    assert gated_layers(model)[1].weight.on_join.side == InputSide()
+
+
+class Residual(tg.layers.PayloadModule):
+    """``p.data + body(p).data``: a skip connection around a hidden layer."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def forward(self, p):
+        return p.with_data(tg.add(p.data, self.body(p).data))
+
+
+class Holder(tg.layers.Module):
+    """A module of the user's own holding ``parts``."""
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    def forward(self, x):
+        return x
+
+
+class TestHiddenLayers:
+    @pytest.mark.parametrize("step, where", [
+        (lambda rng: Residual(HATLinear(6, 6, 2, "inner", rng)),
+         "Residual holds a HATLinear at 'body'"),
+        (lambda rng: Holder([ReLU(), Linear(6, 6, rng)]), "Holder holds a Linear at 'parts[1]'"),
+        (lambda rng: Holder((Sequential(ReLU()),)), "Holder holds a Sequential at 'parts[0]'"),
+        (lambda rng: Holder({"a": Rescale(6)}), "Holder holds a Rescale at 'parts['a']'"),
+        (lambda rng: Holder(tg.Tensor(np.ones(6), requires_grad=True)),
+         "Holder holds a Tensor at 'parts'"),
+        (lambda rng: Holder([tg.Tensor(np.ones(6), requires_grad=True)]),
+         "Holder holds a Tensor at 'parts[0]'"),
+    ], ids=["residual", "list", "tuple", "dict", "tensor", "listed_tensor"])
+    def test_a_step_hiding_a_module_or_a_trainable_tensor_is_refused(self, step, where):
+        # built, the residual's inner layer never trained, its masker never
+        # finalized and the checkpoint had no entry for it
+        rng = np.random.default_rng(112)
+        with pytest.raises(tg.UsageError, match=re.escape(f"step 2's {where}")) as err:
+            Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(), step(rng),
+                       tg.task_indexed_linear(6, 2, 2, "head", rng))
+        assert "\n" not in str(err.value)
+
+    def test_named_leaves_constants_and_plain_values_build(self):
+        rng = np.random.default_rng(113)
+        rescale = Rescale(6)
+        rescale.also = [rescale.gain, tg.Tensor(np.ones(6))]
+        model = Sequential(HATLinear(4, 6, 2, "l1", rng), ReLU(), rescale,
+                           Holder({"scale": tg.Tensor(np.ones(6)), "n": [3, np.ones(2)]}),
+                           tg.task_indexed_linear(6, 2, 2, "head", rng))
+        assert rescale.gain in model.task_parameters(0)
 
 
 SHARED_SHAPES = {  # (builder, input features)

@@ -55,6 +55,8 @@ def test_continual_workload_calls(tmp_path):
         return model
 
     model, scratch = build(), build()
+    l1, l2 = [m for _, m, side in layers.walk(model) if side is not None]
+    assert l2.weight.on_join.side == layers.InputSide(l1.output_masker, 1)
     head = model.steps[-1].submodules[0].weight
     assert isinstance(head, ops.Tensor) and head.shape == (2, cfg.trunk_width)
     seen = []
@@ -87,6 +89,12 @@ def test_conv_workload_calls():
         layers.task_indexed_linear(3 * side * side, 2, count, "head", rng),
     )
     training.init_embeddings(model.maskers(), "ones")
+    # the benchmark's protection: conv2 reads conv1's channels, and its own
+    # flatten feeds a head whose slots read no masker
+    conv1, conv2, head = model.steps[0], model.steps[2], model.steps[-1]
+    assert conv2.weight.on_join.side == layers.InputSide(conv1.output_masker, 1)
+    assert all(leaf.on_join.side == layers.InputSide()
+               for sub in head.submodules for leaf in sub.local_parameters())
     cfg = training.TrainerConfig(task_count=count, s_max=400.0, schedule="cosine",
                                  init="ones", lr=0.05, momentum=0.5, reg_lambda=0.075,
                                  epochs=1, batch_size=4, seed=0)
